@@ -56,12 +56,8 @@ from .poset import (
     SimplicialComplex,
     UnknownElement,
     check_cohen_macaulay,
-    reduced_simplicial_cohomology,
-    reduced_simplicial_homology,
-    simplicial_cohomology,
-    simplicial_homology,
 )
-from .search import scan, scan_fvector_space
+from .search import CorruptCheckpoint, scan, scan_fvector_space
 from .sponge import (
     InvalidSponge,
     NonCompactSponge,
@@ -251,23 +247,14 @@ def _cmd_homology(args) -> tuple[dict, int]:
     doc = _read_document(args.file)
     coefficients = "integers" if args.coeff == "z" else "rationals"
     if "facets" in doc:
-        k = parse_simplicial(doc)
-        if args.reduced:
-            hom = reduced_simplicial_homology(k, coefficients)
-            coh = reduced_simplicial_cohomology(k, coefficients)
-        else:
-            hom = simplicial_homology(k, coefficients)
-            coh = simplicial_cohomology(k, coefficients)
+        c = parse_simplicial(doc).chain_complex(augmented=args.reduced)
     else:
-        z = parse_sponge(doc)
-        c = cellular_complex(z, augmented=args.reduced)
-        hom = homology(c, coefficients)
-        coh = cohomology(c, coefficients)
+        c = cellular_complex(parse_sponge(doc), augmented=args.reduced)
     payload = {
         "coefficients": coefficients,
         "reduced": bool(args.reduced),
-        "homology": profile_json(hom),
-        "cohomology": profile_json(coh),
+        "homology": profile_json(homology(c, coefficients)),
+        "cohomology": profile_json(cohomology(c, coefficients)),
     }
     return _report("homology", doc, payload), EXIT_PASS
 
@@ -594,7 +581,7 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     except (UnknownBuiltin, UnknownElement) as err:
         print(canonical_json({"error": f"unknown name: {err}"}), file=stdout)
         return EXIT_INPUT_ERROR
-    except (BadParameter, NegativeB) as err:
+    except (BadParameter, NegativeB, CorruptCheckpoint) as err:
         print(canonical_json({"error": str(err)}), file=stdout)
         return EXIT_INPUT_ERROR
     except (InvalidSponge, NonCompactSponge, NotAcyclicSponge) as err:

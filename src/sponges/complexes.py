@@ -2,10 +2,14 @@
 homology, cohomology, relative quotients, and induced maps.
 
 A complex stores one boundary matrix per degree (from degree d down to d-1)
-and validates d o d = 0 on construction.  Homology is computed from Smith
-diagonals: free ranks by rank-nullity, torsion from the invariant factors of
-the incoming boundary.  Complexes are immutable after construction and all
-operations are pure.
+and validates d o d = 0 on construction.  Homology and cohomology are both
+read off one cached Smith diagonal per boundary: free ranks by rank-nullity,
+homology torsion from the invariant factors of the incoming boundary, and
+cohomology torsion from those of the outgoing one (the coboundary is the
+transposed boundary, which has the same invariant factors).  That is the
+universal-coefficient theorem; the test suite checks it against an oracle
+that runs Smith forms on the transposed matrices.  Complexes are immutable
+after construction and all operations are pure.
 
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
@@ -17,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import IntegerMatrix, integer_kernel_basis, smith_diagonal
+from .exactalg import IntegerMatrix, integer_kernel_basis, rational_rref, smith_diagonal
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -230,30 +234,20 @@ def homology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyPr
 
 
 def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyProfile:
-    """Cohomology, computed from the transposed boundaries.
+    """Cohomology, degree by degree, from the Smith diagonals of homology.
 
-    The coboundary out of degree d is the transpose of d_{d+1}.  Universal
-    coefficients then give free H^d = free H_d and torsion H^d = torsion
-    H_{d-1}; this is checked as a property in the test suite, not assumed.
+    The coboundary out of degree d is the transpose of d_{d+1}, with the
+    same invariant factors.  So free H^d = rank(d) - rank(d_{d+1}) -
+    rank(d_d) = free H_d, and over Z the torsion in degree d is read off the
+    Smith diagonal of d_d, i.e. torsion H^d = torsion H_{d-1}.
     """
     _check_coefficients(coefficients)
-    diag: dict[int, tuple[int, ...]] = {}
-
-    def codiagonal(d: int) -> tuple[int, ...]:
-        # coboundary C^d -> C^{d+1} is boundary(d+1) transposed
-        if d not in diag:
-            m = c.boundary(d + 1).transpose()
-            diag[d] = smith_diagonal(m) if not m.is_zero() else ()
-        return diag[d]
-
     data = {}
     for d in c.degrees():
-        r_out = len(codiagonal(d))
-        r_in = len(codiagonal(d - 1))
-        free = c.rank(d) - r_out - r_in
+        free = c.rank(d) - len(c._diagonal(d + 1)) - len(c._diagonal(d))
         torsion: tuple[int, ...] = ()
         if coefficients == INTEGERS:
-            torsion = tuple(t for t in codiagonal(d - 1) if t > 1)
+            torsion = tuple(t for t in c._diagonal(d) if t > 1)
         data[d] = (free, torsion)
     return HomologyProfile(data)
 
@@ -340,66 +334,6 @@ def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:
 # rational homology bases and induced maps
 
 
-def _solve_columns(
-    columns: list[tuple[int, ...]], target: Sequence[Fraction | int], nrows: int
-) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent.
-
-    The columns are assumed linearly independent, so the solution is unique.
-    """
-    ncols = len(columns)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    solution = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        solution[c] = aug[row][ncols]
-    # consistency: rows past the pivot rows must have zero right-hand side
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    return solution
-
-
-def _independent_prefix(columns: list[tuple[int, ...]], nrows: int) -> list[int]:
-    """Indices of a leftmost maximal independent subset of the columns."""
-    basis_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    chosen = []
-    for idx, col in enumerate(columns):
-        vec = [Fraction(x) for x in col]
-        for row, p in zip(basis_rows, pivots):
-            if vec[p]:
-                factor = vec[p] / row[p]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        pivot = next((i for i in range(nrows) if vec[i]), None)
-        if pivot is not None:
-            basis_rows.append(vec)
-            pivots.append(pivot)
-            chosen.append(idx)
-    return chosen
-
-
 class RationalHomologyBasis:
     """Deterministic homology bases over Q for one complex.
 
@@ -431,7 +365,7 @@ class RationalHomologyBasis:
             up = c.boundary(d + 1)
             boundary_cols = [up.column(j) for j in range(up.cols)] if up.cols else []
             all_cols = boundary_cols + kernel
-            chosen = _independent_prefix(all_cols, n)
+            _, chosen = rational_rref(list(zip(*all_cols)))
             b_basis = [all_cols[i] for i in chosen if i < len(boundary_cols)]
             reps = [all_cols[i] for i in chosen if i >= len(boundary_cols)]
             self._reps[d] = reps
@@ -451,16 +385,19 @@ class RationalHomologyBasis:
 
     def coordinates(self, degree: int, vector: Sequence[int | Fraction]) -> list[Fraction]:
         """Coordinates of a cycle in the homology basis (mod boundaries)."""
-        n = self.complex.rank(degree)
         cols = self._solver_columns.get(degree, [])
         if not cols:
             if any(Fraction(v) for v in vector):
                 raise ValueError("nonzero vector in a degree with trivial chains")
             return []
-        sol = _solve_columns(cols, list(vector), n)
-        if sol is None:
+        # the columns are independent, so the target is a pivot exactly when
+        # the system is inconsistent, and otherwise the solution is unique
+        reduced, pivots = rational_rref(
+            [(*row, target) for row, target in zip(zip(*cols), vector, strict=True)]
+        )
+        if len(cols) in pivots:
             raise ValueError("vector is not a cycle modulo boundaries")
-        return sol[self._boundary_count[degree]:]
+        return [row[-1] for row in reduced[self._boundary_count[degree]:]]
 
 
 def _is_chain_map(

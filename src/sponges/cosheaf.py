@@ -10,7 +10,7 @@ cohomology is the cosheaf's cover map.
 
 Chain groups of the cosheaf in homological degree i collect the sections of
 the rank-i faces, with boundary the incidence-weighted sum of cover maps;
-the diamond relation makes the boundary square to zero (asserted).  For
+the diamond relation makes the boundary square to zero (checked).  For
 Cohen-Macaulay face posets the sections live purely in cohomological degree
 n-2 and the homology of the cosheaf in degree r must agree with the
 cohomology of the order complex in degree n-2-r.  `dihomology_check`
@@ -39,7 +39,7 @@ from .complexes import (
     induced_map_on_homology,
     subcomplex,
 )
-from .exactalg import IntegerMatrix
+from .exactalg import IntegerMatrix, rational_rref
 from .poset import check_cohen_macaulay, order_complex
 from .sponge import SpongeComplex, cellular_complex, ensure_valid
 
@@ -169,7 +169,7 @@ def assemble_chain_complex(c: LocalCohomologyCosheaf, p: int) -> CosheafChainCom
 
     The boundary out of homological degree i sums incidence-weighted cover
     maps over the covers between rank i and rank i-1.  Squares to zero by
-    the diamond relation; asserted.
+    the diamond relation; checked.
     """
     z = c.base
     max_rank = z.faces.max_rank()
@@ -202,11 +202,11 @@ def assemble_chain_complex(c: LocalCohomologyCosheaf, p: int) -> CosheafChainCom
                         block[r0 + a][c0 + b] += sign * val
         boundaries[i] = block
     for i in range(2, max_rank + 1):
-        _assert_squares_to_zero(boundaries[i - 1], boundaries[i])
+        _check_squares_to_zero(boundaries[i - 1], boundaries[i])
     return CosheafChainComplex(p=p, dims=dims, offsets=offsets, boundaries=boundaries)
 
 
-def _assert_squares_to_zero(lower, upper) -> None:
+def _check_squares_to_zero(lower, upper) -> None:
     if not lower or not upper or not upper[0]:
         return
     rows = len(lower)
@@ -215,37 +215,14 @@ def _assert_squares_to_zero(lower, upper) -> None:
     for j in range(cols):
         col = [upper[k][j] for k in range(mid)]
         for i in range(rows):
-            acc = sum(lower[i][k] * col[k] for k in range(mid) if col[k])
-            assert acc == 0, "cosheaf boundary does not square to zero"
-
-
-def _fraction_rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    m = [row[:] for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    rank_ = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank_, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank_], m[pivot] = m[pivot], m[rank_]
-        pv = m[rank_][c]
-        m[rank_] = [x / pv for x in m[rank_]]
-        for i in range(nrows):
-            if i != rank_ and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank_])]
-        rank_ += 1
-        if rank_ == nrows:
-            break
-    return rank_
+            if sum(lower[i][k] * col[k] for k in range(mid) if col[k]):
+                raise RuntimeError("cosheaf boundary does not square to zero")
 
 
 def cosheaf_homology(c: LocalCohomologyCosheaf, p: int) -> HomologyProfile:
     """Rational homology of the cosheaf chain complex at cohomological degree p."""
     assembled = assemble_chain_complex(c, p)
-    ranks = {i: _fraction_rank(m) for i, m in assembled.boundaries.items()}
+    ranks = {i: len(rational_rref(m)[1]) for i, m in assembled.boundaries.items()}
     data = {}
     for i, dim in assembled.dims.items():
         free = dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
@@ -296,11 +273,8 @@ def dihomology_check(z: SpongeComplex) -> DihomologyReport:
                 torsion.append((s, d, t))
     lhs_profile = cosheaf_homology(cosheaf, top)
     lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
-    oc = cohomology(
-        order_complex(z.faces).chain_complex(augmented=False),
-        coefficients="rationals",
-    )
-    oc_integral = cohomology(order_complex(z.faces).chain_complex(augmented=False))
+    # rational ranks are the free ranks of the integral cohomology
+    oc = cohomology(order_complex(z.faces).chain_complex(augmented=False))
     rhs = tuple(oc.free_rank(top - r) for r in range(top + 1))
     report = DihomologyReport(
         n=z.n,
@@ -309,9 +283,7 @@ def dihomology_check(z: SpongeComplex) -> DihomologyReport:
         concentrated=not stray,
         stray_sections=tuple(stray),
         section_torsion=tuple(torsion),
-        order_complex_torsion=tuple(
-            (d, t) for d in oc_integral.degrees() for t in oc_integral.torsion(d)
-        ),
+        order_complex_torsion=tuple(oc.total_torsion()),
     )
     for r in range(top + 1):
         if lhs[r] != rhs[r]:

@@ -212,7 +212,7 @@ class DualityReport:
 
 
 def fvector_of(z: SpongeComplex) -> ExtendedFVector:
-    """Extended f-vector of an acyclic sponge; asserts the Euler relation."""
+    """Extended f-vector of an acyclic sponge; checks the Euler relation."""
     report = check_acyclic(z)
     if not report.is_acyclic:
         raise NotAcyclicSponge(
@@ -220,7 +220,8 @@ def fvector_of(z: SpongeComplex) -> ExtendedFVector:
             f"acyclic up to {report.skeleton_acyclic_up_to} (need {z.n - 3})"
         )
     fv = ExtendedFVector(n=z.n, f=z.face_counts(), b=report.b_number)
-    assert fv.is_euler_consistent, "acyclic sponge violates the Euler relation"
+    if not fv.is_euler_consistent:
+        raise RuntimeError("acyclic sponge violates the Euler relation")
     return fv
 
 
@@ -297,7 +298,8 @@ def hvector_of(fv: ExtendedFVector) -> HVector:
     Asymmetric or negative h-vectors are findings, not errors.
     """
     betti = betti_polynomial(fv)
-    assert all(c == 0 for d, c in enumerate(betti) if d % 2 == 1)
+    if any(c for d, c in enumerate(betti) if d % 2 == 1):
+        raise RuntimeError(f"Betti polynomial {betti} has odd-degree terms")
     h = tuple(betti[2 * i] for i in range(fv.n + 1))
     symmetric = all(h[i] == h[fv.n - i] for i in range(fv.n + 1))
     nonnegative = all(x >= 0 for x in h)

@@ -1,8 +1,9 @@
 """Exact integer matrix algebra: Smith normal form, rank, integer kernels.
 
-Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere.  Matrices are immutable (entries live in a tuple, in
-row-major order), so all routines are safe for concurrent use.
+Everything here runs on Python's arbitrary-precision integers and exact
+rationals; no floating point is used anywhere.  Matrices are immutable
+(entries live in a tuple, in row-major order), so all routines are safe for
+concurrent use.
 
 The Smith normal form is the computational bedrock for every homology
 computation in this package.  Pivoting always picks the nonzero entry of
@@ -10,12 +11,15 @@ smallest absolute value, breaking ties by lowest (row, column); this keeps
 intermediate entry growth down and makes the output deterministic.  The
 unimodular transforms are only computed when a caller actually needs them
 (`smith_normal_form`); rank and torsion queries go through the cheaper
-`smith_diagonal`.
+`smith_diagonal`.  Linear algebra over Q (independent columns, solving for
+coordinates, ranks of rational matrices) goes through the one Gauss-Jordan
+routine `rational_rref`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -266,7 +270,8 @@ class _Eliminator:
             # pivot row/column now hold only the pivot entry; retire them
             self._set(r, c, 0)
 
-        assert _divisibility_chain_ok(self.diagonal)
+        if not _divisibility_chain_ok(self.diagonal):
+            raise RuntimeError(f"Smith diagonal {self.diagonal} is not a divisibility chain")
 
     def _reduce_pivot(self, r: int, c: int, v: int) -> tuple[int, int, int]:
         """Clear row r / column c, keeping the pivot dividing everything left."""
@@ -358,7 +363,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
         d_ent[k * m.cols + k] = d
     D = IntegerMatrix(m.rows, m.cols, d_ent)
     result = SmithDecomposition(U=U, D=D, V=V, diagonal=diag)
-    assert result.verify(m), "Smith decomposition postcondition failed"
+    if not result.verify(m):
+        raise RuntimeError("Smith decomposition postcondition failed")
     return result
 
 
@@ -378,3 +384,34 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
     snf = smith_normal_form(m)
     r = len(snf.diagonal)
     return [snf.V.column(j) for j in range(r, m.cols)]
+
+
+def rational_rref(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over Q, by Gauss-Jordan elimination.
+
+    Returns the nonzero reduced rows (each with pivot entry 1) and the pivot
+    column of each.  Columns are scanned left to right, so the pivot columns
+    are the leftmost maximal independent subset of the columns and their
+    count is the rank.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        pivot_row = m[r] = [x / pv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                m[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return m[: len(pivots)], pivots

@@ -335,18 +335,6 @@ def reduced_simplicial_cohomology(
     return cohomology(k.chain_complex(augmented=True), coefficients)
 
 
-def simplicial_homology(
-    k: SimplicialComplex, coefficients: str = "integers"
-) -> HomologyProfile:
-    return homology(k.chain_complex(augmented=False), coefficients)
-
-
-def simplicial_cohomology(
-    k: SimplicialComplex, coefficients: str = "integers"
-) -> HomologyProfile:
-    return cohomology(k.chain_complex(augmented=False), coefficients)
-
-
 @dataclass(frozen=True)
 class CMWitness:
     """One failure of the Cohen-Macaulay condition."""

@@ -11,7 +11,9 @@ bare f-vector need not come from any sponge.
 Records are keyed by a canonical identifier, so summaries are independent
 of stream order and reruns are byte-identical.  A checkpoint file (JSON
 lines, one record each) makes long scans resumable: already-recorded keys
-are skipped and their records merged back into the summary.
+are skipped and their records merged back into the summary.  A torn final
+line (an append cut short) is dropped and truncated away; any other line
+that does not parse raises CorruptCheckpoint.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .enumerative import (
     hvector_of,
 )
 from .sponge import SpongeComplex, check_acyclic, check_local_model, validate_sponge
+
+
+class CorruptCheckpoint(ValueError):
+    """A complete checkpoint line that is not a scan record."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,7 @@ class ScanRecord:
 class ScanSummary:
     total: int = 0
     acyclic_count: int = 0
+    unrealized_count: int = 0  # raw f-vector grid points, never sponges
     ds_failures: list = field(default_factory=list)      # symmetry failures
     nonneg_failures: list = field(default_factory=list)
     errors: int = 0
@@ -87,8 +94,11 @@ class ScanSummary:
         if record.error is not None:
             self.errors += 1
             return
-        if record.acyclic:
+        if not record.realized:
+            self.unrealized_count += 1
+        elif record.acyclic:
             self.acyclic_count += 1
+        if record.acyclic:
             if record.symmetric is False:
                 self.ds_failures.append(record)
             if record.nonnegative is False:
@@ -103,6 +113,7 @@ class ScanSummary:
         return {
             "total": self.total,
             "acyclic_count": self.acyclic_count,
+            "unrealized_count": self.unrealized_count,
             "errors": self.errors,
             "ds_failures": [r.identifier for r in self.ds_failures],
             "nonneg_failures": [r.identifier for r in self.nonneg_failures],
@@ -117,12 +128,23 @@ class _Checkpoint:
         self.path = path
         self.seen: dict[str, ScanRecord] = {}
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        record = ScanRecord.from_json(json.loads(line))
-                        self.seen[record.identifier] = record
+            with open(path, "rb") as fh:
+                data = fh.read()
+            complete = data[: data.rfind(b"\n") + 1]
+            for lineno, line in enumerate(complete.splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = ScanRecord.from_json(json.loads(line))
+                except (ValueError, KeyError, TypeError) as err:
+                    raise CorruptCheckpoint(
+                        f"checkpoint {path} line {lineno} is not a scan record: {err}"
+                    ) from err
+                self.seen[record.identifier] = record
+            if len(complete) < len(data):
+                # torn final line: drop it so the next append starts cleanly
+                with open(path, "r+b") as fh:
+                    fh.truncate(len(complete))
 
     def has(self, identifier: str) -> bool:
         return identifier in self.seen

@@ -2,11 +2,15 @@
 
 These deliberately avoid the code paths they are used to check: rank goes
 through fraction-free (Bareiss) Gaussian elimination instead of the Smith
-form, determinants through Bareiss expansion, and series through direct
-long division of power series.
+form, determinants through Bareiss expansion, series through direct long
+division of power series, and cohomology through Smith forms of the
+transposed boundaries instead of the diagonals shared with homology.
 """
 
 from fractions import Fraction
+
+from sponges.complexes import HomologyProfile
+from sponges.exactalg import smith_diagonal
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
@@ -73,6 +77,24 @@ def rational_betti_numbers(rank_per_degree: dict[int, int],
         rup = rank_fraction_free(up) if up else 0
         betti[d] = n - rd - rup
     return betti
+
+
+def cohomology_via_transpose(c) -> HomologyProfile:
+    """Integral cohomology from Smith forms of the coboundary matrices.
+
+    The coboundary C^d -> C^{d+1} is boundary(d+1) transposed: free ranks
+    follow by rank-nullity, and the torsion in degree d comes from the
+    coboundary into degree d.
+    """
+    def codiagonal(d):
+        return smith_diagonal(c.boundary(d + 1).transpose())
+
+    data = {}
+    for d in c.degrees():
+        into = codiagonal(d - 1)
+        free = c.rank(d) - len(codiagonal(d)) - len(into)
+        data[d] = (free, tuple(t for t in into if t > 1))
+    return HomologyProfile(data)
 
 
 def series_quotient(numerator: list[int], denominator: list[int], up_to: int) -> list[int]:

@@ -37,7 +37,12 @@ from sponges.sponge import (
     realization_cross_check,
 )
 
-from oracles import determinant_bareiss, rank_fraction_free, series_quotient
+from oracles import (
+    cohomology_via_transpose,
+    determinant_bareiss,
+    rank_fraction_free,
+    series_quotient,
+)
 
 
 class Timer:
@@ -227,6 +232,7 @@ def test_criterion_10_property_suites():
         for c in complexes:
             h = homology(c)
             ch = cohomology(c)
+            assert ch == cohomology_via_transpose(c)
             degs = set(h.degrees()) | set(ch.degrees()) | set(c.degrees())
             for d in degs:
                 assert ch.free_rank(d) == h.free_rank(d)

@@ -252,3 +252,29 @@ def test_verbose_writes_stderr(tmp_path):
     code, out, err = run(["--verbose", "check-acyclic", path])
     assert code == EXIT_PASS
     assert err.strip()
+
+
+FSPACE = ["scan", "--fspace", "--n", "3", "--bound", "2", "2", "--checkpoint"]
+
+
+def test_scan_resumes_after_torn_checkpoint_line(tmp_path):
+    checkpoint = tmp_path / "scan.jsonl"
+    code, fresh = run_json(FSPACE + [str(checkpoint)])
+    recorded = checkpoint.read_bytes()
+    checkpoint.write_bytes(recorded[:-20])  # the last append was cut short
+    code_again, resumed = run_json(FSPACE + [str(checkpoint)])
+    assert (code_again, resumed) == (code, fresh)
+    # the torn line was truncated away before the missing record was appended
+    assert checkpoint.read_bytes() == recorded
+
+
+def test_scan_corrupt_checkpoint_line_exits_2(tmp_path):
+    checkpoint = tmp_path / "scan.jsonl"
+    run(FSPACE + [str(checkpoint)])
+    for bad in ("{not json", "[1, 2]", '{"n": 3}'):
+        lines = checkpoint.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = bad + "\n"
+        checkpoint.write_text("".join(lines), encoding="utf-8")
+        code, report = run_json(FSPACE + [str(checkpoint)])
+        assert code == EXIT_INPUT_ERROR
+        assert "line 2" in report["error"]

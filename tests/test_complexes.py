@@ -19,7 +19,7 @@ from sponges.complexes import (
 )
 from sponges.exactalg import IntegerMatrix
 
-from oracles import rational_betti_numbers
+from oracles import cohomology_via_transpose, rational_betti_numbers
 
 
 def mat(rows, cols=None):
@@ -219,6 +219,7 @@ def test_universal_coefficients_and_euler_on_random_corpus():
         c, _ = random_simplicial_boundaries(rng)
         h = homology(c)
         ch = cohomology(c)
+        assert ch == cohomology_via_transpose(c)
         degs = set(h.degrees()) | set(ch.degrees()) | set(c.degrees())
         for d in degs:
             assert ch.free_rank(d) == h.free_rank(d)

@@ -1,9 +1,14 @@
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
+import sponges
 from sponges.exactalg import (
     IntegerMatrix,
     integer_kernel_basis,
     rank,
+    rational_rref,
     smith_diagonal,
     smith_normal_form,
 )
@@ -116,3 +121,31 @@ def test_snf_postconditions_random_suite():
         assert len(basis) == ncols - len(diag)
         for v in basis:
             assert apply_matrix(m, v) == (0,) * nrows
+
+
+def test_rational_rref_random_suite():
+    """Rank, leftmost independent pivot columns and reduced form, 300 matrices."""
+    rng = random.Random(31415)
+    for trial in range(300):
+        nrows = rng.randint(0, 7)
+        ncols = rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(ncols)]
+                for _ in range(nrows)]
+        reduced, pivots = rational_rref(rows)
+        assert len(pivots) == rank_fraction_free(rows), f"trial {trial}"
+        # column j is a pivot exactly when it raises the rank of columns 0..j
+        for j in range(ncols):
+            before = rank_fraction_free([r[:j] for r in rows]) if j else 0
+            assert (j in pivots) == (rank_fraction_free([r[: j + 1] for r in rows]) > before)
+        for k, (row, p) in enumerate(zip(reduced, pivots)):
+            assert all(x == 0 for x in row[:p]) and row[p] == 1
+            assert all(other[p] == 0 for i, other in enumerate(reduced) if i != k)
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+
+
+def test_library_has_no_assert_statements():
+    """Postconditions are explicit raises, so they survive python -O."""
+    for path in sorted(Path(sponges.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"

@@ -108,3 +108,13 @@ def test_scan_record_roundtrip():
     record = classify_sponge(builtin("f3_k33"))
     again = ScanRecord.from_json(record.to_json())
     assert again == record
+
+
+def test_scan_fvector_space_counts_unrealized_points_separately():
+    summary = scan_fvector_space(3, [2, 2])
+    assert summary.total == 9
+    assert summary.errors == 1  # f = (2, 0) forces b < 0
+    assert summary.unrealized_count == 8
+    assert summary.acyclic_count == 0
+    assert len(summary.nonneg_failures) == 8
+    assert scan(gen_trivalent_sponges(6)).to_json()["unrealized_count"] == 0
