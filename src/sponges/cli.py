@@ -27,7 +27,7 @@ import hashlib
 import json
 import sys
 
-from .complexes import HomologyProfile, cohomology, homology
+from .complexes import HomologyProfile, MalformedComplex, cohomology, homology
 from .cosheaf import NotCohenMacaulay, RankMismatch, dihomology_check
 from .enumerative import (
     ExtendedFVector,
@@ -43,6 +43,7 @@ from .enumerative import (
 )
 from .generators import (
     BadParameter,
+    NotSimple,
     PolytopeFaceLattice,
     UnknownBuiltin,
     builtin,
@@ -115,6 +116,8 @@ def parse_sponge(doc: dict, name: str = "") -> SpongeComplex:
             for c in doc["covers"]
         }
         flags = doc.get("flags", {})
+        if not isinstance(flags, dict):
+            raise TypeError("flags must be an object")
         return SpongeComplex(
             n=n,
             faces=GradedPoset(faces, covers),
@@ -581,7 +584,7 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     except (UnknownBuiltin, UnknownElement) as err:
         print(canonical_json({"error": f"unknown name: {err}"}), file=stdout)
         return EXIT_INPUT_ERROR
-    except (BadParameter, NegativeB, CorruptCheckpoint) as err:
+    except (BadParameter, NegativeB, CorruptCheckpoint, MalformedComplex, NotSimple) as err:
         print(canonical_json({"error": str(err)}), file=stdout)
         return EXIT_INPUT_ERROR
     except (InvalidSponge, NonCompactSponge, NotAcyclicSponge) as err:

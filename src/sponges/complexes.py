@@ -128,19 +128,13 @@ class IntegerChainComplex:
 
     __slots__ = ("_ranks", "_boundaries", "_diagonals")
 
-    def __init__(
-        self,
-        ranks: Mapping[int, int],
-        boundaries: Mapping[int, IntegerMatrix],
-        _trusted: bool = False,
-    ):
+    def __init__(self, ranks: Mapping[int, int], boundaries: Mapping[int, IntegerMatrix]):
         self._ranks = {int(d): int(r) for d, r in ranks.items()}
         if any(r < 0 for r in self._ranks.values()):
             raise MalformedComplex("chain ranks must be nonnegative")
         self._boundaries = dict(boundaries)
         self._diagonals: dict[int, tuple[int, ...]] = {}
-        if not _trusted:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for d, m in self._boundaries.items():
@@ -149,25 +143,17 @@ class IntegerChainComplex:
                 raise MalformedComplex(
                     f"boundary at degree {d} has shape {m.shape}, expected {expected}"
                 )
-        # d o d = 0, checked column by column through the sparse entries
+        # d o d = 0 through the sparse product; name the first bad generator
         for d, m in sorted(self._boundaries.items()):
             lower = self._boundaries.get(d - 1)
-            if lower is None or lower.rows == 0:
+            if lower is None:
                 continue
-            cols_lower = {}
-            for i, j, v in lower.nonzero_items():
-                cols_lower.setdefault(j, []).append((i, v))
-            for col in range(m.cols):
-                acc: dict[int, int] = {}
-                for mid in range(m.rows):
-                    a = m.entry(mid, col)
-                    if a:
-                        for i, v in cols_lower.get(mid, ()):
-                            acc[i] = acc.get(i, 0) + a * v
-                if any(acc.values()):
-                    raise MalformedComplex(
-                        f"composite boundary nonzero at degree {d}, generator {col}"
-                    )
+            composite = lower.mul(m)
+            if not composite.is_zero():
+                col = min(j for _, j, _ in composite.nonzero_items())
+                raise MalformedComplex(
+                    f"composite boundary nonzero at degree {d}, generator {col}"
+                )
 
     # -- shape queries ----------------------------------------------------
 
@@ -259,14 +245,11 @@ def _check_coefficients(coefficients: str) -> None:
 
 def _closure_check(total: IntegerChainComplex, selected: dict[int, set[int]]) -> None:
     for d in sorted(selected):
-        m = total.boundary(d)
         below = selected.get(d - 1, set())
+        leaving = {j for i, j, _ in total.boundary(d).nonzero_items() if i not in below}
         for g in sorted(selected[d]):
-            if g >= total.rank(d):
+            if not 0 <= g < total.rank(d) or g in leaving:
                 raise NotASubcomplex(d, g)
-            for i in range(m.rows):
-                if m.entry(i, g) and i not in below:
-                    raise NotASubcomplex(d, g)
 
 
 def _normalize_selection(
@@ -327,7 +310,7 @@ def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:
         if up.rows or up.cols:
             # chain degree -d -> -d-1 carries C^d -> C^{d+1}
             boundaries[-d] = up.transpose()
-    return IntegerChainComplex(ranks, boundaries, _trusted=True)
+    return IntegerChainComplex(ranks, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +346,7 @@ class RationalHomologyBasis:
             else:
                 kernel = list(integer_kernel_basis(down))
             up = c.boundary(d + 1)
-            boundary_cols = [up.column(j) for j in range(up.cols)] if up.cols else []
+            boundary_cols = [tuple(col) for col in up.transpose().to_rows()]
             all_cols = boundary_cols + kernel
             _, chosen = rational_rref(list(zip(*all_cols)))
             b_basis = [all_cols[i] for i in chosen if i < len(boundary_cols)]
@@ -458,13 +441,10 @@ def induced_map_on_homology(
         matrix = [[Fraction(0)] * len(src_reps) for _ in range(tdim)]
         fd = f.get(d)
         for j, rep in enumerate(src_reps):
-            if fd is None:
-                image = [0] * target.rank(d)
-            else:
-                image = [
-                    sum(fd.entry(i, k) * rep[k] for k in range(len(rep)))
-                    for i in range(fd.rows)
-                ]
+            image = [0] * target.rank(d)
+            if fd is not None:
+                for i, k, v in fd.nonzero_items():
+                    image[i] += v * rep[k]
             coords = tb.coordinates(d, image)
             for i in range(tdim):
                 matrix[i][j] = coords[i]

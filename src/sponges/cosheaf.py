@@ -140,13 +140,9 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
         inclusion = {}
         sel_u, sel_l = selectors[upper], selectors[lower]
         for deg in sel_u:
-            rows = len(sel_l[deg])
-            cols = len(sel_u[deg])
             pos = {gen: i for i, gen in enumerate(sel_l[deg])}
-            ent = [0] * (rows * cols)
-            for j, gen in enumerate(sel_u[deg]):
-                ent[pos[gen] * cols + j] = 1
-            inclusion[deg] = IntegerMatrix(rows, cols, ent)
+            ent = {(pos[gen], j): 1 for j, gen in enumerate(sel_u[deg])}
+            inclusion[deg] = IntegerMatrix(len(sel_l[deg]), len(sel_u[deg]), ent)
         induced = induced_map_on_homology(
             inclusion,
             complexes[upper],

@@ -1,9 +1,10 @@
 """Exact integer matrix algebra: Smith normal form, rank, integer kernels.
 
 Everything here runs on Python's arbitrary-precision integers and exact
-rationals; no floating point is used anywhere.  Matrices are immutable
-(entries live in a tuple, in row-major order), so all routines are safe for
-concurrent use.
+rationals; no floating point is used anywhere.  Matrices are immutable and
+sparse: they store only their nonzero entries, so memory and the cost of
+products, transposes and comparisons grow with the nonzeros, not with
+rows x columns.  All routines are safe for concurrent use.
 
 The Smith normal form is the computational bedrock for every homology
 computation in this package.  Pivoting always picks the nonzero entry of
@@ -18,28 +19,35 @@ routine `rational_rref`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 
 class IntegerMatrix:
-    """An immutable integer matrix stored row-major."""
+    """An immutable integer matrix that stores only its nonzero entries.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``entries`` maps (i, j) to a value.  Zeros are dropped, indices outside
+    the shape are rejected, and the nonzeros are kept as a tuple of
+    (i, j, value) triples in row-major order.  Products, transposes,
+    submatrices, comparisons and zero tests cost O(nnz); only the dense
+    views `to_rows`, `row` and `column` cost O(rows x cols).
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
+    __slots__ = ("rows", "cols", "_nonzeros")
+
+    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-                f"got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        nonzeros = []
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
+            v = int(v)
+            if v:
+                nonzeros.append((i, j, v))
+        self.rows, self.cols, self._nonzeros = rows, cols, tuple(sorted(nonzeros))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -50,84 +58,92 @@ class IntegerMatrix:
                 raise ValueError("ragged rows")
         else:
             ncols = 0 if cols is None else cols
-        flat = [e for r in rows for e in r]
-        return cls(len(rows), ncols, flat)
+        entries = {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)}
+        return cls(len(rows), ncols, entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls(rows, cols, {})
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        k = bisect_left(self._nonzeros, (i, j))
+        if k < len(self._nonzeros) and self._nonzeros[k][:2] == (i, j):
+            return self._nonzeros[k][2]
+        return 0
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for i, j, v in self._nonzeros:
+            out[i][j] = v
+        return out
 
     def transpose(self) -> "IntegerMatrix":
-        ent = []
-        for j in range(self.cols):
-            ent.extend(self.entries[i * self.cols + j] for i in range(self.rows))
-        return IntegerMatrix(self.cols, self.rows, ent)
+        return IntegerMatrix(self.cols, self.rows, {(j, i): v for i, j, v in self._nonzeros})
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not self._nonzeros
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """Exact product, skipping zero entries (boundary matrices are sparse)."""
+        """Exact product, summing over matching nonzero pairs only."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        out = [0] * (self.rows * other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            obase = i * oc
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    kbase = k * oc
-                    for j in range(oc):
-                        b = other.entries[kbase + j]
-                        if b:
-                            out[obase + j] += a * b
-        return IntegerMatrix(self.rows, oc, out)
+        other_rows: dict[int, list[tuple[int, int]]] = {}
+        for k, j, b in other._nonzeros:
+            other_rows.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], int] = {}
+        for i, k, a in self._nonzeros:
+            for j, b in other_rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + a * b
+        return IntegerMatrix(self.rows, other.cols, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntegerMatrix":
-        ent = []
-        for i in row_idx:
-            base = i * self.cols
-            ent.extend(self.entries[base + j] for j in col_idx)
-        return IntegerMatrix(len(row_idx), len(col_idx), ent)
+        if not all(0 <= i < self.rows for i in row_idx) or not all(
+            0 <= j < self.cols for j in col_idx
+        ):
+            raise ValueError(f"submatrix index outside a {self.rows}x{self.cols} matrix")
+        new_rows: dict[int, list[int]] = {}
+        new_cols: dict[int, list[int]] = {}
+        for a, i in enumerate(row_idx):
+            new_rows.setdefault(i, []).append(a)
+        for b, j in enumerate(col_idx):
+            new_cols.setdefault(j, []).append(b)
+        entries = {
+            (a, b): v
+            for i, j, v in self._nonzeros
+            for a in new_rows.get(i, ())
+            for b in new_cols.get(j, ())
+        }
+        return IntegerMatrix(len(row_idx), len(col_idx), entries)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def nonzero_items(self):
-        """Yield (i, j, value) for nonzero entries, row-major order."""
-        c = self.cols
-        for idx, v in enumerate(self.entries):
-            if v:
-                yield idx // c, idx % c, v
+    def nonzero_items(self) -> tuple[tuple[int, int, int], ...]:
+        """The (i, j, value) triples of the nonzero entries, row-major order."""
+        return self._nonzeros
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntegerMatrix)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._nonzeros == other._nonzeros
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._nonzeros))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 36:
@@ -150,16 +166,13 @@ class SmithDecomposition:
 
     def verify(self, m: IntegerMatrix) -> bool:
         """Check U*M*V == D and the shape of the diagonal (not unimodularity)."""
-        if self.U.mul(m).mul(self.V) != self.D:
+        if len(self.diagonal) > min(m.shape) or not _divisibility_chain_ok(self.diagonal):
             return False
-        for k in range(min(self.D.rows, self.D.cols)):
-            expected = self.diagonal[k] if k < len(self.diagonal) else 0
-            if self.D.entry(k, k) != expected:
-                return False
-        for i, j, _ in self.D.nonzero_items():
-            if i != j:
-                return False
-        return _divisibility_chain_ok(self.diagonal)
+        return self.D == _diagonal_matrix(m.shape, self.diagonal) == self.U.mul(m).mul(self.V)
+
+
+def _diagonal_matrix(shape: tuple[int, int], diagonal: Sequence[int]) -> IntegerMatrix:
+    return IntegerMatrix(*shape, {(k, k): d for k, d in enumerate(diagonal)})
 
 
 def _divisibility_chain_ok(diag: Sequence[int]) -> bool:
@@ -243,16 +256,11 @@ class _Eliminator:
     # -- pivot machinery --------------------------------------------------
 
     def _find_pivot(self) -> tuple[int, int, int] | None:
-        best = None
-        for r in sorted(self.rowdata):
-            for c in sorted(self.rowdata[r]):
-                v = self.rowdata[r][c]
-                key = (abs(v), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
+        if not self.rowdata:
             return None
-        _, r, c = best
+        _, r, c = min(
+            (abs(v), r, c) for r, row in self.rowdata.items() for c, v in row.items()
+        )
         return r, c, self.rowdata[r][c]
 
     def run(self) -> None:
@@ -318,13 +326,9 @@ class _Eliminator:
     def _find_nondivisible(self, pivot_row: int, v: int) -> int | None:
         if v == 1:
             return None
-        for r2 in sorted(self.rowdata):
-            if r2 == pivot_row:
-                continue
-            for c2 in sorted(self.rowdata[r2]):
-                if self.rowdata[r2][c2] % v:
-                    return r2
-        return None
+        offending = (r2 for r2, row in self.rowdata.items()
+                     if r2 != pivot_row and any(x % v for x in row.values()))
+        return min(offending, default=None)
 
     # -- result assembly ---------------------------------------------------
 
@@ -334,10 +338,8 @@ class _Eliminator:
         pivot_cols = [c for _, c in self.pivots]
         row_order = pivot_rows + [r for r in range(self.nrows) if r not in set(pivot_rows)]
         col_order = pivot_cols + [c for c in range(self.ncols) if c not in set(pivot_cols)]
-        u_ent = [x for r in row_order for x in self.U[r]]
-        v_ent = [self.V[i][c] for i in range(self.ncols) for c in col_order]
-        U = IntegerMatrix(self.nrows, self.nrows, u_ent)
-        V = IntegerMatrix(self.ncols, self.ncols, v_ent)
+        U = IntegerMatrix.from_rows([self.U[r] for r in row_order])
+        V = IntegerMatrix.from_rows([[row[c] for c in col_order] for row in self.V])
         return U, V
 
 
@@ -358,11 +360,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     worker.run()
     U, V = worker.permuted_transforms()
     diag = tuple(worker.diagonal)
-    d_ent = [0] * (m.rows * m.cols)
-    for k, d in enumerate(diag):
-        d_ent[k * m.cols + k] = d
-    D = IntegerMatrix(m.rows, m.cols, d_ent)
-    result = SmithDecomposition(U=U, D=D, V=V, diagonal=diag)
+    result = SmithDecomposition(U=U, D=_diagonal_matrix(m.shape, diag), V=V, diagonal=diag)
     if not result.verify(m):
         raise RuntimeError("Smith decomposition postcondition failed")
     return result
@@ -383,7 +381,7 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
         return []
     snf = smith_normal_form(m)
     r = len(snf.diagonal)
-    return [snf.V.column(j) for j in range(r, m.cols)]
+    return [tuple(col) for col in snf.V.transpose().to_rows()[r:]]
 
 
 def rational_rref(

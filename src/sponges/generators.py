@@ -36,7 +36,8 @@ class UnknownBuiltin(KeyError):
 
 
 class NotSimple(ValueError):
-    """A rank-2 interval of the polytope lattice is not a diamond."""
+    """Not a simple polytope's lattice: a rank-2 interval is not a diamond,
+    or the skeleton's b-number is not the number of facets minus one."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,7 @@ class PolytopeFaceLattice:
             raise ValueError("lattice must have exactly one top face")
         if any(d < 0 or d > self.dimension for _, d in self.faces):
             raise ValueError("face dimensions out of range")
+        self.poset()  # raises on duplicate or unknown faces and on cycles
 
     def poset(self) -> GradedPoset:
         return GradedPoset(self.faces, self.covers)
@@ -173,7 +175,7 @@ def gen_polytope_skeleton(p: PolytopeFaceLattice) -> SpongeComplex:
     expected_b = p.face_count(n - 1) - 1
     report = check_acyclic(z)
     if report.b_number != expected_b:
-        raise ValueError(
+        raise NotSimple(
             f"skeleton b-number {report.b_number} != facets-1 = {expected_b}; "
             "input lattice is not a valid simple polytope"
         )

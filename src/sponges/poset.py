@@ -269,19 +269,15 @@ class SimplicialComplex:
         for d in sorted(faces):
             if d == 0:
                 continue
-            rows = ranks[d - 1]
-            cols = ranks[d]
-            ent = [0] * (rows * cols)
+            ent = {}
             for j, f in enumerate(faces[d]):
                 for k in range(len(f)):
-                    sub = f[:k] + f[k + 1:]
-                    i = index[d - 1][sub]
-                    ent[i * cols + j] = (-1) ** k
-            boundaries[d] = IntegerMatrix(rows, cols, ent)
+                    ent[index[d - 1][f[:k] + f[k + 1:]], j] = (-1) ** k
+            boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
         if augmented:
             ranks[-1] = 1
             if 0 in faces:
-                boundaries[0] = IntegerMatrix(1, ranks[0], [1] * ranks[0])
+                boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
         return IntegerChainComplex(ranks, boundaries)
 
     def euler_characteristic(self) -> int:

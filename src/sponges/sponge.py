@@ -217,16 +217,15 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
     }
     boundaries: dict[int, IntegerMatrix] = {}
     for d in range(1, z.n - 1):
-        rows, cols = ranks[d - 1], ranks[d]
-        ent = [0] * (rows * cols)
-        for f in z.faces_of_dim(d):
-            j = index[d][f]
-            for g in z.faces.lower_covers(f):
-                ent[index[d - 1][g] * cols + j] = z.incidence[(f, g)]
-        boundaries[d] = IntegerMatrix(rows, cols, ent)
+        ent = {
+            (index[d - 1][g], index[d][f]): z.incidence[(f, g)]
+            for f in z.faces_of_dim(d)
+            for g in z.faces.lower_covers(f)
+        }
+        boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
     if augmented:
         ranks[-1] = 1
-        boundaries[0] = IntegerMatrix(1, ranks[0], [1] * ranks[0])
+        boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
     return IntegerChainComplex(ranks, boundaries)
 
 

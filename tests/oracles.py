@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they are used to check: rank goes
 through fraction-free (Bareiss) Gaussian elimination instead of the Smith
-form, determinants through Bareiss expansion, series through direct long
-division of power series, and cohomology through Smith forms of the
-transposed boundaries instead of the diagonals shared with homology.
+form, determinants through Bareiss expansion, matrix products, transposes
+and submatrices through dense lists of rows instead of the sparse
+IntegerMatrix, series through direct long division of power series, and
+cohomology through Smith forms of the transposed boundaries instead of the
+diagonals shared with homology.
 """
 
 from fractions import Fraction
@@ -65,6 +67,20 @@ def determinant_bareiss(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def dense_product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    """Product of dense row lists; ``ncols`` is b's column count (b may have no rows)."""
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(ncols)] for row in a]
+
+
+def dense_transpose(a: list[list[int]], ncols: int) -> list[list[int]]:
+    """Transpose of dense row lists; ``ncols`` is a's column count (a may have no rows)."""
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
+def dense_submatrix(a: list[list[int]], rows: list[int], cols: list[int]) -> list[list[int]]:
+    return [[a[i][j] for j in cols] for i in rows]
 
 
 def rational_betti_numbers(rank_per_degree: dict[int, int],

@@ -30,6 +30,15 @@ def write_doc(tmp_path, doc, name="doc.json"):
     return str(path)
 
 
+def _lattice_document(lattice, drop=(), extra_faces=()):
+    return {
+        "format_version": 1,
+        "dimension": lattice.dimension,
+        "faces": [{"id": f, "dim": d} for f, d in lattice.faces] + list(extra_faces),
+        "covers": [{"upper": u, "lower": l} for u, l in lattice.covers if (u, l) not in drop],
+    }
+
+
 def test_roundtrip_sponge_document():
     z = builtin("g42_octahedron")
     doc = serialize_sponge(z)
@@ -192,14 +201,7 @@ def test_gen_trivalent_document():
 def test_gen_polytope_skeleton(tmp_path):
     from sponges.generators import hypercube_lattice
 
-    lattice = hypercube_lattice(3)
-    doc = {
-        "format_version": 1,
-        "dimension": lattice.dimension,
-        "faces": [{"id": f, "dim": d} for f, d in lattice.faces],
-        "covers": [{"upper": u, "lower": l} for u, l in lattice.covers],
-    }
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, _lattice_document(hypercube_lattice(3)))
     code, out = run_json(["gen", "polytope-skeleton", path])
     assert code == EXIT_PASS
     dims = [f["dim"] for f in out["faces"]]
@@ -278,3 +280,35 @@ def test_scan_corrupt_checkpoint_line_exits_2(tmp_path):
         code, report = run_json(FSPACE + [str(checkpoint)])
         assert code == EXIT_INPUT_ERROR
         assert "line 2" in report["error"]
+
+
+def test_unbalanced_sponges_exit_2(tmp_path):
+    # model sponges have unbalanced edges, so the augmented complex is not one
+    path = write_doc(tmp_path, serialize_sponge(builtin("model_n3")))
+    code, report = run_json(["homology", path, "--reduced"])
+    assert code == EXIT_INPUT_ERROR and "composite boundary" in report["error"]
+    one_edge = {
+        "n": 3,
+        "faces": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1}],
+        "covers": [{"upper": "e", "lower": "a", "incidence": 1}],
+    }
+    code, report = run_json(["check-acyclic", write_doc(tmp_path, one_edge, "edge.json")])
+    assert code == EXIT_INPUT_ERROR and "error" in report
+
+
+def test_gen_polytope_skeleton_rejects_bad_lattices_exit_2(tmp_path):
+    from sponges.generators import hypercube_lattice, simplex_lattice
+
+    not_simple = _lattice_document(hypercube_lattice(4), drop={("**00", "*000")})
+    code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, not_simple)])
+    assert code == EXIT_INPUT_ERROR and "diamond" in report["error"]
+    extra_vertex = _lattice_document(simplex_lattice(2), extra_faces=[{"id": "x", "dim": 0}])
+    code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, extra_vertex)])
+    assert code == EXIT_INPUT_ERROR and "b-number" in report["error"]
+
+
+def test_non_object_flags_exit_2(tmp_path):
+    doc = serialize_sponge(builtin("f3_k33"))
+    doc["flags"] = []
+    code, report = run_json(["validate", write_doc(tmp_path, doc)])
+    assert code == EXIT_INPUT_ERROR and "flags" in report["error"]

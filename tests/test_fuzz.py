@@ -1,0 +1,112 @@
+"""Seeded fuzzing of the CLI documents.
+
+Small valid documents are mutated (a key deleted, a value replaced by
+another JSON type or a small integer, a list item dropped or duplicated)
+and fed to every command that reads a document.  Every run must exit with
+0, 1 or 2 and print exactly one JSON object; no exception may escape.
+Integers stay in [-1, 6], so no mutant asks for a large computation.
+"""
+
+import copy
+import io
+import json
+import random
+
+from sponges.cli import cli_dispatch, serialize_fvector, serialize_simplicial, serialize_sponge
+from sponges.generators import builtin, gen_simplex_skeleton, hypercube_lattice
+
+SEED = 20261017
+MUTANTS_PER_DOCUMENT = 20
+
+
+def _lattice_document(lattice):
+    return {
+        "format_version": 1,
+        "dimension": lattice.dimension,
+        "faces": [{"id": f, "dim": d} for f, d in lattice.faces],
+        "covers": [{"upper": u, "lower": l} for u, l in lattice.covers],
+    }
+
+
+DOCUMENTS = {
+    "f3_k33": serialize_sponge(builtin("f3_k33")),
+    "cube_skeleton": serialize_sponge(builtin("cube_skeleton")),
+    "model_n3": serialize_sponge(builtin("model_n3")),
+    "hp2_fvector": serialize_fvector(builtin("hp2_fvector")),
+    "simplex_skeleton": serialize_simplicial(gen_simplex_skeleton(3, 1)),
+    "cube3_lattice": _lattice_document(hypercube_lattice(3)),
+}
+
+# FILE is the mutated document, FACE the first face of the original one
+COMMANDS = [
+    ["validate", "FILE"],
+    ["homology", "FILE"],
+    ["homology", "FILE", "--reduced", "--coeff", "q"],
+    ["check-acyclic", "FILE"],
+    ["check-cm", "FILE"],
+    ["check-local-model", "FILE"],
+    ["local-cohomology", "FILE", "--face", "FACE"],
+    ["dihomology-check", "FILE"],
+    ["fvector", "FILE"],
+    ["hvector", "FILE"],
+    ["hilbert", "FILE", "--which", "equivariant", "--expand", "4"],
+    ["duality-check", "FILE"],
+    ["gen", "polytope-skeleton", "FILE"],
+]
+
+
+def _paths(node, path=()):
+    """The key path of every node of a JSON tree below its root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        # pick a depth first, so top-level keys are mutated as often as leaves
+        depth = rng.choice(sorted({len(p) for p in paths}))
+        *parent_path, key = rng.choice([p for p in paths if len(p) == depth])
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        kind = rng.choice(["delete", "replace", "duplicate"])
+        if kind == "delete":  # an object's key or a list's item
+            del parent[key]
+        elif kind == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:  # objects cannot hold a key twice, so they get a replacement
+            parent[key] = rng.choice(
+                [None, True, "o", 1.5, [], {}, rng.randint(-1, 6), rng.randint(-1, 6)]
+            )
+    return doc
+
+
+def _run_all_commands(doc, path, face):
+    path.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        argv = [{"FILE": str(path), "FACE": face}.get(a, a) for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = cli_dispatch(argv, stdout=out, stderr=err)
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised {exc!r} on {json.dumps(doc)}") from exc
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, code, doc)
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, doc)
+
+
+def test_mutated_documents_never_traceback(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "doc.json"
+    for doc in DOCUMENTS.values():
+        face = doc["faces"][0]["id"] if "faces" in doc else "v0"
+        _run_all_commands(doc, path, face)
+        for _ in range(MUTANTS_PER_DOCUMENT):
+            _run_all_commands(_mutate(doc, rng), path, face)
