@@ -23,6 +23,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -481,7 +482,9 @@ def _report(command: str, input_obj, payload: dict) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sponges",
         description="exact homological and enumerative checks for sponge face structures",

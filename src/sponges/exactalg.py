@@ -10,8 +10,15 @@ The Smith normal form is the computational bedrock for every homology
 computation in this package.  Pivoting always picks the nonzero entry of
 smallest absolute value, breaking ties by lowest (row, column); this keeps
 intermediate entry growth down and makes the output deterministic.  The
-unimodular transforms are only computed when a caller actually needs them
-(`smith_normal_form`); rank and torsion queries go through the cheaper
+pivot search is a lazy min-heap of (abs, row, column) keys, about one per
+row, with the invariant that every nonzero row has a queued key no larger
+than the key of any of its entries (a key is pushed only when an entry's
+key falls below its row's bound).  A key on top whose row is gone is
+dropped, one below its row's least entry is re-keyed to that entry, and one
+equal to it is the pivot.  So the pivots are exactly those of a full scan,
+found with heap operations and a scan of one row instead of every nonzero.
+The unimodular transforms are only computed when a caller actually needs
+them (`smith_normal_form`); rank and torsion queries go through the cheaper
 `smith_diagonal`.  Linear algebra over Q (independent columns, solving for
 coordinates, ranks of rational matrices) goes through the one Gauss-Jordan
 routine `rational_rref`.
@@ -22,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Mapping, Sequence
 
 
@@ -185,6 +193,9 @@ class _Eliminator:
     """Sparse elimination engine shared by the diagonal-only and full SNF.
 
     The work matrix is held as a dict of sparse rows plus a column index.
+    The pivot queue holds (abs, row, column) keys packed into one int,
+    abs * rows * cols + row * cols + col, which sorts the same way; ``bound``
+    maps a row to one of its queued keys, no larger than any of its entries'.
     Row operations optionally mirror into U (a dense rows x rows transform)
     and column operations into V (cols x cols), so that U*M*V equals the
     eliminated matrix at every step.
@@ -195,9 +206,16 @@ class _Eliminator:
         self.ncols = m.cols
         self.rowdata: dict[int, dict[int, int]] = {}
         self.colindex: dict[int, set[int]] = {}
+        self.area = m.rows * m.cols
+        self.bound: dict[int, int] = {}
         for i, j, v in m.nonzero_items():
             self.rowdata.setdefault(i, {})[j] = v
             self.colindex.setdefault(j, set()).add(i)
+            key = abs(v) * self.area + i * m.cols + j
+            if key < self.bound.get(i, key + 1):
+                self.bound[i] = key
+        self.queue = list(self.bound.values())
+        heapify(self.queue)
         self.with_transforms = with_transforms
         if with_transforms:
             self.U = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
@@ -211,6 +229,10 @@ class _Eliminator:
         if v:
             self.rowdata.setdefault(r, {})[c] = v
             self.colindex.setdefault(c, set()).add(r)
+            key = abs(v) * self.area + r * self.ncols + c
+            if key < self.bound.get(r, key + 1):
+                self.bound[r] = key
+                heappush(self.queue, key)
         else:
             row = self.rowdata.get(r)
             if row and c in row:
@@ -256,12 +278,22 @@ class _Eliminator:
     # -- pivot machinery --------------------------------------------------
 
     def _find_pivot(self) -> tuple[int, int, int] | None:
-        if not self.rowdata:
-            return None
-        _, r, c = min(
-            (abs(v), r, c) for r, row in self.rowdata.items() for c, v in row.items()
-        )
-        return r, c, self.rowdata[r][c]
+        """The live entry of least (abs, row, column); see the module docstring."""
+        queue = self.queue
+        while queue:
+            r = queue[0] % self.area // self.ncols
+            row = self.rowdata.get(r)
+            if row is None:
+                heappop(queue)
+                self.bound.pop(r, None)
+                continue
+            a, c = min((abs(v), c) for c, v in row.items())
+            key = a * self.area + r * self.ncols + c
+            if key == queue[0]:
+                return r, c, row[c]
+            heapreplace(queue, key)
+            self.bound[r] = key
+        return None
 
     def run(self) -> None:
         while True:

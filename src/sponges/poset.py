@@ -185,6 +185,29 @@ def subposet(p: GradedPoset, selector: str, s=None, t=None) -> GradedPoset:
     return p.restrict(keep)
 
 
+def _maximal(faces: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The inclusion-maximal members of a set of distinct nonempty faces.
+
+    Faces are walked by decreasing size.  A face is dropped when a kept face
+    of larger size contains it, found by intersecting the kept faces through
+    each of its vertices; faces of equal size are indexed only once their
+    size is done, since distinct faces of one size never contain each other.
+    """
+    kept: list[tuple[int, ...]] = []
+    through: dict[int, set[int]] = {}  # vertex -> positions in kept
+    indexed, size = 0, None
+    for f in sorted(faces, key=len, reverse=True):
+        if len(f) != size:
+            for k in range(indexed, len(kept)):
+                for v in kept[k]:
+                    through.setdefault(v, set()).add(k)
+            indexed, size = len(kept), len(f)
+        holders = sorted((through.get(v, set()) for v in f), key=len)
+        if not holders[0].intersection(*holders[1:]):
+            kept.append(f)
+    return kept
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex with an explicit vertex order.
 
@@ -205,11 +228,7 @@ class SimplicialComplex:
             tup = tuple(sorted(index[v] for v in set(f)))
             if tup:  # the empty simplex is implicit, never stored
                 raw.add(tup)
-        maximal = {
-            f for f in raw
-            if not any(f != g and set(f) <= set(g) for g in raw)
-        }
-        self.facets = tuple(sorted(maximal, key=lambda f: (len(f), f)))
+        self.facets = tuple(sorted(_maximal(raw), key=lambda f: (len(f), f)))
         self._faces: dict[int, list[tuple[int, ...]]] | None = None
 
     @property
@@ -239,19 +258,16 @@ class SimplicialComplex:
         return tuple(self.vertices[i] for i in face)
 
     def link(self, face: tuple[int, ...]) -> "SimplicialComplex":
-        """Link of a face, from the facet list (deletion/star combinatorics)."""
+        """Link of a face, from the facet list (deletion/star combinatorics).
+
+        The facets containing the face, with the face removed, are already
+        inclusion-maximal, since the facets are.
+        """
         fset = set(face)
-        candidates = {
-            tuple(sorted(set(f) - fset)) for f in self.facets if fset <= set(f)
-        }
-        maximal = {
-            c for c in candidates
-            if not any(c != d and set(c) <= set(d) for d in candidates)
-        }
-        used = sorted({i for c in maximal for i in c})
-        sub_vertices = [self.vertices[i] for i in used]
+        rests = [set(f) - fset for f in self.facets if fset <= set(f)]
+        used = sorted(set().union(*rests))
         return SimplicialComplex(
-            sub_vertices, [ [self.vertices[i] for i in c] for c in maximal ]
+            [self.vertices[i] for i in used], [[self.vertices[i] for i in c] for c in rests]
         )
 
     def chain_complex(self, augmented: bool = False) -> IntegerChainComplex:

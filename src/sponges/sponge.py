@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .complexes import (
     HomologyProfile,
     IntegerChainComplex,
+    MalformedComplex,
     cohomology,
     quotient_complex,
 )
@@ -207,8 +208,8 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
 
     With ``augmented`` a rank-one group in degree -1 receives every vertex
     with coefficient 1; this requires the edge incidences to be balanced
-    (each 1-face's vertex incidences sum to zero), otherwise construction
-    fails the boundary-squared check.
+    (each 1-face's vertex incidences sum to zero), and an unbalanced edge
+    raises `MalformedComplex` naming it.
     """
     ensure_valid(z)
     ranks = {d: len(z.faces_of_dim(d)) for d in range(z.n - 1)}
@@ -224,6 +225,12 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
         }
         boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
     if augmented:
+        for e in index.get(1, ()):
+            k = sum(z.incidence[(e, g)] for g in z.faces.lower_covers(e))
+            if k:
+                raise MalformedComplex(
+                    f"edge {e!r} is unbalanced: its vertex incidences sum to {k}, not 0"
+                )
         ranks[-1] = 1
         boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
     return IntegerChainComplex(ranks, boundaries)

@@ -4,9 +4,10 @@ These deliberately avoid the code paths they are used to check: rank goes
 through fraction-free (Bareiss) Gaussian elimination instead of the Smith
 form, determinants through Bareiss expansion, matrix products, transposes
 and submatrices through dense lists of rows instead of the sparse
-IntegerMatrix, series through direct long division of power series, and
+IntegerMatrix, series through direct long division of power series,
 cohomology through Smith forms of the transposed boundaries instead of the
-diagonals shared with homology.
+diagonals shared with homology, and maximal faces through an all-pairs
+subset test instead of the vertex index.
 """
 
 from fractions import Fraction
@@ -67,6 +68,12 @@ def determinant_bareiss(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def maximal_faces_bruteforce(faces) -> set[frozenset]:
+    """The inclusion-maximal nonempty faces, by an all-pairs subset test."""
+    raw = {frozenset(f) for f in faces} - {frozenset()}
+    return {f for f in raw if not any(f < g for g in raw)}
 
 
 def dense_product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:

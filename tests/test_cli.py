@@ -286,14 +286,28 @@ def test_unbalanced_sponges_exit_2(tmp_path):
     # model sponges have unbalanced edges, so the augmented complex is not one
     path = write_doc(tmp_path, serialize_sponge(builtin("model_n3")))
     code, report = run_json(["homology", path, "--reduced"])
-    assert code == EXIT_INPUT_ERROR and "composite boundary" in report["error"]
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "edge '1' is unbalanced: its vertex incidences sum to 1, not 0"
     one_edge = {
         "n": 3,
         "faces": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1}],
         "covers": [{"upper": "e", "lower": "a", "incidence": 1}],
     }
     code, report = run_json(["check-acyclic", write_doc(tmp_path, one_edge, "edge.json")])
-    assert code == EXIT_INPUT_ERROR and "error" in report
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "edge 'e' is unbalanced: its vertex incidences sum to 1, not 0"
+    # the first edge is balanced, the second is not
+    two_edges = {
+        "n": 3,
+        "faces": [{"id": i, "dim": d} for i, d in [("a", 0), ("b", 0), ("d", 1), ("e", 1)]],
+        "covers": [{"upper": u, "lower": l, "incidence": k}
+                   for u, l, k in [("d", "a", -1), ("d", "b", 1), ("e", "a", 1), ("e", "b", 1)]],
+    }
+    code, report = run_json(["homology", write_doc(tmp_path, two_edges, "two.json")])
+    assert code == 0
+    code, report = run_json(["homology", "--reduced", write_doc(tmp_path, two_edges, "two.json")])
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "edge 'e' is unbalanced: its vertex incidences sum to 2, not 0"
 
 
 def test_gen_polytope_skeleton_rejects_bad_lattices_exit_2(tmp_path):

@@ -252,3 +252,33 @@ def _smith_suite_digest():
 
 def test_smith_transforms_match_pinned_digest():
     assert _smith_suite_digest() == SMITH_SUITE_SHA256
+
+
+# sha256 of the Smith transforms and diagonals over sparse 20-80-row
+# matrices, mostly +-1 with some larger entries, so that elimination fills
+# in and pivot values shrink well after the first pivot.  Recorded with the
+# full-scan pivot search that the pivot queue replaced.
+SMITH_LARGE_SUITE_SHA256 = "9f50d90abe733461c74a855f0658e4336a6d9ac534cedb24382ca05253658dd6"
+
+
+def _smith_large_suite_digest():
+    rng = random.Random(271828)
+    h = hashlib.sha256()
+    for _ in range(40):
+        nrows, ncols = rng.randint(20, 80), rng.randint(20, 80)
+        density = rng.choice([0.03, 0.06, 0.12])
+        entries = {}
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < density:
+                    v = rng.choice([1, -1]) if rng.random() < 0.85 else rng.randint(2, 9)
+                    entries[i, j] = v if rng.random() < 0.5 else -v
+        m = IntegerMatrix(nrows, ncols, entries)
+        snf = smith_normal_form(m)
+        h.update(repr((snf.U.to_rows(), snf.V.to_rows(), snf.D.to_rows(), snf.diagonal,
+                       smith_diagonal(m))).encode())
+    return h.hexdigest()
+
+
+def test_smith_transforms_match_pinned_digest_at_scale():
+    assert _smith_large_suite_digest() == SMITH_LARGE_SUITE_SHA256

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -14,7 +16,10 @@ from sponges.poset import (
     subposet,
 )
 
-from oracles import join_betti
+from sponges.exactalg import smith_diagonal
+from sponges.generators import gen_polytope_skeleton, hypercube_lattice
+
+from oracles import join_betti, maximal_faces_bruteforce
 
 
 def chain_poset(length):
@@ -247,3 +252,68 @@ def test_link_matches_join_decomposition_over_q():
                 joined = join_betti(joined, rational_betti(piece), 10)
             link = k.link(face)
             assert rational_betti(link) == joined, chain
+
+
+def labelled_facets(k):
+    return {frozenset(k.face_vertices(f)) for f in k.facets}
+
+
+def assert_facets_match_oracle(vertices, facets):
+    k = SimplicialComplex(vertices, facets)
+    expected = maximal_faces_bruteforce(facets)
+    assert labelled_facets(k) == expected
+    assert list(k.facets) == sorted(k.facets, key=lambda f: (len(f), f))
+    faces = [()] + k.all_faces() + [tuple(range(len(vertices)))]
+    for face in faces:
+        labels = set(k.face_vertices(face))
+        link = k.link(face)
+        expected_link = maximal_faces_bruteforce(f - labels for f in expected if labels <= f)
+        assert labelled_facets(link) == expected_link, (facets, face)
+        used = set().union(*expected_link)
+        assert link.vertices == tuple(v for v in vertices if v in used), (facets, face)
+
+
+def test_maximal_facets_match_bruteforce_oracle():
+    """Facets and links against the all-pairs filter, with duplicates and nesting."""
+    assert_facets_match_oracle("abc", [])
+    assert_facets_match_oracle("a", [["a"]])
+    assert_facets_match_oracle("abc", [["a", "b"], ["b", "a"], ["a", "b"]])
+    assert_facets_match_oracle("abcd", [["a", "b", "c"], ["a", "b"], ["c"], ["d"], []])
+    k = SimplicialComplex("abc", [["a", "b"], ["c"]])
+    assert k.link((0, 1)).is_empty() and k.link((2,)).is_empty()
+    rng = random.Random(5040)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        facets = []
+        for _ in range(rng.randint(0, 12)):
+            f = rng.sample(range(n), rng.randint(0, min(n, 5)))
+            facets.append(f)
+            if rng.random() < 0.4:
+                facets.append(rng.choice([f, f[: rng.randint(0, len(f))]]))
+        assert_facets_match_oracle(list(range(n)), facets)
+
+
+def test_twenty_thousand_facets_build_fast():
+    """The maximal-facet filter follows the facets, not their pairs."""
+    rng = random.Random(20000)
+    facets = []
+    for _ in range(20000):
+        f = rng.sample(range(2000), rng.randint(2, 6))
+        facets.append(f)
+        if rng.random() < 0.3:
+            facets.append(f[: rng.randint(1, len(f))])
+    start = time.perf_counter()
+    k = SimplicialComplex(range(2000), facets)
+    assert time.perf_counter() - start < 1.0
+    assert k.dimension == 5 and len(k.facets) <= 20000
+
+
+def test_order_complex_smith_diagonals_are_fast():
+    """Order complex of the 5-cube's 3-skeleton: 3,520 triangles, Smith forms in seconds."""
+    start = time.perf_counter()
+    c = order_complex(gen_polytope_skeleton(hypercube_lattice(5)).faces).chain_complex()
+    diagonals = [smith_diagonal(c.boundary(d)) for d in (1, 2, 3)]
+    assert time.perf_counter() - start < 5.0
+    assert [len(diag) for diag in diagonals] == [231, 1609, 1911]
+    assert all(x == 1 for diag in diagonals for x in diag)
+    assert c.rank(3) - len(diagonals[2]) == 9  # b_3 of the 3-skeleton of the 5-cube
