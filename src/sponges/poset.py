@@ -10,19 +10,29 @@ The order complex realizes the poset as a simplicial complex whose simplices
 are the chains, with a deterministic vertex order by (rank, identifier).  The
 Cohen-Macaulay test walks every chain (including the empty one) and checks
 that the link of the chain has vanishing reduced homology below the link's
-own dimension.  Links are computed combinatorially from the facet list; the
-join decomposition of links is used as a cross-check in the test suite, not
-as the implementation.
+own dimension.  The link of a chain x_1 < ... < x_k is the join of the open
+intervals (0^, x_1), (x_1, x_2), ..., (x_k, 1^) of P with a bottom and a top
+added, so the test computes the reduced homology of each interval once and
+gets every link's homology by the Kunneth formula for joins.  Building and
+eliminating each link instead is the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from math import gcd
 from typing import Hashable, Iterable, Sequence
 
-from .complexes import HomologyProfile, IntegerChainComplex, homology, cohomology
-from .exactalg import IntegerMatrix
+from .complexes import (
+    HomologyProfile,
+    IntegerChainComplex,
+    _check_coefficients,
+    cohomology,
+    homology,
+)
+from .exactalg import IntegerMatrix, smith_diagonal
 
 
 class CyclicPoset(ValueError):
@@ -37,7 +47,8 @@ class GradedPoset:
     """Finite ranked poset given by elements with ranks and cover pairs."""
 
     __slots__ = (
-        "ranks", "_covers", "_upper", "_lower", "_downsets", "_upsets", "_order"
+        "ranks", "_covers", "_upper", "_lower", "_downsets", "_upsets", "_order",
+        "_by_rank",
     )
 
     def __init__(
@@ -69,6 +80,10 @@ class GradedPoset:
         for e in self.ranks:
             self._lower[e].sort(key=self.sort_key)
             self._upper[e].sort(key=self.sort_key)
+        self._order = tuple(sorted(self.ranks, key=self.sort_key))
+        self._by_rank: dict[int, list] = {}
+        for e in self._order:
+            self._by_rank.setdefault(self.ranks[e], []).append(e)
         self._downsets: dict = {}
         self._upsets: dict = {}
 
@@ -83,7 +98,7 @@ class GradedPoset:
 
     def elements(self) -> list:
         """Elements sorted canonically by (rank, identifier)."""
-        return sorted(self.ranks, key=self.sort_key)
+        return list(self._order)
 
     def covers(self) -> tuple:
         return self._covers
@@ -101,7 +116,7 @@ class GradedPoset:
         return list(self._upper[ident])
 
     def elements_of_rank(self, rk: int) -> list:
-        return [e for e in self.elements() if self.ranks[e] == rk]
+        return list(self._by_rank.get(rk, ()))
 
     def max_rank(self) -> int:
         return max(self.ranks.values()) if self.ranks else -1
@@ -368,28 +383,101 @@ class CMReport:
     witnesses: tuple[CMWitness, ...] = field(default_factory=tuple)
 
 
+_EMPTY_SPHERE = HomologyProfile({-1: (1, ())})
+
+
+def _interval(p: GradedPoset, x, y, coefficients: str) -> tuple[HomologyProfile, int]:
+    """Reduced homology and dimension of the order complex of (x, y) in P^.
+
+    ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
+    is the (-1)-sphere.  An interval with a unique minimal or a unique
+    maximal element is a cone, so its reduced homology vanishes; every other
+    interval is eliminated.
+    """
+    inside = set(p.ranks) if x is None else set(p.upset(x))
+    if y is not None:
+        inside &= p.downset(y)
+    inside -= {x, y}
+    if not inside:
+        return _EMPTY_SPHERE, -1
+    longest: dict = {}  # element -> most elements on a chain of inside ending there
+    for e in sorted(inside, key=p.sort_key):
+        longest[e] = 1 + max((longest[b] for b in p._lower[e] if b in inside), default=0)
+    dim = max(longest.values()) - 1
+    minimal = sum(1 for e in inside if longest[e] == 1)
+    maximal = sum(1 for e in inside if not any(u in inside for u in p._upper[e]))
+    if minimal == 1 or maximal == 1:
+        return HomologyProfile({}), dim
+    k = order_complex(p.restrict(inside))
+    return reduced_simplicial_homology(k, coefficients), dim
+
+
+def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
+    """The torsion coefficients > 1 of a sum of cyclic groups, in divisibility order."""
+    if all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
+        return tuple(torsion)
+    diagonal = IntegerMatrix(len(torsion), len(torsion), {(i, i): t for i, t in enumerate(torsion)})
+    return tuple(t for t in smith_diagonal(diagonal) if t > 1)
+
+
+def _join(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
+    """Reduced homology of a join X * Y from that of X and of Y.
+
+    Kunneth for joins over Z: H~_k(X * Y) is the sum of H~_i(X) (x) H~_j(Y)
+    over i + j = k - 1 and of Tor(H~_i(X), H~_j(Y)) over i + j = k - 2.  The
+    empty complex (Z in degree -1) is the unit.  Over Q the profiles carry no
+    torsion, so only free ranks multiply.
+    """
+    free: dict[int, int] = {}
+    torsion: dict[int, list[int]] = {}
+    for i in a.degrees():
+        fa, ta = a.free_rank(i), a.torsion(i)
+        for j in b.degrees():
+            fb, tb = b.free_rank(j), b.torsion(j)
+            k = i + j + 1
+            free[k] = free.get(k, 0) + fa * fb
+            mixed = [g for s in ta for t in tb if (g := gcd(s, t)) > 1]
+            torsion.setdefault(k, []).extend(ta * fb + tb * fa + tuple(mixed))
+            torsion.setdefault(k + 1, []).extend(mixed)
+    return HomologyProfile({
+        k: (free.get(k, 0), _invariant_factors(sorted(torsion.get(k, []))))
+        for k in set(free) | set(torsion)
+    })
+
+
 def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMReport:
     """Test whether the order complex of p is Cohen-Macaulay.
 
     For every chain sigma (the empty chain included), the link of sigma in
     the order complex must have vanishing reduced homology in all degrees
-    below the dimension of that link.  The default coefficient ring is Z, so
-    torsion alone also disqualifies; witnesses flag such torsion-only
-    failures separately.  The empty poset is Cohen-Macaulay by convention.
+    below the dimension of that link.  The link of x_1 < ... < x_k is the
+    join of the open intervals (0^, x_1), ..., (x_k, 1^) of P^, so its
+    homology is folded from the intervals' homology, each computed once,
+    and its dimension is the sum of (interval dimension + 1), minus 1.  The
+    default coefficient ring is Z, so torsion alone also disqualifies;
+    witnesses flag such torsion-only failures separately.  The empty poset
+    is Cohen-Macaulay by convention.
     """
+    _check_coefficients(coefficients)
     complex_ = order_complex(p)
+    intervals: dict[tuple, tuple[HomologyProfile, int]] = {}
     witnesses: list[CMWitness] = []
     for face in complex_.all_faces(include_empty=True):
-        link = complex_.link(face)
-        dim = link.dimension if not link.is_empty() else -1
+        chain = complex_.face_vertices(face)
+        pieces = []
+        for x, y in zip((None,) + chain, chain + (None,)):
+            if (x, y) not in intervals:
+                intervals[x, y] = _interval(p, x, y, coefficients)
+            pieces.append(intervals[x, y])
+        dim = sum(d + 1 for _, d in pieces) - 1
         if dim <= -1:
             continue
-        h = reduced_simplicial_homology(link, coefficients)
+        h = reduce(_join, (h for h, _ in pieces))
         for d in h.degrees():
             if d < dim:
                 witnesses.append(
                     CMWitness(
-                        chain=complex_.face_vertices(face),
+                        chain=chain,
                         degree=d,
                         free_rank=h.free_rank(d),
                         torsion=h.torsion(d),

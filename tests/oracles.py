@@ -6,14 +6,16 @@ form, determinants through Bareiss expansion, matrix products, transposes
 and submatrices through dense lists of rows instead of the sparse
 IntegerMatrix, series through direct long division of power series,
 cohomology through Smith forms of the transposed boundaries instead of the
-diagonals shared with homology, and maximal faces through an all-pairs
-subset test instead of the vertex index.
+diagonals shared with homology, maximal faces through an all-pairs
+subset test instead of the vertex index, and the Cohen-Macaulay test through
+the homology of every chain's link instead of joins of cached intervals.
 """
 
 from fractions import Fraction
 
 from sponges.complexes import HomologyProfile
 from sponges.exactalg import smith_diagonal
+from sponges.poset import CMReport, CMWitness, order_complex, reduced_simplicial_homology
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
@@ -172,3 +174,34 @@ def join_betti(left: dict[int, int], right: dict[int, int], max_degree: int) -> 
         if total:
             out[k] = total
     return out
+
+
+def cohen_macaulay_via_links(p, coefficients: str = "integers") -> CMReport:
+    """The Cohen-Macaulay test by building and eliminating the link of every chain.
+
+    For every chain sigma (the empty chain included), the link of sigma in
+    the order complex must have vanishing reduced homology in all degrees
+    below the dimension of that link.
+    """
+    complex_ = order_complex(p)
+    witnesses: list[CMWitness] = []
+    for face in complex_.all_faces(include_empty=True):
+        link = complex_.link(face)
+        dim = link.dimension if not link.is_empty() else -1
+        if dim <= -1:
+            continue
+        h = reduced_simplicial_homology(link, coefficients)
+        for d in h.degrees():
+            if d < dim:
+                witnesses.append(
+                    CMWitness(
+                        chain=complex_.face_vertices(face),
+                        degree=d,
+                        free_rank=h.free_rank(d),
+                        torsion=h.torsion(d),
+                    )
+                )
+    witnesses.sort(key=lambda w: (len(w.chain), tuple(map(str, w.chain)), w.degree))
+    return CMReport(
+        is_cm=not witnesses, coefficients=coefficients, witnesses=tuple(witnesses)
+    )

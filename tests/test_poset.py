@@ -4,22 +4,23 @@ from itertools import combinations
 
 import pytest
 
-from sponges.complexes import profile
+from sponges.complexes import IntegerChainComplex, homology, profile
 from sponges.poset import (
     CyclicPoset,
     GradedPoset,
     SimplicialComplex,
     UnknownElement,
+    _join,
     check_cohen_macaulay,
     order_complex,
     reduced_simplicial_homology,
     subposet,
 )
 
-from sponges.exactalg import smith_diagonal
-from sponges.generators import gen_polytope_skeleton, hypercube_lattice
+from sponges.exactalg import IntegerMatrix, smith_diagonal
+from sponges.generators import gen_model_sponge, gen_polytope_skeleton, hypercube_lattice
 
-from oracles import join_betti, maximal_faces_bruteforce
+from oracles import cohen_macaulay_via_links, join_betti, maximal_faces_bruteforce
 
 
 def chain_poset(length):
@@ -28,8 +29,8 @@ def chain_poset(length):
     return GradedPoset(elements, covers)
 
 
-def antichain(n):
-    return GradedPoset([(f"a{i}", 0) for i in range(n)], [])
+def antichain(n, prefix="a"):
+    return GradedPoset([(f"{prefix}{i}", 0) for i in range(n)], [])
 
 
 def subset_poset(n, max_size, with_empty=True):
@@ -67,6 +68,16 @@ def k33_face_poset():
             covers.append((e, a))
             covers.append((e, b))
     return GradedPoset(elements, covers)
+
+
+def test_rank_buckets_are_cached_copies():
+    p = subset_poset(4, 2)
+    assert p.elements() == sorted(p.ranks, key=p.sort_key)
+    for rk in range(-1, 4):
+        assert p.elements_of_rank(rk) == [e for e in p.elements() if p.ranks[e] == rk]
+    p.elements().clear()
+    p.elements_of_rank(1).clear()
+    assert len(p.elements()) == 11 and p.elements_of_rank(1) == ["1", "2", "3", "4"]
 
 
 def test_cover_rank_validation():
@@ -185,14 +196,17 @@ def test_cm_empty_poset_by_convention():
     assert check_cohen_macaulay(GradedPoset([], [])).is_cm
 
 
+# the minimal 6-vertex projective-plane triangulation
+RP2_FACETS = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
+
+
 def projective_plane_face_poset():
     """Face poset of the minimal 6-vertex projective-plane triangulation."""
-    facets = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-              (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
     elements = []
     covers = []
     seen = set()
-    for f in facets:
+    for f in RP2_FACETS:
         fid = "".join(map(str, f))
         elements.append((fid, 2))
         for e in combinations(f, 2):
@@ -218,6 +232,158 @@ def test_cm_coefficient_switch_distinguishes_torsion():
     empty_chain = [w for w in report.witnesses if w.chain == ()]
     assert empty_chain and empty_chain[0].torsion == (2,)
     assert empty_chain[0].degree == 1
+
+
+def ordinal_sum(lower, upper):
+    """lower below upper: each maximal element of lower is covered by each minimal one of upper."""
+    top = lower.max_rank() + 1
+    elements = [(e, lower.ranks[e]) for e in lower.elements()]
+    elements += [(e, upper.ranks[e] + top) for e in upper.elements()]
+    covers = list(lower.covers()) + list(upper.covers())
+    covers += [(u, l) for u in upper.elements_of_rank(0) for l in lower.elements_of_rank(top - 1)]
+    return GradedPoset(elements, covers)
+
+
+def random_graded_poset(rng):
+    """Up to four ranks of up to four elements; an element above rank 0 may have no lower cover."""
+    elements, covers, below = [], [], []
+    for rk in range(rng.randint(1, 4)):
+        level = [f"r{rk}e{i}" for i in range(rng.randint(1, 4))]
+        for e in level:
+            elements.append((e, rk))
+            if below and rng.random() < 0.9:
+                covers.extend((e, b) for b in rng.sample(below, rng.randint(1, len(below))))
+        below = level
+    return GradedPoset(elements, covers)
+
+
+def relabelled(p, seed):
+    """The same poset with identifiers renamed, so the (rank, id) order changes."""
+    rng = random.Random(seed)
+    names = {e: f"{rng.randrange(10**6):06d}-{e}" for e in p.elements()}
+    return GradedPoset([(names[e], rk) for e, rk in p.ranks.items()],
+                       [(names[u], names[l]) for u, l in p.covers()])
+
+
+def test_cm_report_matches_link_oracle():
+    """Whole reports, witnesses included, against building and eliminating every link."""
+    rng = random.Random(1980)
+    posets = [random_graded_poset(rng) for _ in range(60)]
+    posets += [
+        projective_plane_face_poset(),
+        ordinal_sum(projective_plane_face_poset(), antichain(2)),
+        ordinal_sum(antichain(2), ordinal_sum(antichain(3, "b"), antichain(2, "c"))),
+        GradedPoset([("a0", 0), ("a1", 1), ("b0", 0), ("b1", 1)], [("a1", "a0"), ("b1", "b0")]),
+        GradedPoset([], []),
+        k33_face_poset(),
+        relabelled(gen_model_sponge(5).faces, 7),
+        relabelled(ordinal_sum(projective_plane_face_poset(), antichain(2)), 7),
+    ]
+    posets += [gen_model_sponge(n).faces for n in (3, 4, 5)]
+    non_cm = torsion = 0
+    for p in posets:
+        for coefficients in ("integers", "rationals"):
+            report = check_cohen_macaulay(p, coefficients)
+            assert report == cohen_macaulay_via_links(p, coefficients), (p, coefficients)
+            non_cm += not report.is_cm
+            torsion += any(w.torsion for w in report.witnesses)
+    assert non_cm >= 40 and torsion >= 2
+
+
+def join_complex(a, b):
+    vertices = [(0, v) for v in a.vertices] + [(1, w) for w in b.vertices]
+    left = [[(0, a.vertices[i]) for i in f] for f in a.facets] or [[]]
+    right = [[(1, b.vertices[i]) for i in f] for f in b.facets] or [[]]
+    return SimplicialComplex(vertices, [f + g for f in left for g in right])
+
+
+def test_join_matches_simplicial_join():
+    rp2 = SimplicialComplex(range(1, 7), RP2_FACETS)
+    rp2_and_point = SimplicialComplex(range(1, 8), RP2_FACETS + [(7,)])
+    s0 = SimplicialComplex("ab", ["a", "b"])
+    empty = SimplicialComplex([], [])
+    circle = SimplicialComplex("xyz", ["xy", "yz", "xz"])
+    cases = [
+        (rp2, rp2, profile({3: (0, (2,)), 4: (0, (2,))})),
+        (s0, s0, profile({1: (1, ())})),
+        (empty, circle, profile({1: (1, ())})),
+        (circle, empty, profile({1: (1, ())})),
+        (empty, empty, profile({-1: (1, ())})),
+        (rp2_and_point, rp2_and_point,
+         profile({1: (1, ()), 2: (0, (2, 2)), 3: (0, (2,)), 4: (0, (2,))})),
+        (rp2_and_point, circle, profile({2: (1, ()), 3: (0, (2,))})),
+    ]
+    for a, b, expected in cases:
+        joined = _join(reduced_simplicial_homology(a), reduced_simplicial_homology(b))
+        assert joined == reduced_simplicial_homology(join_complex(a, b)) == expected, (a, b)
+        rational = _join(reduced_simplicial_homology(a, "rationals"),
+                         reduced_simplicial_homology(b, "rationals"))
+        assert rational == reduced_simplicial_homology(join_complex(a, b), "rationals")
+
+
+def chain_complex_of(groups):
+    """A free complex whose homology is {d: (free rank, torsion)}: t * y = dx per torsion t."""
+    ranks: dict[int, int] = {}
+
+    def new(d):
+        ranks[d] = ranks.get(d, 0) + 1
+        return ranks[d] - 1
+
+    entries: dict[int, dict] = {}
+    for d, (free, torsion) in sorted(groups.items()):
+        for _ in range(free):
+            new(d)
+        for t in torsion:
+            entries.setdefault(d + 1, {})[new(d), new(d + 1)] = t
+    boundaries = {d: IntegerMatrix(ranks[d - 1], ranks[d], ent) for d, ent in entries.items()}
+    return IntegerChainComplex(ranks, boundaries)
+
+
+def tensor(c, d):
+    """Tensor product of free complexes, d(x (x) y) = dx (x) y + (-1)^i x (x) dy."""
+    basis: dict[int, list] = {}
+    for i in c.degrees():
+        for j in d.degrees():
+            basis.setdefault(i + j, []).extend(
+                (i, a, j, b) for a in range(c.rank(i)) for b in range(d.rank(j)))
+    index = {g: k for gs in basis.values() for k, g in enumerate(gs)}
+    entries: dict[int, dict] = {n: {} for n in basis}
+    for n, gs in basis.items():
+        for col, (i, a, j, b) in enumerate(gs):
+            for r, x, v in c.boundary(i).nonzero_items():
+                if x == a:
+                    key = (index[i - 1, r, j, b], col)
+                    entries[n][key] = entries[n].get(key, 0) + v
+            for r, y, v in d.boundary(j).nonzero_items():
+                if y == b:
+                    key = (index[i, a, j - 1, r], col)
+                    entries[n][key] = entries[n].get(key, 0) + (-1) ** i * v
+    boundaries = {n: IntegerMatrix(len(basis[n - 1]), len(basis[n]), ent)
+                  for n, ent in entries.items() if ent}
+    return IntegerChainComplex({n: len(gs) for n, gs in basis.items()}, boundaries)
+
+
+def test_join_orders_mixed_torsion_like_the_tensor_complex():
+    """Reduced chains of X * Y are those of X tensor Y, shifted up by one degree."""
+    pairs = [
+        ({0: (1, (4,)), 1: (0, (6,))}, {0: (2, (6,)), 2: (0, (9,))}),
+        ({-1: (1, ()), 0: (0, (2, 4))}, {1: (1, (3, 12))}),
+        ({0: (0, (10,)), 1: (2, (4,))}, {0: (0, (6, 12)), 1: (1, (15,))}),
+    ]
+    for left, right in pairs:
+        a, b = chain_complex_of(left), chain_complex_of(right)
+        assert homology(a) == profile(left) and homology(b) == profile(right)
+        h = homology(tensor(a, b))
+        shifted = profile({d + 1: (h.free_rank(d), h.torsion(d)) for d in h.degrees()})
+        assert _join(profile(left), profile(right)) == shifted, (left, right)
+
+
+def test_cm_model7_is_fast():
+    """Model n=7: 29,023 chains, about one interval Smith form per 100 of them."""
+    faces = gen_model_sponge(7).faces
+    start = time.perf_counter()
+    assert check_cohen_macaulay(faces).is_cm
+    assert time.perf_counter() - start < 30.0
 
 
 def test_below_is_always_a_cone():
