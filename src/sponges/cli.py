@@ -378,6 +378,8 @@ def _cmd_hvector(args) -> tuple[dict, int]:
 def _cmd_hilbert(args) -> tuple[dict, int]:
     fv, doc = _load_fvector_like(args.file)
     if args.which == "equivariant":
+        if args.expand < 0:
+            raise InputError("--expand must be nonnegative")
         series = hilbert_equivariant(fv)
         expansion = series_expand(series, args.expand)
         payload = {
@@ -444,6 +446,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
         bounds = args.bound
         if len(bounds) == 1:
             bounds = bounds * (args.n - 1)
+        if args.n < 2 or len(bounds) != args.n - 1:
+            raise InputError(f"--fspace needs n >= 2 and one or n-1 bounds, got n={args.n}")
         summary = scan_fvector_space(args.n, bounds, checkpoint_path=args.checkpoint)
         parameters = {"mode": "fspace", "n": args.n, "bounds": list(bounds)}
     else:

@@ -206,17 +206,7 @@ def homology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyPr
     free_rank(d) = rank(d) - rank(d_d) - rank(d_{d+1}); over Z the torsion in
     degree d is read off the Smith diagonal of d_{d+1}.
     """
-    _check_coefficients(coefficients)
-    data = {}
-    for d in c.degrees():
-        r_in = len(c._diagonal(d + 1))
-        r_out = len(c._diagonal(d))
-        free = c.rank(d) - r_out - r_in
-        torsion: tuple[int, ...] = ()
-        if coefficients == INTEGERS:
-            torsion = tuple(t for t in c._diagonal(d + 1) if t > 1)
-        data[d] = (free, torsion)
-    return HomologyProfile(data)
+    return _profile(c, coefficients, torsion_from=1)
 
 
 def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyProfile:
@@ -227,13 +217,18 @@ def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> Homology
     rank(d_d) = free H_d, and over Z the torsion in degree d is read off the
     Smith diagonal of d_d, i.e. torsion H^d = torsion H_{d-1}.
     """
+    return _profile(c, coefficients, torsion_from=0)
+
+
+def _profile(c: IntegerChainComplex, coefficients: str, torsion_from: int) -> HomologyProfile:
+    """Rank-nullity per degree d, with torsion from the diagonal of d_{d+torsion_from}."""
     _check_coefficients(coefficients)
     data = {}
     for d in c.degrees():
         free = c.rank(d) - len(c._diagonal(d + 1)) - len(c._diagonal(d))
         torsion: tuple[int, ...] = ()
         if coefficients == INTEGERS:
-            torsion = tuple(t for t in c._diagonal(d) if t > 1)
+            torsion = tuple(t for t in c._diagonal(d + torsion_from) if t > 1)
         data[d] = (free, torsion)
     return HomologyProfile(data)
 
@@ -322,7 +317,7 @@ class RationalHomologyBasis:
 
     Per degree: representatives are integer cycle vectors (from the kernel
     lattice of the boundary) extending a column basis of the boundaries from
-    above.  ``coordinates`` expresses any cycle in this basis modulo
+    above.  ``coordinates`` expresses cycles in this basis modulo
     boundaries.
     """
 
@@ -332,21 +327,8 @@ class RationalHomologyBasis:
         self._solver_columns: dict[int, list[tuple[int, ...]]] = {}
         self._boundary_count: dict[int, int] = {}
         for d in c.degrees():
-            n = c.rank(d)
-            if n == 0:
-                self._reps[d] = []
-                self._solver_columns[d] = []
-                self._boundary_count[d] = 0
-                continue
-            down = c.boundary(d)
-            if down.is_zero():
-                kernel = [
-                    tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-                ]
-            else:
-                kernel = list(integer_kernel_basis(down))
-            up = c.boundary(d + 1)
-            boundary_cols = [tuple(col) for col in up.transpose().to_rows()]
+            kernel = integer_kernel_basis(c.boundary(d))
+            boundary_cols = [tuple(col) for col in c.boundary(d + 1).transpose().to_rows()]
             all_cols = boundary_cols + kernel
             _, chosen = rational_rref(list(zip(*all_cols)))
             b_basis = [all_cols[i] for i in chosen if i < len(boundary_cols)]
@@ -361,26 +343,29 @@ class RationalHomologyBasis:
     def representatives(self, degree: int) -> list[tuple[int, ...]]:
         return list(self._reps.get(degree, []))
 
-    def profile(self) -> HomologyProfile:
-        return HomologyProfile(
-            {d: (len(reps), ()) for d, reps in self._reps.items()}
-        )
+    def coordinates(
+        self, degree: int, vectors: Sequence[Sequence[int | Fraction]]
+    ) -> list[list[Fraction]]:
+        """Coordinates of each cycle in the homology basis (mod boundaries).
 
-    def coordinates(self, degree: int, vector: Sequence[int | Fraction]) -> list[Fraction]:
-        """Coordinates of a cycle in the homology basis (mod boundaries)."""
+        One Gauss-Jordan elimination serves every vector: they are appended
+        as extra columns, and since columns are reduced left to right the
+        pivots of the (independent) solver columns stay those columns.  A
+        vector is then inconsistent exactly when its column holds a pivot;
+        otherwise its solution is unique and sits in that column.
+        """
+        n = self.complex.rank(degree)
+        if any(len(v) != n for v in vectors):
+            raise ValueError(f"vectors in degree {degree} must have length {n}")
         cols = self._solver_columns.get(degree, [])
-        if not cols:
-            if any(Fraction(v) for v in vector):
-                raise ValueError("nonzero vector in a degree with trivial chains")
-            return []
-        # the columns are independent, so the target is a pivot exactly when
-        # the system is inconsistent, and otherwise the solution is unique
-        reduced, pivots = rational_rref(
-            [(*row, target) for row, target in zip(zip(*cols), vector, strict=True)]
-        )
-        if len(cols) in pivots:
+        rows = [[col[i] for col in cols] + [v[i] for v in vectors] for i in range(n)]
+        reduced, pivots = rational_rref(rows)
+        if len(pivots) > len(cols):
             raise ValueError("vector is not a cycle modulo boundaries")
-        return [row[-1] for row in reduced[self._boundary_count[degree]:]]
+        return [
+            [row[len(cols) + k] for row in reduced[self._boundary_count.get(degree, 0):]]
+            for k in range(len(vectors))
+        ]
 
 
 def _is_chain_map(
@@ -414,7 +399,6 @@ def induced_map_on_homology(
     f: Mapping[int, IntegerMatrix],
     source: IntegerChainComplex,
     target: IntegerChainComplex,
-    coefficients: str = RATIONALS,
     source_basis: RationalHomologyBasis | None = None,
     target_basis: RationalHomologyBasis | None = None,
 ) -> dict[int, list[list[Fraction]]]:
@@ -427,8 +411,6 @@ def induced_map_on_homology(
     induced maps would need presentation lifting, and every consumer here is
     a rank comparison.
     """
-    if coefficients != RATIONALS:
-        raise ValueError("induced maps are supported over rationals only")
     bad = _is_chain_map(f, source, target)
     if bad is not None:
         raise NotAChainMap(bad)
@@ -436,17 +418,13 @@ def induced_map_on_homology(
     tb = target_basis or RationalHomologyBasis(target)
     out: dict[int, list[list[Fraction]]] = {}
     for d in sorted(set(source.degrees()) | set(target.degrees())):
-        src_reps = sb.representatives(d)
-        tdim = tb.betti(d)
-        matrix = [[Fraction(0)] * len(src_reps) for _ in range(tdim)]
-        fd = f.get(d)
-        for j, rep in enumerate(src_reps):
+        images = []
+        for rep in sb.representatives(d):
             image = [0] * target.rank(d)
-            if fd is not None:
-                for i, k, v in fd.nonzero_items():
+            if d in f:
+                for i, k, v in f[d].nonzero_items():
                     image[i] += v * rep[k]
-            coords = tb.coordinates(d, image)
-            for i in range(tdim):
-                matrix[i][j] = coords[i]
-        out[d] = matrix
+            images.append(image)
+        coords = tb.coordinates(d, images)
+        out[d] = [[col[i] for col in coords] for i in range(tb.betti(d))]
     return out

@@ -10,7 +10,11 @@ cohomology is the cosheaf's cover map.
 
 Chain groups of the cosheaf in homological degree i collect the sections of
 the rank-i faces, with boundary the incidence-weighted sum of cover maps;
-the diamond relation makes the boundary square to zero (checked).  For
+the diamond relation makes the boundary square to zero (checked).  The
+assembled complex is an integral `IntegerChainComplex`: each boundary is
+scaled by the lcm of its entries' denominators, a positive factor per degree
+that keeps d o d = 0 and every rank, so its rational homology is that of the
+cosheaf.  For
 Cohen-Macaulay face posets the sections live purely in cohomological degree
 n-2 and the homology of the cosheaf in degree r must agree with the
 cohomology of the order complex in degree n-2-r.  `dihomology_check`
@@ -28,10 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .complexes import (
+    RATIONALS,
     HomologyProfile,
     IntegerChainComplex,
+    MalformedComplex,
     RationalHomologyBasis,
     cochain_complex,
     cohomology,
@@ -39,7 +46,7 @@ from .complexes import (
     induced_map_on_homology,
     subcomplex,
 )
-from .exactalg import IntegerMatrix, rational_rref
+from .exactalg import IntegerMatrix
 from .poset import check_cohen_macaulay, order_complex
 from .sponge import SpongeComplex, cellular_complex, ensure_valid
 
@@ -75,7 +82,6 @@ class LocalCohomologyCosheaf:
     sections: dict = field(default_factory=dict)        # s -> HomologyProfile (Q)
     sections_integral: dict = field(default_factory=dict)  # s -> HomologyProfile (Z)
     cover_maps: dict = field(default_factory=dict)      # (s, t) -> {p: matrix}
-    _bases: dict = field(default_factory=dict, repr=False)
 
     def section_rank(self, s: str, p: int) -> int:
         return self.sections[s].free_rank(p)
@@ -84,16 +90,6 @@ class LocalCohomologyCosheaf:
         return self.cover_maps[(s, t)].get(
             p, [[] for _ in range(self.section_rank(t, p))]
         )
-
-
-@dataclass
-class CosheafChainComplex:
-    """The assembled chain complex of the cosheaf at one cohomological degree."""
-
-    p: int
-    dims: dict            # homological degree i -> dimension
-    offsets: dict         # i -> {face: column offset}
-    boundaries: dict      # i -> Fraction matrix (rows: degree i-1, cols: degree i)
 
 
 def _section_selector(z: SpongeComplex, s: str) -> dict[int, list[int]]:
@@ -124,16 +120,11 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
         cx = subcomplex(cochain, selectors[s])
         complexes[s] = cx
         bases[s] = RationalHomologyBasis(cx)
-        profile_q = bases[s].profile()
-        sections[s] = HomologyProfile(
-            {-d: (profile_q.free_rank(d), ()) for d in profile_q.degrees()}
-        )
-        profile_z = homology(cx, coefficients="integers")
+        profile_z = homology(cx)
+        degrees = profile_z.degrees()
+        sections[s] = HomologyProfile({-d: (profile_z.free_rank(d), ()) for d in degrees})
         sections_integral[s] = HomologyProfile(
-            {
-                -d: (profile_z.free_rank(d), profile_z.torsion(d))
-                for d in profile_z.degrees()
-            }
+            {-d: (profile_z.free_rank(d), profile_z.torsion(d)) for d in degrees}
         )
     cover_maps: dict[tuple[str, str], dict[int, list[list[Fraction]]]] = {}
     for upper, lower in z.faces.covers():
@@ -156,74 +147,48 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
         sections=sections,
         sections_integral=sections_integral,
         cover_maps=cover_maps,
-        _bases=bases,
     )
 
 
-def assemble_chain_complex(c: LocalCohomologyCosheaf, p: int) -> CosheafChainComplex:
-    """Block boundary matrices of the cosheaf at cohomological degree p.
+def assemble_chain_complex(c: LocalCohomologyCosheaf, p: int) -> IntegerChainComplex:
+    """The chain complex of the cosheaf at cohomological degree p.
 
-    The boundary out of homological degree i sums incidence-weighted cover
-    maps over the covers between rank i and rank i-1.  Squares to zero by
-    the diamond relation; checked.
+    Degree i holds the sections of the rank-i faces in (rank, id) order.  The
+    boundary out of degree i sums incidence-weighted cover maps over the
+    covers between rank i and rank i-1, times the lcm of the denominators of
+    its entries.  Squares to zero by the diamond relation; checked.
     """
     z = c.base
-    max_rank = z.faces.max_rank()
-    dims = {}
+    ranks = {}
     offsets = {}
-    for i in range(max_rank + 1):
-        off = {}
-        total = 0
+    for i in range(z.faces.max_rank() + 1):
+        offsets[i] = {}
+        ranks[i] = 0
         for s in z.faces.elements_of_rank(i):
-            off[s] = total
-            total += c.section_rank(s, p)
-        dims[i] = total
-        offsets[i] = off
+            offsets[i][s] = ranks[i]
+            ranks[i] += c.section_rank(s, p)
+    entries: dict[int, dict] = {i: {} for i in ranks if i}
+    for (s, t), maps in c.cover_maps.items():
+        i = z.faces.rank(s)
+        r0, c0 = offsets[i - 1][t], offsets[i][s]
+        for a, row in enumerate(maps.get(p, ())):
+            for b, v in enumerate(row):
+                if v:
+                    entries[i][(r0 + a, c0 + b)] = z.incidence[(s, t)] * v
     boundaries = {}
-    for i in range(1, max_rank + 1):
-        rows, cols = dims[i - 1], dims[i]
-        block = [[Fraction(0)] * cols for _ in range(rows)]
-        for (s, t), maps in c.cover_maps.items():
-            if z.faces.rank(s) != i:
-                continue
-            m = maps.get(p)
-            if not m:
-                continue
-            sign = z.incidence[(s, t)]
-            r0 = offsets[i - 1][t]
-            c0 = offsets[i][s]
-            for a, row in enumerate(m):
-                for b, val in enumerate(row):
-                    if val:
-                        block[r0 + a][c0 + b] += sign * val
-        boundaries[i] = block
-    for i in range(2, max_rank + 1):
-        _check_squares_to_zero(boundaries[i - 1], boundaries[i])
-    return CosheafChainComplex(p=p, dims=dims, offsets=offsets, boundaries=boundaries)
-
-
-def _check_squares_to_zero(lower, upper) -> None:
-    if not lower or not upper or not upper[0]:
-        return
-    rows = len(lower)
-    mid = len(upper)
-    cols = len(upper[0])
-    for j in range(cols):
-        col = [upper[k][j] for k in range(mid)]
-        for i in range(rows):
-            if sum(lower[i][k] * col[k] for k in range(mid) if col[k]):
-                raise RuntimeError("cosheaf boundary does not square to zero")
+    for i, block in entries.items():
+        scale = lcm(*(v.denominator for v in block.values()))
+        scaled = {ij: v * scale for ij, v in block.items()}
+        boundaries[i] = IntegerMatrix(ranks[i - 1], ranks[i], scaled)
+    try:
+        return IntegerChainComplex(ranks, boundaries)
+    except MalformedComplex as err:
+        raise RuntimeError(f"cosheaf boundary does not square to zero: {err}") from err
 
 
 def cosheaf_homology(c: LocalCohomologyCosheaf, p: int) -> HomologyProfile:
     """Rational homology of the cosheaf chain complex at cohomological degree p."""
-    assembled = assemble_chain_complex(c, p)
-    ranks = {i: len(rational_rref(m)[1]) for i, m in assembled.boundaries.items()}
-    data = {}
-    for i, dim in assembled.dims.items():
-        free = dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        data[i] = (free, ())
-    return HomologyProfile(data)
+    return homology(assemble_chain_complex(c, p), RATIONALS)
 
 
 @dataclass

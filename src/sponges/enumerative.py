@@ -237,6 +237,8 @@ def b_from_euler(f: Sequence[int], n: int) -> int:
     f_{n-1} for a sponge.)
     """
     f = tuple(int(x) for x in f)
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} face counts for n={n}")
     alternating = sum((-1) ** i * x for i, x in enumerate(f))

@@ -19,9 +19,10 @@ equal to it is the pivot.  So the pivots are exactly those of a full scan,
 found with heap operations and a scan of one row instead of every nonzero.
 The unimodular transforms are only computed when a caller actually needs
 them (`smith_normal_form`); rank and torsion queries go through the cheaper
-`smith_diagonal`.  Linear algebra over Q (independent columns, solving for
-coordinates, ranks of rational matrices) goes through the one Gauss-Jordan
-routine `rational_rref`.
+`smith_diagonal`.  Linear algebra over Q (independent columns, and solving
+for the coordinates of many vectors in one elimination) goes through the one
+Gauss-Jordan routine `rational_rref`; ranks of rational matrices come from
+Smith diagonals once their denominators are cleared.
 """
 
 from __future__ import annotations

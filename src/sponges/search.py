@@ -63,6 +63,8 @@ class ScanRecord:
     def from_json(cls, data: dict) -> "ScanRecord":
         def tup(key):
             return tuple(data[key]) if key in data else None
+        if not isinstance(data["identifier"], str):
+            raise TypeError("identifier must be a string")
         return cls(
             identifier=data["identifier"],
             n=data["n"],

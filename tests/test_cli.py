@@ -7,6 +7,7 @@ from sponges.cli import (
     EXIT_PASS,
     cli_dispatch,
     parse_sponge,
+    serialize_fvector,
     serialize_sponge,
 )
 from sponges.generators import builtin, gen_model_sponge
@@ -280,6 +281,32 @@ def test_scan_corrupt_checkpoint_line_exits_2(tmp_path):
         code, report = run_json(FSPACE + [str(checkpoint)])
         assert code == EXIT_INPUT_ERROR
         assert "line 2" in report["error"]
+
+
+def test_scan_checkpoint_identifier_must_be_a_string(tmp_path):
+    checkpoint = tmp_path / "scan.jsonl"
+    checkpoint.write_text('{"identifier": [1], "n": 3}\n', encoding="utf-8")
+    code, report = run_json(
+        ["scan", "--fspace", "--n", "3", "--bound", "1", "1", "--checkpoint", str(checkpoint)]
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert "line 1" in report["error"]
+    assert "identifier must be a string" in report["error"]
+
+
+def test_scan_fspace_bad_sizes_exit_2():
+    for argv in (["--n", "4", "--bound", "1", "2"], ["--n", "0", "--bound", "1"],
+                 ["--n", "1", "--bound", "3"]):
+        code, report = run_json(["scan", "--fspace", *argv])
+        assert code == EXIT_INPUT_ERROR, argv
+        assert "--fspace needs n >= 2" in report["error"]
+
+
+def test_hilbert_negative_expand_exits_2(tmp_path):
+    path = write_doc(tmp_path, serialize_fvector(builtin("hp2_fvector")))
+    code, report = run_json(["hilbert", path, "--which", "equivariant", "--expand", "-1"])
+    assert code == EXIT_INPUT_ERROR
+    assert report == {"error": "--expand must be nonnegative"}
 
 
 def test_unbalanced_sponges_exit_2(tmp_path):

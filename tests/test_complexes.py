@@ -9,6 +9,7 @@ from sponges.complexes import (
     MalformedComplex,
     NotAChainMap,
     NotASubcomplex,
+    RationalHomologyBasis,
     cochain_complex,
     cohomology,
     homology,
@@ -163,6 +164,42 @@ def test_induced_map_functorial():
             for i in range(len(m3[d]))
         ]
         assert composed == m6[d]
+
+
+def square_with_filled_triangle():
+    # vertices 0..3, edges e01 e12 e23 e03 e02 with d(e_ij) = v_j - v_i, and
+    # one 2-cell filling the triangle 0-1-2; H_1 is the triangle 0-2-3
+    d1 = mat([[-1, 0, 0, -1, -1], [1, -1, 0, 0, 0], [0, 1, -1, 0, 1], [0, 0, 1, 1, 0]])
+    d2 = mat([[1], [1], [0], [0], [-1]])
+    return IntegerChainComplex({0: 4, 1: 5, 2: 1}, {1: d1, 2: d2})
+
+
+def test_batched_coordinates_match_single_vectors():
+    basis = RationalHomologyBasis(square_with_filled_triangle())
+    filled, hole = (1, 1, 0, 0, -1), (0, 0, 1, -1, 1)
+    cycles = [filled, hole, tuple(a + b for a, b in zip(filled, hole)),
+              tuple(3 * a - 2 * b for a, b in zip(filled, hole)),
+              [Fraction(b, 2) for b in hole], (0, 0, 0, 0, 0)]
+    batched = basis.coordinates(1, cycles)
+    assert batched == [basis.coordinates(1, [v])[0] for v in cycles]
+    assert batched[0] == [0]  # a boundary
+    assert batched[1] != [0] and batched[2] == batched[1]
+    assert batched[4] == [x / 2 for x in batched[1]]
+    points = [(1, 0, 0, 0), (0, 0, 0, 5)]
+    assert basis.coordinates(0, points) == [basis.coordinates(0, [v])[0] for v in points]
+
+
+def test_batched_coordinates_edge_cases():
+    basis = RationalHomologyBasis(square_with_filled_triangle())
+    assert basis.coordinates(1, []) == []
+    assert basis.coordinates(2, [(0,)]) == [[]]
+    assert basis.coordinates(7, [()]) == [[]]  # a degree without chains
+    with pytest.raises(ValueError, match="not a cycle"):
+        basis.coordinates(1, [(0, 0, 1, -1, 1), (1, 0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="not a cycle"):
+        basis.coordinates(2, [(1,)])  # d(cell) is not zero
+    with pytest.raises(ValueError, match="length"):
+        basis.coordinates(1, [(1, 1, 0, 0)])
 
 
 def test_cochain_complex_regrading():

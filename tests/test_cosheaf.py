@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from sponges.complexes import cohomology, profile
@@ -8,9 +10,19 @@ from sponges.cosheaf import (
     cosheaf_homology,
     dihomology_check,
 )
-from sponges.generators import builtin, gen_model_sponge
+from sponges.generators import (
+    builtin,
+    gen_model_sponge,
+    gen_polytope_skeleton,
+    gen_trivalent_sponges,
+    hypercube_lattice,
+    k33_sponge,
+    simplex_lattice,
+)
 from sponges.poset import GradedPoset, order_complex
 from sponges.sponge import SpongeComplex
+
+from oracles import cosheaf_homology_dense
 
 
 def two_disjoint_chains_sponge():
@@ -21,6 +33,58 @@ def two_disjoint_chains_sponge():
     return SpongeComplex(
         n=3, faces=faces, incidence={("a1", "a0"): 1, ("b1", "b0"): 1}
     )
+
+
+def weighted_k33_sponge():
+    """K_{3,3} with incidences -2, -2 and 3 on three edges: fractional cover maps."""
+    z = k33_sponge()
+    incidence = dict(z.incidence)
+    incidence[("l1:r2", "l1")] = -2
+    incidence[("l1:r3", "l1")] = -2
+    incidence[("l2:r3", "r3")] = 3
+    return SpongeComplex(n=3, faces=z.faces, incidence=incidence, name="weighted-k33")
+
+
+def cosheaf_corpus():
+    yield from (builtin(name) for name in
+                ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3", "model_n4"))
+    yield from gen_trivalent_sponges(8)
+    yield gen_polytope_skeleton(simplex_lattice(4))
+    yield gen_polytope_skeleton(hypercube_lattice(4))
+    yield gen_model_sponge(5)
+    yield weighted_k33_sponge()
+
+
+def test_cosheaf_homology_matches_dense_oracle():
+    for z in cosheaf_corpus():
+        c = build_cosheaf(z)
+        for p in range(z.n):
+            assert cosheaf_homology(c, p) == cosheaf_homology_dense(c, p), (z.name, p)
+
+
+def test_weighted_k33_has_fractional_cover_maps():
+    c = build_cosheaf(weighted_k33_sponge())
+    denominators = {x.denominator for maps in c.cover_maps.values()
+                    for row in maps.get(1, []) for x in row}
+    assert denominators == {1, 2}
+    assert cosheaf_homology(c, 1) == profile({0: (4, ()), 1: (1, ())})
+    assert dihomology_check(c.base).passed
+
+
+def test_assembled_boundary_is_scaled_by_lcm_of_denominators():
+    c = build_cosheaf(builtin("g42_octahedron"))
+    unscaled = assemble_chain_complex(c, 2)
+    # thirds on the rank-2 cover maps scale d_2 by 1/3: still a complex, same ranks
+    for (s, _), maps in c.cover_maps.items():
+        if c.base.faces.rank(s) == 2:
+            maps[2] = [[x / 3 for x in row] for row in maps[2]]
+    scaled = assemble_chain_complex(c, 2)
+    assert scaled.boundary(1) == unscaled.boundary(1)
+    gcd2 = gcd(*(v for _, _, v in unscaled.boundary(2).nonzero_items()))
+    assert gcd2 % 3  # so the lcm of the thirds' denominators is exactly 3
+    assert scaled.boundary(2) == unscaled.boundary(2)
+    expected = profile({0: (4, ()), 2: (1, ())})
+    assert cosheaf_homology(c, 2) == cosheaf_homology_dense(c, 2) == expected
 
 
 def test_k33_sections():
@@ -110,9 +174,14 @@ def test_cosheaf_homology_model_n4():
 def test_boundary_squares_to_zero_is_asserted():
     c = build_cosheaf(builtin("g42_octahedron"))
     assembled = assemble_chain_complex(c, 2)
-    assert assembled.dims[0] == 6 * 3  # rank-0 sections have rank n-1
-    assert assembled.dims[1] == 12 * 2
-    assert assembled.dims[2] == 11 * 1
+    assert assembled.rank(0) == 6 * 3  # rank-0 sections have rank n-1
+    assert assembled.rank(1) == 12 * 2
+    assert assembled.rank(2) == 11 * 1
+    # one flipped entry of a cover map out of rank 2 breaks d o d = 0
+    upper, lower = next((s, t) for s, t in sorted(c.cover_maps) if c.base.faces.rank(s) == 2)
+    c.cover_maps[(upper, lower)][2][0][0] += 1
+    with pytest.raises(RuntimeError, match="does not square to zero"):
+        assemble_chain_complex(c, 2)
 
 
 def test_dihomology_k33():

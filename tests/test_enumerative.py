@@ -84,6 +84,13 @@ def test_b_from_euler_negative():
         b_from_euler((3, 0), 3)
 
 
+def test_b_from_euler_rejects_n_below_2():
+    # n = 1 used to give the float 1.0 from (-1) ** -1
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            b_from_euler((), n)
+
+
 # ---------------------------------------------------------------------------
 # Betti polynomials (coefficients indexed by power of t)
 

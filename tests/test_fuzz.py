@@ -1,10 +1,13 @@
-"""Seeded fuzzing of the CLI documents.
+"""Seeded fuzzing of the CLI documents, arguments and checkpoints.
 
 Small valid documents are mutated (a key deleted, a value replaced by
 another JSON type or a small integer, a list item dropped or duplicated)
-and fed to every command that reads a document.  Every run must exit with
-0, 1 or 2 and print exactly one JSON object; no exception may escape.
-Integers stay in [-1, 6], so no mutant asks for a large computation.
+and fed to every command that reads a document.  The integer arguments of
+`scan --fspace`, `hilbert` and `gen` are drawn at random, and the lines of a
+scan checkpoint are mutated like documents before the scan resumes from it.
+Every run must exit with 0, 1 or 2 and print exactly one JSON object; no
+exception may escape.  Integers stay in [-2, 6], so no run asks for a large
+computation.
 """
 
 import copy
@@ -17,6 +20,7 @@ from sponges.generators import builtin, gen_simplex_skeleton, hypercube_lattice
 
 SEED = 20261017
 MUTANTS_PER_DOCUMENT = 20
+ARGUMENT_RUNS = 60
 
 
 def _lattice_document(lattice):
@@ -88,18 +92,22 @@ def _mutate(doc, rng):
     return doc
 
 
+def _run(argv, context):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        code = cli_dispatch(argv, stdout=out, stderr=err)
+    except Exception as exc:
+        raise AssertionError(f"{argv} raised {exc!r} on {context}") from exc
+    lines = out.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code, context)
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, context)
+
+
 def _run_all_commands(doc, path, face):
     path.write_text(json.dumps(doc))
     for command in COMMANDS:
         argv = [{"FILE": str(path), "FACE": face}.get(a, a) for a in command]
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            code = cli_dispatch(argv, stdout=out, stderr=err)
-        except Exception as exc:
-            raise AssertionError(f"{argv} raised {exc!r} on {json.dumps(doc)}") from exc
-        lines = out.getvalue().splitlines()
-        assert code in (0, 1, 2), (argv, code, doc)
-        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, doc)
+        _run(argv, json.dumps(doc))
 
 
 def test_mutated_documents_never_traceback(tmp_path):
@@ -110,3 +118,46 @@ def test_mutated_documents_never_traceback(tmp_path):
         _run_all_commands(doc, path, face)
         for _ in range(MUTANTS_PER_DOCUMENT):
             _run_all_commands(_mutate(doc, rng), path, face)
+
+
+def _small_ints(rng, count):
+    return [str(rng.randint(-2, 5)) for _ in range(count)]
+
+
+def _random_arguments(rng, fvector_path):
+    kind = rng.choice(["scan", "hilbert", "model", "simplex", "trivalent"])
+    if kind == "scan":
+        bounds = _small_ints(rng, rng.randint(1, 3))
+        return ["scan", "--fspace", "--n", *_small_ints(rng, 1), "--bound", *bounds]
+    if kind == "hilbert":
+        return ["hilbert", fvector_path, "--which", "equivariant",
+                "--expand", *_small_ints(rng, 1)]
+    if kind == "model":
+        return ["gen", "model", "--n", *_small_ints(rng, 1)]
+    if kind == "simplex":
+        m, k = _small_ints(rng, 2)
+        return ["gen", "simplex-skeleton", "--m", m, "--k", k]
+    return ["gen", "trivalent", "--max", *_small_ints(rng, 1)]
+
+
+def test_random_arguments_never_traceback(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "fvector.json"
+    path.write_text(json.dumps(DOCUMENTS["hp2_fvector"]))
+    for _ in range(ARGUMENT_RUNS):
+        argv = _random_arguments(rng, str(path))
+        _run(argv, argv)
+
+
+def test_mutated_checkpoints_never_traceback(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "scan.jsonl"
+    argv = ["scan", "--fspace", "--n", "3", "--bound", "1", "1", "--checkpoint", str(path)]
+    _run(argv, "fresh scan")
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for _ in range(MUTANTS_PER_DOCUMENT):
+        mutant = list(records)
+        k = rng.randrange(len(mutant))
+        mutant[k] = _mutate(mutant[k], rng)
+        path.write_text("".join(json.dumps(r) + "\n" for r in mutant))
+        _run(argv, mutant[k])
