@@ -163,9 +163,6 @@ class IntegerChainComplex:
     def degrees(self) -> list[int]:
         return sorted(d for d in self._ranks)
 
-    def min_degree(self) -> int:
-        return min(self._ranks) if self._ranks else 0
-
     def max_degree(self) -> int:
         return max(self._ranks) if self._ranks else 0
 
@@ -174,9 +171,6 @@ class IntegerChainComplex:
         if m is None:
             m = IntegerMatrix.zeros(self.rank(degree - 1), self.rank(degree))
         return m
-
-    def total_rank(self) -> int:
-        return sum(self._ranks.values())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in self._ranks.items())

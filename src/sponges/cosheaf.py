@@ -14,13 +14,13 @@ the diamond relation makes the boundary square to zero (checked).  The
 assembled complex is an integral `IntegerChainComplex`: each boundary is
 scaled by the lcm of its entries' denominators, a positive factor per degree
 that keeps d o d = 0 and every rank, so its rational homology is that of the
-cosheaf.  For
-Cohen-Macaulay face posets the sections live purely in cohomological degree
-n-2 and the homology of the cosheaf in degree r must agree with the
-cohomology of the order complex in degree n-2-r.  `dihomology_check`
-verifies that rank equality with two genuinely independent computations:
-cellular sections assembled through cover maps on one side, simplicial
-cochains of the order complex on the other.
+cosheaf.  For Cohen-Macaulay face posets the sections live purely in
+cohomological degree n-2 and the homology of the cosheaf in degree r must
+agree with the cohomology of the order complex in degree n-2-r.
+`dihomology_check` verifies that rank equality with two independent
+computations: cellular sections assembled through cover maps on one side;
+on the other, the reduced homology of (0^, 1^) cached on the face poset by
+`poset.interval_homology`, read as cohomology by universal coefficients.
 
 Sections and cover maps are rational (deterministic bases from the homology
 routine); the integer side of the comparison contributes free ranks and
@@ -41,13 +41,12 @@ from .complexes import (
     MalformedComplex,
     RationalHomologyBasis,
     cochain_complex,
-    cohomology,
     homology,
     induced_map_on_homology,
     subcomplex,
 )
 from .exactalg import IntegerMatrix
-from .poset import check_cohen_macaulay, order_complex
+from .poset import check_cohen_macaulay, interval_homology
 from .sponge import SpongeComplex, cellular_complex, ensure_valid
 
 
@@ -228,23 +227,21 @@ def dihomology_check(z: SpongeComplex) -> DihomologyReport:
         for d in prof.degrees():
             if d != top and prof.free_rank(d):
                 stray.append((s, d, prof.free_rank(d)))
-        zprof = cosheaf.sections_integral[s]
-        for d in zprof.degrees():
-            for t in zprof.torsion(d):
-                torsion.append((s, d, t))
+        torsion.extend((s, d, t) for d, t in cosheaf.sections_integral[s].total_torsion())
     lhs_profile = cosheaf_homology(cosheaf, top)
     lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
-    # rational ranks are the free ranks of the integral cohomology
-    oc = cohomology(order_complex(z.faces).chain_complex(augmented=False))
-    rhs = tuple(oc.free_rank(top - r) for r in range(top + 1))
+    reduced, _ = interval_homology(z.faces, None, None)  # torsion moves up one degree
+    rhs = [reduced.free_rank(top - r) for r in range(top + 1)]
+    if len(z.faces):
+        rhs[top] += 1  # unreduced H^0 of a nonempty S
     report = DihomologyReport(
         n=z.n,
         cosheaf_ranks=lhs,
-        order_complex_ranks=rhs,
+        order_complex_ranks=tuple(rhs),
         concentrated=not stray,
         stray_sections=tuple(stray),
         section_torsion=tuple(torsion),
-        order_complex_torsion=tuple(oc.total_torsion()),
+        order_complex_torsion=tuple((d + 1, t) for d, t in reduced.total_torsion()),
     )
     for r in range(top + 1):
         if lhs[r] != rhs[r]:

@@ -162,6 +162,8 @@ def gen_polytope_skeleton(p: PolytopeFaceLattice) -> SpongeComplex:
     Checks the b-number of the result against #facets - 1.
     """
     n = p.dimension
+    if n < 2:
+        raise BadParameter(f"polytope skeletons need dimension >= 2, got {n}")
     keep = [(f, d) for f, d in p.faces if d <= n - 2]
     keep_ids = {f for f, _ in keep}
     covers = [(u, l) for u, l in p.covers if u in keep_ids and l in keep_ids]

@@ -7,13 +7,14 @@ produces an order-convex subset, so the induced cover relation is simply the
 restriction of the original one.
 
 The order complex realizes the poset as a simplicial complex whose simplices
-are the chains, with a deterministic vertex order by (rank, identifier).  The
-Cohen-Macaulay test walks every chain (including the empty one) and checks
-that the link of the chain has vanishing reduced homology below the link's
-own dimension.  The link of a chain x_1 < ... < x_k is the join of the open
-intervals (0^, x_1), (x_1, x_2), ..., (x_k, 1^) of P with a bottom and a top
-added, so the test computes the reduced homology of each interval once and
-gets every link's homology by the Kunneth formula for joins.  Building and
+are the chains, with a deterministic vertex order by (rank, identifier).
+Order-complex homology is asked of open intervals (x, y) of P^, P with a
+bottom 0^ and a top 1^ added; `interval_homology` answers over Z and caches
+the answer on the poset.  The Cohen-Macaulay test walks every chain
+(including the empty one) and checks that its link has vanishing reduced
+homology below the link's own dimension.  The link of x_1 < ... < x_k is
+the join of (0^, x_1), (x_1, x_2), ..., (x_k, 1^), so its homology follows
+from the cached intervals by the Kunneth formula for joins.  Building and
 eliminating each link instead is the test suite's oracle.
 """
 
@@ -28,8 +29,8 @@ from typing import Hashable, Iterable, Sequence
 from .complexes import (
     HomologyProfile,
     IntegerChainComplex,
+    RATIONALS,
     _check_coefficients,
-    cohomology,
     homology,
 )
 from .exactalg import IntegerMatrix, smith_diagonal
@@ -48,7 +49,7 @@ class GradedPoset:
 
     __slots__ = (
         "ranks", "_covers", "_upper", "_lower", "_downsets", "_upsets", "_order",
-        "_by_rank",
+        "_by_rank", "_intervals",
     )
 
     def __init__(
@@ -86,6 +87,7 @@ class GradedPoset:
             self._by_rank.setdefault(self.ranks[e], []).append(e)
         self._downsets: dict = {}
         self._upsets: dict = {}
+        self._intervals: dict = {}  # (x, y) -> interval_homology(self, x, y)
 
     def _cover_key(self, pair):
         upper, lower = pair
@@ -154,9 +156,6 @@ class GradedPoset:
                         stack.append(nxt)
             self._upsets[ident] = frozenset(seen)
         return self._upsets[ident]
-
-    def leq(self, a, b) -> bool:
-        return a in self.downset(b)
 
     def restrict(self, keep: Iterable) -> "GradedPoset":
         """Induced poset on an order-convex subset; ranks are preserved."""
@@ -356,12 +355,6 @@ def reduced_simplicial_homology(
     return homology(k.chain_complex(augmented=True), coefficients)
 
 
-def reduced_simplicial_cohomology(
-    k: SimplicialComplex, coefficients: str = "integers"
-) -> HomologyProfile:
-    return cohomology(k.chain_complex(augmented=True), coefficients)
-
-
 @dataclass(frozen=True)
 class CMWitness:
     """One failure of the Cohen-Macaulay condition."""
@@ -383,33 +376,35 @@ class CMReport:
     witnesses: tuple[CMWitness, ...] = field(default_factory=tuple)
 
 
-_EMPTY_SPHERE = HomologyProfile({-1: (1, ())})
-
-
-def _interval(p: GradedPoset, x, y, coefficients: str) -> tuple[HomologyProfile, int]:
-    """Reduced homology and dimension of the order complex of (x, y) in P^.
+def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
+    """Reduced integral homology and dimension of the order complex of (x, y) in P^.
 
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
     is the (-1)-sphere.  An interval with a unique minimal or a unique
     maximal element is a cone, so its reduced homology vanishes; every other
-    interval is eliminated.
+    interval is eliminated.  The result is cached on ``p``.
     """
+    if (x, y) in p._intervals:
+        return p._intervals[x, y]
     inside = set(p.ranks) if x is None else set(p.upset(x))
     if y is not None:
         inside &= p.downset(y)
     inside -= {x, y}
     if not inside:
-        return _EMPTY_SPHERE, -1
-    longest: dict = {}  # element -> most elements on a chain of inside ending there
-    for e in sorted(inside, key=p.sort_key):
-        longest[e] = 1 + max((longest[b] for b in p._lower[e] if b in inside), default=0)
-    dim = max(longest.values()) - 1
-    minimal = sum(1 for e in inside if longest[e] == 1)
-    maximal = sum(1 for e in inside if not any(u in inside for u in p._upper[e]))
-    if minimal == 1 or maximal == 1:
-        return HomologyProfile({}), dim
-    k = order_complex(p.restrict(inside))
-    return reduced_simplicial_homology(k, coefficients), dim
+        result = HomologyProfile({-1: (1, ())}), -1
+    else:
+        longest: dict = {}  # element -> most elements on a chain of inside ending there
+        for e in sorted(inside, key=p.sort_key):
+            longest[e] = 1 + max((longest[b] for b in p._lower[e] if b in inside), default=0)
+        dim = max(longest.values()) - 1
+        minimal = sum(1 for e in inside if longest[e] == 1)
+        maximal = sum(1 for e in inside if not any(u in inside for u in p._upper[e]))
+        if minimal == 1 or maximal == 1:
+            result = HomologyProfile({}), dim
+        else:
+            result = reduced_simplicial_homology(order_complex(p.restrict(inside))), dim
+    p._intervals[x, y] = result
+    return result
 
 
 def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
@@ -452,27 +447,24 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
     the order complex must have vanishing reduced homology in all degrees
     below the dimension of that link.  The link of x_1 < ... < x_k is the
     join of the open intervals (0^, x_1), ..., (x_k, 1^) of P^, so its
-    homology is folded from the intervals' homology, each computed once,
-    and its dimension is the sum of (interval dimension + 1), minus 1.  The
-    default coefficient ring is Z, so torsion alone also disqualifies;
-    witnesses flag such torsion-only failures separately.  The empty poset
-    is Cohen-Macaulay by convention.
+    homology is folded from `interval_homology`, and its dimension is the
+    sum of (interval dimension + 1), minus 1.  The default coefficient ring
+    is Z, so torsion alone also disqualifies; witnesses flag such
+    torsion-only failures separately.  The empty poset is Cohen-Macaulay by
+    convention.
     """
     _check_coefficients(coefficients)
     complex_ = order_complex(p)
-    intervals: dict[tuple, tuple[HomologyProfile, int]] = {}
     witnesses: list[CMWitness] = []
     for face in complex_.all_faces(include_empty=True):
         chain = complex_.face_vertices(face)
-        pieces = []
-        for x, y in zip((None,) + chain, chain + (None,)):
-            if (x, y) not in intervals:
-                intervals[x, y] = _interval(p, x, y, coefficients)
-            pieces.append(intervals[x, y])
+        pieces = [interval_homology(p, x, y) for x, y in zip((None,) + chain, chain + (None,))]
         dim = sum(d + 1 for _, d in pieces) - 1
         if dim <= -1:
             continue
         h = reduce(_join, (h for h, _ in pieces))
+        if coefficients == RATIONALS:  # rational Betti numbers are the free ranks
+            h = HomologyProfile({d: (h.free_rank(d), ()) for d in h.degrees()})
         for d in h.degrees():
             if d < dim:
                 witnesses.append(

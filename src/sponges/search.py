@@ -13,7 +13,8 @@ of stream order and reruns are byte-identical.  A checkpoint file (JSON
 lines, one record each) makes long scans resumable: already-recorded keys
 are skipped and their records merged back into the summary.  A torn final
 line (an append cut short) is dropped and truncated away; any other line
-that does not parse raises CorruptCheckpoint.
+that does not parse, or has a field of the wrong type, raises
+CorruptCheckpoint.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ from .sponge import SpongeComplex, check_acyclic, check_local_model, validate_sp
 
 class CorruptCheckpoint(ValueError):
     """A complete checkpoint line that is not a scan record."""
+
+
+# the JSON types a checkpoint record's fields may have; lists hold integers
+_FIELD_TYPES = {
+    "n": (int,), "f": (list,), "h": (list,), "b": (int, type(None)), "acyclic": (bool,),
+    "realized": (bool,), "symmetric": (bool, type(None)), "nonnegative": (bool, type(None)),
+    "local_model": (bool, type(None)), "error": (str, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,11 @@ class ScanRecord:
             return tuple(data[key]) if key in data else None
         if not isinstance(data["identifier"], str):
             raise TypeError("identifier must be a string")
+        for key, kinds in _FIELD_TYPES.items():  # exact types: a bool is not an int
+            value = data.get(key)
+            if key in data and (type(value) not in kinds or type(value) is list
+                                and any(type(v) is not int for v in value)):
+                raise TypeError(f"{key} has the wrong type: {value!r}")
         return cls(
             identifier=data["identifier"],
             n=data["n"],

@@ -13,7 +13,10 @@ agrees with the order-complex pair computation (`local_cohomology_via_order_
 complex`), which the test suite uses as an independent cross-check.  The two
 computations genuinely differ on the non-compact local models, whose faces
 are cones; such sponges carry the ``non_compact`` flag and keep only the
-local-cohomology / poset / Cohen-Macaulay machinery enabled.
+local-cohomology / poset / Cohen-Macaulay machinery enabled.  Order-complex
+homology, of (0^, F) for face acyclicity and of (0^, 1^) for the
+realization cross-check, is `poset.interval_homology`, cached on the face
+poset, so the checks eliminate each interval at most once per sponge.
 
 Face identifiers are opaque strings, and the canonical generator order is
 (dimension, identifier) everywhere, so every matrix in this module is
@@ -32,14 +35,7 @@ from .complexes import (
     quotient_complex,
 )
 from .exactalg import IntegerMatrix
-from .poset import (
-    GradedPoset,
-    UnknownElement,
-    order_complex,
-    reduced_simplicial_cohomology,
-    reduced_simplicial_homology,
-    subposet,
-)
+from .poset import GradedPoset, UnknownElement, interval_homology, order_complex
 
 
 class InvalidSponge(ValueError):
@@ -262,11 +258,13 @@ def _sphere_defect(profile_: HomologyProfile, dim: int):
 def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
     """Face acyclicity via lower intervals, plus skeleton acyclicity.
 
-    Condition (i): for every face F, |strictly_below(F)| must be a homology
-    (dim F - 1)-sphere over Z (the empty poset counts as the (-1)-sphere, so
-    vertices pass automatically).  Condition (ii): the reduced cellular
-    cohomology must vanish in degrees up to n-3; the report also carries the
-    rank of the top reduced cohomology (the b-number) and any torsion.
+    Condition (i): for every face F, the open interval (0^, F) of faces
+    strictly below F must be a homology (dim F - 1)-sphere over Z.  Its
+    homology comes from `interval_homology`; the empty interval is the
+    (-1)-sphere, so vertices pass without elimination.  Condition (ii): the
+    reduced cellular cohomology must vanish in degrees up to n-3; the report
+    also carries the rank of the top reduced cohomology (the b-number) and
+    any torsion.
     """
     ensure_valid(z)
     if z.non_compact:
@@ -275,8 +273,7 @@ def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
         )
     failures = []
     for f in z.faces.elements():
-        below = subposet(z.faces, "strictly_below", f)
-        prof = reduced_simplicial_homology(order_complex(below))
+        prof, _ = interval_homology(z.faces, None, f)
         defect = _sphere_defect(prof, z.faces.rank(f) - 1)
         if defect is not None:
             failures.append((f, tuple(sorted(defect.items()))))
@@ -287,16 +284,13 @@ def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
             up_to = i
         else:
             break
-    torsion = tuple(
-        (d, t) for d in reduced.degrees() for t in reduced.torsion(d)
-    )
     return AcyclicityReport(
         n=z.n,
         faces_ok=not failures,
         lower_interval_failures=tuple(failures),
         skeleton_acyclic_up_to=up_to,
         b_number=reduced.free_rank(z.n - 2),
-        torsion_found=torsion,
+        torsion_found=tuple(reduced.total_torsion()),
     )
 
 
@@ -466,8 +460,10 @@ def realization_cross_check(z: SpongeComplex) -> RealizationReport:
 
     The order complex is the barycentric-subdivision model of the sponge, so
     for face-acyclic sponges both sides compute the same groups (free ranks
-    and torsion, degree by degree).  Raises RealizationMismatch at the first
-    disagreeing degree, NotAcyclicSponge if the face condition fails first.
+    and torsion, degree by degree); the order-complex side is the cached
+    homology of (0^, 1^) by universal coefficients.  Raises
+    RealizationMismatch at the first disagreeing degree, NotAcyclicSponge if
+    the face condition fails first.
     """
     ensure_valid(z)
     report = check_acyclic(z)
@@ -477,7 +473,9 @@ def realization_cross_check(z: SpongeComplex) -> RealizationReport:
             f"{[f for f, _ in report.lower_interval_failures]}"
         )
     cellular = cohomology(cellular_complex(z, augmented=True))
-    simplicial = reduced_simplicial_cohomology(order_complex(z.faces))
+    reduced, _ = interval_homology(z.faces, None, None)  # torsion moves up one degree
+    simplicial = HomologyProfile({d: (reduced.free_rank(d), reduced.torsion(d - 1))
+                                  for d in range(-1, z.n - 1)})
     degrees = sorted(set(cellular.degrees()) | set(simplicial.degrees()) | set(range(z.n - 1)))
     for d in degrees:
         left = (cellular.free_rank(d), cellular.torsion(d))

@@ -8,16 +8,43 @@ IntegerMatrix, series through direct long division of power series,
 cohomology through Smith forms of the transposed boundaries instead of the
 diagonals shared with homology, maximal faces through an all-pairs
 subset test instead of the vertex index, the Cohen-Macaulay test through
-the homology of every chain's link instead of joins of cached intervals, and
+the homology of every chain's link instead of joins of cached intervals,
 cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
-instead of a scaled integral chain complex and Smith diagonals.
+instead of a scaled integral chain complex and Smith diagonals, and face
+acyclicity, the realization cross-check and the dihomology check through
+order complexes built and eliminated afresh instead of the open-interval
+homology cached on the face poset.
 """
 
 from fractions import Fraction
 
-from sponges.complexes import HomologyProfile
+from sponges.complexes import HomologyProfile, cohomology
+from sponges.cosheaf import (
+    DihomologyReport,
+    NotCohenMacaulay,
+    RankMismatch,
+    build_cosheaf,
+    cosheaf_homology,
+)
 from sponges.exactalg import rational_rref, smith_diagonal
-from sponges.poset import CMReport, CMWitness, order_complex, reduced_simplicial_homology
+from sponges.poset import (
+    CMReport,
+    CMWitness,
+    check_cohen_macaulay,
+    order_complex,
+    reduced_simplicial_homology,
+    subposet,
+)
+from sponges.sponge import (
+    AcyclicityReport,
+    NonCompactSponge,
+    NotAcyclicSponge,
+    RealizationMismatch,
+    RealizationReport,
+    _sphere_defect,
+    cellular_complex,
+    ensure_valid,
+)
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
@@ -266,3 +293,99 @@ def _check_squares_to_zero(lower, upper) -> None:
         for i in range(rows):
             if sum(lower[i][k] * col[k] for k in range(mid) if col[k]):
                 raise RuntimeError("cosheaf boundary does not square to zero")
+
+
+def check_acyclic_via_subposets(z) -> AcyclicityReport:
+    """Face acyclicity with each lower interval's order complex built and eliminated."""
+    ensure_valid(z)
+    if z.non_compact:
+        raise NonCompactSponge(
+            "face acyclicity is undefined for non-compact sponges (cone faces)"
+        )
+    failures = []
+    for f in z.faces.elements():
+        below = subposet(z.faces, "strictly_below", f)
+        prof = reduced_simplicial_homology(order_complex(below))
+        defect = _sphere_defect(prof, z.faces.rank(f) - 1)
+        if defect is not None:
+            failures.append((f, tuple(sorted(defect.items()))))
+    reduced = cohomology(cellular_complex(z, augmented=True))
+    up_to = -2
+    for i in range(-1, z.n - 1):
+        if reduced.free_rank(i) == 0 and not reduced.torsion(i):
+            up_to = i
+        else:
+            break
+    torsion = tuple(
+        (d, t) for d in reduced.degrees() for t in reduced.torsion(d)
+    )
+    return AcyclicityReport(
+        n=z.n,
+        faces_ok=not failures,
+        lower_interval_failures=tuple(failures),
+        skeleton_acyclic_up_to=up_to,
+        b_number=reduced.free_rank(z.n - 2),
+        torsion_found=torsion,
+    )
+
+
+def realization_cross_check_via_order_complex(z) -> RealizationReport:
+    """The realization cross-check with the order complex's cochains eliminated."""
+    ensure_valid(z)
+    report = check_acyclic_via_subposets(z)
+    if not report.faces_ok:
+        raise NotAcyclicSponge(
+            f"faces fail the lower-interval sphere condition: "
+            f"{[f for f, _ in report.lower_interval_failures]}"
+        )
+    cellular = cohomology(cellular_complex(z, augmented=True))
+    simplicial = cohomology(order_complex(z.faces).chain_complex(augmented=True))
+    degrees = sorted(set(cellular.degrees()) | set(simplicial.degrees()) | set(range(z.n - 1)))
+    for d in degrees:
+        left = (cellular.free_rank(d), cellular.torsion(d))
+        right = (simplicial.free_rank(d), simplicial.torsion(d))
+        if left != right:
+            raise RealizationMismatch(d, left, right)
+    return RealizationReport(
+        degrees_checked=tuple(degrees),
+        cellular={d: (cellular.free_rank(d), cellular.torsion(d)) for d in degrees},
+        simplicial={d: (simplicial.free_rank(d), simplicial.torsion(d)) for d in degrees},
+    )
+
+
+def dihomology_check_via_order_complex(z) -> DihomologyReport:
+    """The dihomology check with the order complex's unreduced cochains eliminated."""
+    ensure_valid(z)
+    cm = check_cohen_macaulay(z.faces)
+    if not cm.is_cm:
+        raise NotCohenMacaulay(cm)
+    cosheaf = build_cosheaf(z)
+    top = z.n - 2
+    stray = []
+    torsion = []
+    for s in z.faces.elements():
+        prof = cosheaf.sections[s]
+        for d in prof.degrees():
+            if d != top and prof.free_rank(d):
+                stray.append((s, d, prof.free_rank(d)))
+        zprof = cosheaf.sections_integral[s]
+        for d in zprof.degrees():
+            for t in zprof.torsion(d):
+                torsion.append((s, d, t))
+    lhs_profile = cosheaf_homology(cosheaf, top)
+    lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
+    oc = cohomology(order_complex(z.faces).chain_complex(augmented=False))
+    rhs = tuple(oc.free_rank(top - r) for r in range(top + 1))
+    report = DihomologyReport(
+        n=z.n,
+        cosheaf_ranks=lhs,
+        order_complex_ranks=rhs,
+        concentrated=not stray,
+        stray_sections=tuple(stray),
+        section_torsion=tuple(torsion),
+        order_complex_torsion=tuple(oc.total_torsion()),
+    )
+    for r in range(top + 1):
+        if lhs[r] != rhs[r]:
+            raise RankMismatch(r, lhs[r], rhs[r])
+    return report

@@ -294,6 +294,27 @@ def test_scan_checkpoint_identifier_must_be_a_string(tmp_path):
     assert "identifier must be a string" in report["error"]
 
 
+def test_scan_checkpoint_fields_must_have_their_types(tmp_path):
+    checkpoint = tmp_path / "scan.jsonl"
+    argv = ["scan", "--fspace", "--n", "3", "--bound", "1", "1", "--checkpoint", str(checkpoint)]
+    fresh_code, fresh = run_json(argv)
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+
+    def resume_with_second_record(**fields):
+        record = json.dumps(dict(json.loads(lines[1]), **fields))
+        checkpoint.write_text("\n".join([lines[0], record, *lines[2:]]) + "\n", encoding="utf-8")
+        return run_json(argv)
+
+    for key, value in (("h", "o"), ("n", "x"), ("f", "12"), ("acyclic", "yes"), ("b", 1.5),
+                       ("n", True), ("h", [1, None]), ("realized", None), ("error", 3)):
+        code, report = resume_with_second_record(**{key: value})
+        assert code == EXIT_INPUT_ERROR, (key, value)
+        assert "line 2" in report["error"] and f"{key} has the wrong type" in report["error"]
+    # null where a field may be absent is a valid record
+    code, report = resume_with_second_record(b=None, error=None, local_model=None)
+    assert code == fresh_code and report["summary"]["total"] == fresh["summary"]["total"]
+
+
 def test_scan_fspace_bad_sizes_exit_2():
     for argv in (["--n", "4", "--bound", "1", "2"], ["--n", "0", "--bound", "1"],
                  ["--n", "1", "--bound", "3"]):
@@ -346,6 +367,13 @@ def test_gen_polytope_skeleton_rejects_bad_lattices_exit_2(tmp_path):
     extra_vertex = _lattice_document(simplex_lattice(2), extra_faces=[{"id": "x", "dim": 0}])
     code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, extra_vertex)])
     assert code == EXIT_INPUT_ERROR and "b-number" in report["error"]
+    point = {"format_version": 1, "dimension": 0, "faces": [{"id": "p", "dim": 0}], "covers": []}
+    for low in (point, _lattice_document(simplex_lattice(1))):
+        code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, low)])
+        assert code == EXIT_INPUT_ERROR and "dimension >= 2" in report["error"], low
+    code, out = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, _lattice_document(
+        hypercube_lattice(2)))])
+    assert code == EXIT_PASS and [f["dim"] for f in out["faces"]] == [0, 0, 0, 0]
 
 
 def test_non_object_flags_exit_2(tmp_path):

@@ -2,9 +2,11 @@
 
 Small valid documents are mutated (a key deleted, a value replaced by
 another JSON type or a small integer, a list item dropped or duplicated)
-and fed to every command that reads a document.  The integer arguments of
-`scan --fspace`, `hilbert` and `gen` are drawn at random, and the lines of a
-scan checkpoint are mutated like documents before the scan resumes from it.
+and fed to every command that reads a document; polytope lattices of
+dimension 0-3 and their mutants go through `gen polytope-skeleton`.  The
+integer arguments of `scan --fspace`, `hilbert` and `gen` are drawn at
+random, and the lines of a scan checkpoint are mutated like documents before
+the scan resumes from it.
 Every run must exit with 0, 1 or 2 and print exactly one JSON object; no
 exception may escape.  Integers stay in [-2, 6], so no run asks for a large
 computation.
@@ -16,7 +18,7 @@ import json
 import random
 
 from sponges.cli import cli_dispatch, serialize_fvector, serialize_simplicial, serialize_sponge
-from sponges.generators import builtin, gen_simplex_skeleton, hypercube_lattice
+from sponges.generators import builtin, gen_simplex_skeleton, hypercube_lattice, simplex_lattice
 
 SEED = 20261017
 MUTANTS_PER_DOCUMENT = 20
@@ -40,6 +42,26 @@ DOCUMENTS = {
     "simplex_skeleton": serialize_simplicial(gen_simplex_skeleton(3, 1)),
     "cube3_lattice": _lattice_document(hypercube_lattice(3)),
 }
+
+
+def _polygon_document(k):
+    faces = [{"id": f"v{i}", "dim": 0} for i in range(k)] + [
+        {"id": f"e{i}", "dim": 1} for i in range(k)] + [{"id": "P", "dim": 2}]
+    covers = [{"upper": f"e{i}", "lower": f"v{(i + d) % k}"} for i in range(k) for d in (0, 1)]
+    covers += [{"upper": "P", "lower": f"e{i}"} for i in range(k)]
+    return {"format_version": 1, "dimension": 2, "faces": faces, "covers": covers}
+
+
+# polytope lattices of dimension 0-3; below dimension 2 a skeleton is no sponge
+LOW_DIMENSIONAL_LATTICES = [
+    {"format_version": 1, "dimension": 0, "faces": [{"id": "p", "dim": 0}], "covers": []},
+    {"format_version": 1, "dimension": 1,
+     "faces": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}, {"id": "s", "dim": 1}],
+     "covers": [{"upper": "s", "lower": "a"}, {"upper": "s", "lower": "b"}]},
+    *(_polygon_document(k) for k in (3, 4, 5)),
+    *(_lattice_document(simplex_lattice(d)) for d in (1, 2, 3)),
+    *(_lattice_document(hypercube_lattice(d)) for d in (1, 2, 3)),
+]
 
 # FILE is the mutated document, FACE the first face of the original one
 COMMANDS = [
@@ -118,6 +140,15 @@ def test_mutated_documents_never_traceback(tmp_path):
         _run_all_commands(doc, path, face)
         for _ in range(MUTANTS_PER_DOCUMENT):
             _run_all_commands(_mutate(doc, rng), path, face)
+
+
+def test_low_dimensional_lattices_never_traceback(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "lattice.json"
+    for doc in LOW_DIMENSIONAL_LATTICES:
+        for mutant in [doc] + [_mutate(doc, rng) for _ in range(MUTANTS_PER_DOCUMENT)]:
+            path.write_text(json.dumps(mutant))
+            _run(["gen", "polytope-skeleton", str(path)], json.dumps(mutant))
 
 
 def _small_ints(rng, count):
