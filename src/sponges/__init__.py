@@ -63,8 +63,8 @@ from .sponge import (
     check_acyclic,
     check_local_model,
     local_cohomology,
-    local_cohomology_via_order_complex,
     realization_cross_check,
+    section_complex,
     sign_solver,
     validate_sponge,
 )

@@ -82,12 +82,6 @@ class InputError(ValueError):
     pass
 
 
-class CheckFailed(RuntimeError):
-    def __init__(self, payload: dict):
-        self.payload = payload
-        super().__init__("check failed")
-
-
 # ---------------------------------------------------------------------------
 # document (de)serialization
 
@@ -107,13 +101,20 @@ def serialize_sponge(z: SpongeComplex) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer as it stands: a bool, a float or a string is refused."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def parse_sponge(doc: dict, name: str = "") -> SpongeComplex:
     try:
-        n = int(doc["n"])
-        faces = [(str(f["id"]), int(f["dim"])) for f in doc["faces"]]
+        n = _integer(doc["n"], "n")
+        faces = [(str(f["id"]), _integer(f["dim"], "dim")) for f in doc["faces"]]
         covers = [(str(c["upper"]), str(c["lower"])) for c in doc["covers"]]
         incidence = {
-            (str(c["upper"]), str(c["lower"])): int(c["incidence"])
+            (str(c["upper"]), str(c["lower"])): _integer(c["incidence"], "incidence")
             for c in doc["covers"]
         }
         flags = doc.get("flags", {})
@@ -141,7 +142,10 @@ def serialize_fvector(fv: ExtendedFVector) -> dict:
 
 def parse_fvector(doc: dict) -> ExtendedFVector:
     try:
-        return ExtendedFVector(n=int(doc["n"]), f=tuple(doc["f"]), b=int(doc["b"]))
+        n, f, b = _integer(doc["n"], "n"), doc["f"], _integer(doc["b"], "b")
+        if type(f) is not list:
+            raise TypeError(f"f must be a list, not {f!r}")
+        return ExtendedFVector(n=n, f=tuple(_integer(x, "f") for x in f), b=b)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed f-vector document: {err}") from err
 
@@ -167,8 +171,8 @@ def serialize_simplicial(k: SimplicialComplex) -> dict:
 def parse_polytope_lattice(doc: dict) -> PolytopeFaceLattice:
     try:
         return PolytopeFaceLattice(
-            dimension=int(doc["dimension"]),
-            faces=tuple((str(f["id"]), int(f["dim"])) for f in doc["faces"]),
+            dimension=_integer(doc["dimension"], "dimension"),
+            faces=tuple((str(f["id"]), _integer(f["dim"], "dim")) for f in doc["faces"]),
             covers=tuple((str(c["upper"]), str(c["lower"])) for c in doc["covers"]),
         )
     except (KeyError, TypeError, ValueError) as err:

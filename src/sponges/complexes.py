@@ -9,7 +9,10 @@ cohomology torsion from those of the outgoing one (the coboundary is the
 transposed boundary, which has the same invariant factors).  That is the
 universal-coefficient theorem; the test suite checks it against an oracle
 that runs Smith forms on the transposed matrices.  Complexes are immutable
-after construction and all operations are pure.
+after construction and all operations are pure.  A pair is cut down only by
+`quotient_complex`: relative (co)homology, and with it the local cohomology
+of a sponge, is the (co)homology of the quotient by a boundary-closed
+selection of generators.
 
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
@@ -163,9 +166,6 @@ class IntegerChainComplex:
     def degrees(self) -> list[int]:
         return sorted(d for d in self._ranks)
 
-    def max_degree(self) -> int:
-        return max(self._ranks) if self._ranks else 0
-
     def boundary(self, degree: int) -> IntegerMatrix:
         m = self._boundaries.get(degree)
         if m is None:
@@ -241,12 +241,6 @@ def _closure_check(total: IntegerChainComplex, selected: dict[int, set[int]]) ->
                 raise NotASubcomplex(d, g)
 
 
-def _normalize_selection(
-    c: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
-) -> dict[int, set[int]]:
-    return {int(d): set(int(i) for i in idx) for d, idx in sub_generators.items()}
-
-
 def quotient_complex(
     total: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
 ) -> IntegerChainComplex:
@@ -256,7 +250,7 @@ def quotient_complex(
     selection must be boundary-closed, otherwise NotASubcomplex is raised
     naming the violating generator.
     """
-    selected = _normalize_selection(total, sub_generators)
+    selected = {int(d): set(int(i) for i in idx) for d, idx in sub_generators.items()}
     _closure_check(total, selected)
     kept = {
         d: [i for i in range(total.rank(d)) if i not in selected.get(d, set())]
@@ -268,21 +262,6 @@ def quotient_complex(
         m = total.boundary(d)
         if d - 1 in kept:
             boundaries[d] = m.submatrix(kept[d - 1], kept[d])
-    return IntegerChainComplex(ranks, boundaries)
-
-
-def subcomplex(
-    total: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
-) -> IntegerChainComplex:
-    """The subcomplex spanned by a boundary-closed selection of generators."""
-    selected = _normalize_selection(total, sub_generators)
-    _closure_check(total, selected)
-    kept = {d: sorted(selected.get(d, set())) for d in total.degrees()}
-    ranks = {d: len(kept[d]) for d in kept}
-    boundaries = {}
-    for d in total.degrees():
-        if d - 1 in kept:
-            boundaries[d] = total.boundary(d).submatrix(kept[d - 1], kept[d])
     return IntegerChainComplex(ranks, boundaries)
 
 

@@ -1,11 +1,11 @@
 """The local-cohomology cosheaf on a face poset and the dihomology check.
 
 For a sponge (a graded poset with a sign convention) the section at a face s
-is the cohomology of the cellular complex relative to everything outside the
-star of s -- the cochain complex spanned by the faces above s.  Since an
-up-set is closed under the coboundary, that span is a subcomplex of the full
-cochain complex, and for s > t the extension-by-zero inclusion of the span
-of (>= s) into the span of (>= t) is a cochain map; its induced map on
+is its local cohomology `sponge.local_cohomology(z, s)`: the cohomology of
+`sponge.section_complex(z, s)`, the cellular complex modulo everything
+outside the star of s, whose generators are the faces above s.  For s > t
+the extension by zero of the faces above s into the faces above t is a
+cochain map between the two section complexes; its induced map on
 cohomology is the cosheaf's cover map.
 
 Chain groups of the cosheaf in homological degree i collect the sections of
@@ -41,13 +41,13 @@ from .complexes import (
     MalformedComplex,
     RationalHomologyBasis,
     cochain_complex,
+    cohomology,
     homology,
     induced_map_on_homology,
-    subcomplex,
 )
 from .exactalg import IntegerMatrix
 from .poset import check_cohen_macaulay, interval_homology
-from .sponge import SpongeComplex, cellular_complex, ensure_valid
+from .sponge import SpongeComplex, ensure_valid, section_complex, up_set_generators
 
 
 class NotCohenMacaulay(ValueError):
@@ -91,48 +91,34 @@ class LocalCohomologyCosheaf:
         )
 
 
-def _section_selector(z: SpongeComplex, s: str) -> dict[int, list[int]]:
-    up = z.faces.upset(s)
-    sel = {}
-    for d in range(z.n - 1):
-        sel[-d] = [i for i, f in enumerate(z.faces_of_dim(d)) if f in up]
-    return sel
-
-
 def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     """Compute every section and every cover map.
 
-    Section complexes are subcomplexes of the (regraded) cochain complex of
-    the cellular structure; cover maps are induced by the generator
-    inclusions.  Cohomological degree p is stored at chain degree -p
-    internally and reported as p.
+    Each section is the cohomology of its `section_complex`; rational bases
+    and cover maps live on that complex's cochain complex, where
+    cohomological degree p sits at chain degree -p, and are reported at p.
+    The cover maps are induced by the inclusions of `up_set_generators`.
     """
     ensure_valid(z)
-    cellular = cellular_complex(z, augmented=False)
-    cochain = cochain_complex(cellular)
-    selectors = {s: _section_selector(z, s) for s in z.faces.elements()}
+    generators = {s: up_set_generators(z, s) for s in z.faces.elements()}
     complexes: dict[str, IntegerChainComplex] = {}
     bases: dict[str, RationalHomologyBasis] = {}
     sections: dict[str, HomologyProfile] = {}
     sections_integral: dict[str, HomologyProfile] = {}
     for s in z.faces.elements():
-        cx = subcomplex(cochain, selectors[s])
-        complexes[s] = cx
-        bases[s] = RationalHomologyBasis(cx)
-        profile_z = homology(cx)
-        degrees = profile_z.degrees()
-        sections[s] = HomologyProfile({-d: (profile_z.free_rank(d), ()) for d in degrees})
-        sections_integral[s] = HomologyProfile(
-            {-d: (profile_z.free_rank(d), profile_z.torsion(d)) for d in degrees}
-        )
+        quotient = section_complex(z, s)
+        sections_integral[s] = cohomology(quotient)
+        sections[s] = cohomology(quotient, RATIONALS)
+        complexes[s] = cochain_complex(quotient)
+        bases[s] = RationalHomologyBasis(complexes[s])
     cover_maps: dict[tuple[str, str], dict[int, list[list[Fraction]]]] = {}
     for upper, lower in z.faces.covers():
         inclusion = {}
-        sel_u, sel_l = selectors[upper], selectors[lower]
-        for deg in sel_u:
-            pos = {gen: i for i, gen in enumerate(sel_l[deg])}
-            ent = {(pos[gen], j): 1 for j, gen in enumerate(sel_u[deg])}
-            inclusion[deg] = IntegerMatrix(len(sel_l[deg]), len(sel_u[deg]), ent)
+        gen_u, gen_l = generators[upper], generators[lower]
+        for d in gen_u:
+            pos = {gen: i for i, gen in enumerate(gen_l[d])}
+            ent = {(pos[gen], j): 1 for j, gen in enumerate(gen_u[d])}
+            inclusion[-d] = IntegerMatrix(len(gen_l[d]), len(gen_u[d]), ent)
         induced = induced_map_on_homology(
             inclusion,
             complexes[upper],

@@ -6,17 +6,20 @@ are validated: every rank-2 interval is a diamond (exactly two intermediate
 faces), every diamond satisfies the sign relation
 [F:G1][G1:F'] + [F:G2][G2:F'] = 0, and every face has a vertex below it.
 
-Cellular (co)homology is read straight off the incidence numbers.  Local
-cohomology at a face F is the cohomology of the cellular complex relative to
-the subcomplex of faces not above F; for compact face-acyclic sponges this
-agrees with the order-complex pair computation (`local_cohomology_via_order_
-complex`), which the test suite uses as an independent cross-check.  The two
-computations genuinely differ on the non-compact local models, whose faces
-are cones; such sponges carry the ``non_compact`` flag and keep only the
-local-cohomology / poset / Cohen-Macaulay machinery enabled.  Order-complex
-homology, of (0^, F) for face acyclicity and of (0^, 1^) for the
-realization cross-check, is `poset.interval_homology`, cached on the face
-poset, so the checks eliminate each interval at most once per sponge.
+Cellular (co)homology is read straight off the incidence numbers.  Each
+sponge keeps one cellular complex per ``augmented`` flag, so every homology
+question on it reads one complex and that complex's cached Smith diagonals.
+Local cohomology at a face F is the cohomology of `section_complex(z, F)`,
+the cellular complex modulo the subcomplex of faces not above F; the cosheaf
+takes its sections from the same complex.  For compact face-acyclic sponges
+this agrees with the order-complex pair computation, which the test suite
+keeps as an independent oracle.  The two genuinely differ on the non-compact
+local models, whose faces are cones; such sponges carry the ``non_compact``
+flag and keep only the local-cohomology / poset / Cohen-Macaulay machinery
+enabled.  Order-complex homology, of (0^, F) for face acyclicity and of
+(0^, 1^) for the realization cross-check, is `poset.interval_homology`,
+cached on the face poset, so the checks eliminate each interval at most once
+per sponge.
 
 Face identifiers are opaque strings, and the canonical generator order is
 (dimension, identifier) everywhere, so every matrix in this module is
@@ -35,7 +38,7 @@ from .complexes import (
     quotient_complex,
 )
 from .exactalg import IntegerMatrix
-from .poset import GradedPoset, UnknownElement, interval_homology, order_complex
+from .poset import GradedPoset, UnknownElement, interval_homology
 
 
 class InvalidSponge(ValueError):
@@ -82,7 +85,7 @@ class RealizationMismatch(ValueError):
 class SpongeComplex:
     """Faces of dimensions 0..n-2 with integer incidence numbers on covers."""
 
-    __slots__ = ("n", "faces", "incidence", "non_compact", "name", "_validation")
+    __slots__ = ("n", "faces", "incidence", "non_compact", "name", "_validation", "_cellular")
 
     def __init__(
         self,
@@ -114,6 +117,7 @@ class SpongeComplex:
         self.non_compact = bool(non_compact)
         self.name = name
         self._validation: SpongeValidation | None = None
+        self._cellular: dict[bool, IntegerChainComplex] = {}
 
     @property
     def dimension(self) -> int:
@@ -205,9 +209,12 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
     With ``augmented`` a rank-one group in degree -1 receives every vertex
     with coefficient 1; this requires the edge incidences to be balanced
     (each 1-face's vertex incidences sum to zero), and an unbalanced edge
-    raises `MalformedComplex` naming it.
+    raises `MalformedComplex` naming it.  The complex is cached on the
+    sponge per flag; an unbalanced edge is never cached, so it raises again.
     """
     ensure_valid(z)
+    if augmented in z._cellular:
+        return z._cellular[augmented]
     ranks = {d: len(z.faces_of_dim(d)) for d in range(z.n - 1)}
     index = {
         d: {f: i for i, f in enumerate(z.faces_of_dim(d))} for d in range(z.n - 1)
@@ -229,7 +236,8 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
                 )
         ranks[-1] = 1
         boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
-    return IntegerChainComplex(ranks, boundaries)
+    z._cellular[augmented] = IntegerChainComplex(ranks, boundaries)
+    return z._cellular[augmented]
 
 
 @dataclass(frozen=True)
@@ -294,17 +302,25 @@ def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
     )
 
 
-def _up_set_quotient(z: SpongeComplex, face: str) -> IntegerChainComplex:
+def up_set_generators(z: SpongeComplex, face: str) -> dict[int, list[int]]:
+    """Per dimension, the positions of the faces above ``face`` in canonical order."""
     up = z.faces.upset(face)
-    outside = {
-        d: [
-            i
-            for i, f in enumerate(z.faces_of_dim(d))
-            if f not in up
-        ]
-        for d in range(z.n - 1)
-    }
-    return quotient_complex(cellular_complex(z, augmented=False), outside)
+    return {d: [i for i, f in enumerate(z.faces_of_dim(d)) if f in up] for d in range(z.n - 1)}
+
+
+def section_complex(z: SpongeComplex, face: str) -> IntegerChainComplex:
+    """The cellular complex modulo the subcomplex of faces not above F.
+
+    The faces not above F are closed under the boundary, and the quotient
+    keeps the faces above F in the positions of `up_set_generators`.
+    """
+    ensure_valid(z)
+    if face not in z.faces.ranks:
+        raise UnknownElement(face)
+    total = cellular_complex(z, augmented=False)
+    kept = up_set_generators(z, face)
+    outside = {d: sorted(set(range(total.rank(d))) - set(kept[d])) for d in kept}
+    return quotient_complex(total, outside)
 
 
 def local_cohomology(
@@ -312,41 +328,10 @@ def local_cohomology(
 ) -> HomologyProfile:
     """Cohomology of the sponge relative to everything outside the star of F.
 
-    Computed via quotient_complex + cohomology on the cellular complex: the
-    faces not above F span a subcomplex, and the quotient is the relative
-    cochain complex on the up-set of F.
+    This is the cohomology of `section_complex`, the relative cochain
+    complex on the up-set of F, and the cosheaf's section at F.
     """
-    ensure_valid(z)
-    if face not in z.faces.ranks:
-        raise UnknownElement(face)
-    return cohomology(_up_set_quotient(z, face), coefficients)
-
-
-def local_cohomology_via_order_complex(
-    z: SpongeComplex, face: str, coefficients: str = "integers"
-) -> HomologyProfile:
-    """The same local cohomology through the order-complex pair.
-
-    Relative cohomology of (|S|, |S minus the up-set of F|), used as an
-    independent route for compact face-acyclic sponges; it disagrees with the
-    cellular computation on non-compact models, whose faces are cones.
-    """
-    ensure_valid(z)
-    if face not in z.faces.ranks:
-        raise UnknownElement(face)
-    up = z.faces.upset(face)
-    k = order_complex(z.faces)
-    total = k.chain_complex(augmented=False)
-    faces_by_dim = k.faces_by_dim()
-    sub = {
-        d: [
-            i
-            for i, simplex in enumerate(faces_by_dim.get(d, []))
-            if not any(k.vertices[v] in up for v in simplex)
-        ]
-        for d in faces_by_dim
-    }
-    return cohomology(quotient_complex(total, sub), coefficients)
+    return cohomology(section_complex(z, face), coefficients)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,23 @@ cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
 instead of a scaled integral chain complex and Smith diagonals, and face
 acyclicity, the realization cross-check and the dihomology check through
 order complexes built and eliminated afresh instead of the open-interval
-homology cached on the face poset.
+homology cached on the face poset, local cohomology through the
+order-complex pair instead of the cellular quotient, and the cosheaf's
+section complexes as cochain subcomplexes selected from the full cochain
+complex instead of the cochain complex of `section_complex`.
 """
 
 from fractions import Fraction
+from typing import Iterable, Mapping
 
-from sponges.complexes import HomologyProfile, cohomology
+from sponges.complexes import (
+    HomologyProfile,
+    IntegerChainComplex,
+    _closure_check,
+    cochain_complex,
+    cohomology,
+    quotient_complex,
+)
 from sponges.cosheaf import (
     DihomologyReport,
     NotCohenMacaulay,
@@ -30,6 +41,7 @@ from sponges.exactalg import rational_rref, smith_diagonal
 from sponges.poset import (
     CMReport,
     CMWitness,
+    UnknownElement,
     check_cohen_macaulay,
     order_complex,
     reduced_simplicial_homology,
@@ -41,6 +53,7 @@ from sponges.sponge import (
     NotAcyclicSponge,
     RealizationMismatch,
     RealizationReport,
+    SpongeComplex,
     _sphere_defect,
     cellular_complex,
     ensure_valid,
@@ -389,3 +402,59 @@ def dihomology_check_via_order_complex(z) -> DihomologyReport:
         if lhs[r] != rhs[r]:
             raise RankMismatch(r, lhs[r], rhs[r])
     return report
+
+
+def subcomplex(
+    total: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
+) -> IntegerChainComplex:
+    """The subcomplex spanned by a boundary-closed selection of generators."""
+    selected = {int(d): set(int(i) for i in idx) for d, idx in sub_generators.items()}
+    _closure_check(total, selected)
+    kept = {d: sorted(selected.get(d, set())) for d in total.degrees()}
+    ranks = {d: len(kept[d]) for d in kept}
+    boundaries = {}
+    for d in total.degrees():
+        if d - 1 in kept:
+            boundaries[d] = total.boundary(d).submatrix(kept[d - 1], kept[d])
+    return IntegerChainComplex(ranks, boundaries)
+
+
+def _section_selector(z: SpongeComplex, s: str) -> dict[int, list[int]]:
+    up = z.faces.upset(s)
+    sel = {}
+    for d in range(z.n - 1):
+        sel[-d] = [i for i, f in enumerate(z.faces_of_dim(d)) if f in up]
+    return sel
+
+
+def section_cochain_subcomplex(z: SpongeComplex, s: str) -> IntegerChainComplex:
+    """The cosheaf's section complex at s, selected from the full cochain complex."""
+    cochain = cochain_complex(cellular_complex(z, augmented=False))
+    return subcomplex(cochain, _section_selector(z, s))
+
+
+def local_cohomology_via_order_complex(
+    z: SpongeComplex, face: str, coefficients: str = "integers"
+) -> HomologyProfile:
+    """The same local cohomology through the order-complex pair.
+
+    Relative cohomology of (|S|, |S minus the up-set of F|), used as an
+    independent route for compact face-acyclic sponges; it disagrees with the
+    cellular computation on non-compact models, whose faces are cones.
+    """
+    ensure_valid(z)
+    if face not in z.faces.ranks:
+        raise UnknownElement(face)
+    up = z.faces.upset(face)
+    k = order_complex(z.faces)
+    total = k.chain_complex(augmented=False)
+    faces_by_dim = k.faces_by_dim()
+    sub = {
+        d: [
+            i
+            for i, simplex in enumerate(faces_by_dim.get(d, []))
+            if not any(k.vertices[v] in up for v in simplex)
+        ]
+        for d in faces_by_dim
+    }
+    return cohomology(quotient_complex(total, sub), coefficients)

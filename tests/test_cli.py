@@ -381,3 +381,41 @@ def test_non_object_flags_exit_2(tmp_path):
     doc["flags"] = []
     code, report = run_json(["validate", write_doc(tmp_path, doc)])
     assert code == EXIT_INPUT_ERROR and "flags" in report["error"]
+
+
+def test_integer_fields_must_be_json_integers(tmp_path):
+    """n, dim, incidence, f, b and dimension are read as they stand, never coerced."""
+    k33 = serialize_sponge(builtin("f3_k33"))
+    for path, value in [(("covers", 0, "incidence"), -1.5), (("covers", 0, "incidence"), "-1"),
+                        (("faces", 0, "dim"), 0.9), (("n",), 3.99), (("n",), True),
+                        (("covers", 0, "incidence"), False)]:
+        doc = json.loads(json.dumps(k33))
+        *parent, key = path
+        target = doc
+        for step in parent:
+            target = target[step]
+        target[key] = value
+        code, report = run_json(["check-acyclic", write_doc(tmp_path, doc)])
+        assert code == EXIT_INPUT_ERROR, (path, value)
+        assert report["error"] == (f"malformed sponge document: {path[-1]} must be an "
+                                   f"integer, not {value!r}")
+    assert run(["check-acyclic", write_doc(tmp_path, k33)])[0] == EXIT_PASS
+    for doc, field in [({"n": 4, "f": "367", "b": 3}, "f must be a list"),
+                       ({"n": 4, "f": [3.7, 6, 7], "b": 3}, "f must be an integer"),
+                       ({"n": 4, "f": [3, 6, 7], "b": 3.9}, "b must be an integer"),
+                       ({"n": 4.0, "f": [3, 6, 7], "b": 3}, "n must be an integer"),
+                       ({"n": 4, "f": [3, True, 7], "b": 3}, "f must be an integer")]:
+        code, report = run_json(["hvector", write_doc(tmp_path, doc, "fv.json")])
+        assert code == EXIT_INPUT_ERROR and field in report["error"], doc
+    fine = {"n": 4, "f": [3, 6, 7], "b": 3}
+    assert run(["hvector", write_doc(tmp_path, fine, "fv.json")])[0] == EXIT_PASS
+    from sponges.generators import simplex_lattice
+
+    lattice = _lattice_document(simplex_lattice(3))
+    for key, value in [("dimension", 3.0), ("dimension", "3")]:
+        code, report = run_json(["gen", "polytope-skeleton",
+                                 write_doc(tmp_path, {**lattice, key: value}, "lat.json")])
+        assert code == EXIT_INPUT_ERROR and "dimension must be an integer" in report["error"]
+    lattice["faces"][0]["dim"] = 0.0
+    code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, lattice, "lat.json")])
+    assert code == EXIT_INPUT_ERROR and "dim must be an integer" in report["error"]

@@ -16,11 +16,10 @@ from sponges.complexes import (
     induced_map_on_homology,
     profile,
     quotient_complex,
-    subcomplex,
 )
 from sponges.exactalg import IntegerMatrix
 
-from oracles import cohomology_via_transpose, rational_betti_numbers
+from oracles import cohomology_via_transpose, rational_betti_numbers, subcomplex
 
 
 def mat(rows, cols=None):

@@ -1,8 +1,9 @@
+import hashlib
 from math import gcd
 
 import pytest
 
-from sponges.complexes import cohomology, profile
+from sponges.complexes import cochain_complex, cohomology, profile
 from sponges.cosheaf import (
     NotCohenMacaulay,
     assemble_chain_complex,
@@ -20,9 +21,9 @@ from sponges.generators import (
     simplex_lattice,
 )
 from sponges.poset import GradedPoset, order_complex
-from sponges.sponge import SpongeComplex
+from sponges.sponge import SpongeComplex, local_cohomology, section_complex
 
-from oracles import cosheaf_homology_dense
+from oracles import cosheaf_homology_dense, section_cochain_subcomplex
 
 
 def two_disjoint_chains_sponge():
@@ -53,6 +54,44 @@ def cosheaf_corpus():
     yield gen_polytope_skeleton(hypercube_lattice(4))
     yield gen_model_sponge(5)
     yield weighted_k33_sponge()
+
+
+# sha256 of the sections, integral sections and sorted cover maps over
+# cosheaf_corpus() plus model n=6, recorded before sections were read off
+# `section_complex`
+COSHEAF_DIGEST = "15f2371a21cae0b97ecf230aa331a2053bbaf929ebb0aff6d3015f84652f46ec"
+
+
+def test_cosheaf_digest_is_pinned():
+    h = hashlib.sha256()
+    for z in [*cosheaf_corpus(), gen_model_sponge(6)]:
+        c = build_cosheaf(z)
+        for s in z.faces.elements():
+            h.update(repr((s, c.sections[s], c.sections_integral[s])).encode())
+        for key in sorted(c.cover_maps):
+            h.update(repr((key, sorted(c.cover_maps[key].items()))).encode())
+    assert h.hexdigest() == COSHEAF_DIGEST
+
+
+def doubled_edge_sponge():
+    """One edge with incidences 2 and -2: Z/2 in H^1 of each vertex's section."""
+    p = GradedPoset([("v", 0), ("w", 0), ("e", 1)], [("e", "v"), ("e", "w")])
+    return SpongeComplex(n=3, faces=p, incidence={("e", "v"): 2, ("e", "w"): -2})
+
+
+def test_sections_are_local_cohomology_of_the_section_complex():
+    """The cochain complex of each section quotient is the cochain subcomplex
+    on the faces above s, and the cosheaf's sections are local cohomology."""
+    torsion = build_cosheaf(doubled_edge_sponge())
+    assert torsion.sections_integral["v"] == profile({1: (0, (2,))})
+    assert torsion.sections["v"].is_trivial()
+    for z in [*cosheaf_corpus(), doubled_edge_sponge()]:
+        c = build_cosheaf(z)
+        for s in z.faces.elements():
+            quotient = section_complex(z, s)
+            assert cochain_complex(quotient) == section_cochain_subcomplex(z, s), (z.name, s)
+            assert c.sections_integral[s] == local_cohomology(z, s), (z.name, s)
+            assert c.sections[s] == local_cohomology(z, s, "rationals"), (z.name, s)
 
 
 def test_cosheaf_homology_matches_dense_oracle():

@@ -160,6 +160,38 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_every_library_definition_is_referenced():
+    """No dead code: each top-level function or class of the package is named
+    (as a name, an attribute or an import) somewhere in the package or the
+    tests, and each non-dunder method is named as an attribute."""
+    package = Path(sponges.__file__).parent
+    defined = []
+    names, attributes = set(), set()
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name, False))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (path.name, f"{node.name}.{item.name}", True) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    unused = [(f, name) for f, name, method in defined
+              if name.rpartition(".")[2] not in (attributes if method else names | attributes)]
+    assert not unused, f"defined but never referenced: {unused}"
+
+
 def _random_rows(rng, nrows, ncols, density):
     return [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(ncols)]
             for _ in range(nrows)]

@@ -8,7 +8,8 @@ integer arguments of `scan --fspace`, `hilbert` and `gen` are drawn at
 random, and the lines of a scan checkpoint are mutated like documents before
 the scan resumes from it.
 Every run must exit with 0, 1 or 2 and print exactly one JSON object; no
-exception may escape.  Integers stay in [-2, 6], so no run asks for a large
+exception may escape.  A mutant whose integer field became 1.5 or true must
+exit with 2.  Integers stay in [-2, 6], so no run asks for a large
 computation.
 """
 
@@ -192,3 +193,33 @@ def test_mutated_checkpoints_never_traceback(tmp_path):
         mutant[k] = _mutate(mutant[k], rng)
         path.write_text("".join(json.dumps(r) + "\n" for r in mutant))
         _run(argv, mutant[k])
+
+
+INTEGER_KEYS = {"n", "dim", "incidence", "b", "dimension"}
+
+
+def _integer_paths(doc):
+    """Paths of the integer fields of a document, the items of ``f`` included."""
+    return [p for p in _paths(doc)
+            if p[-1] in INTEGER_KEYS or (len(p) == 2 and p[0] == "f")]
+
+
+def test_non_integer_mutants_exit_2(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "doc.json"
+    for name, doc in DOCUMENTS.items():
+        face = doc["faces"][0]["id"] if "faces" in doc else "v0"
+        paths = _integer_paths(doc)
+        for field in rng.sample(paths, min(4, len(paths))):
+            for value in (1.5, True):
+                mutant = copy.deepcopy(doc)
+                parent = mutant
+                for step in field[:-1]:
+                    parent = parent[step]
+                parent[field[-1]] = value
+                path.write_text(json.dumps(mutant))
+                for command in COMMANDS:
+                    argv = [{"FILE": str(path), "FACE": face}.get(a, a) for a in command]
+                    out = io.StringIO()
+                    code = cli_dispatch(argv, stdout=out, stderr=io.StringIO())
+                    assert code == 2, (name, field, value, argv, out.getvalue())

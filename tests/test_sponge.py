@@ -1,6 +1,7 @@
 import pytest
 
-from sponges.complexes import cohomology, homology, profile
+from sponges import complexes, sponge
+from sponges.complexes import IntegerChainComplex, MalformedComplex, cohomology, homology, profile
 from sponges.generators import (
     builtin,
     gen_model_sponge,
@@ -22,12 +23,13 @@ from sponges.sponge import (
     check_acyclic,
     check_local_model,
     local_cohomology,
-    local_cohomology_via_order_complex,
     realization_cross_check,
     sign_solver,
     validate_sponge,
 )
 from sponges.poset import UnknownElement
+
+from oracles import local_cohomology_via_order_complex
 
 
 def single_vertex_sponge():
@@ -113,6 +115,59 @@ def test_octahedron_cellular_reduced():
     assert tuple(c.rank(d) for d in range(3)) == (6, 12, 11)
     h = homology(c)
     assert h == profile({2: (4, ())})  # reduced: only the top survives
+
+
+def test_cellular_complex_is_cached_per_flag():
+    z = builtin("g42_octahedron")
+    for augmented in (False, True):
+        assert cellular_complex(z, augmented) is cellular_complex(z, augmented)
+    assert cellular_complex(z, False) is not cellular_complex(z, True)
+
+
+def test_unbalanced_augmented_complex_is_never_cached():
+    z = gen_model_sponge(3)
+    for _ in range(2):
+        with pytest.raises(MalformedComplex):
+            cellular_complex(z, augmented=True)
+    assert cellular_complex(z) is cellular_complex(z)
+
+
+def _count_cellular_builds(monkeypatch):
+    builds = []
+
+    class Counted(IntegerChainComplex):
+        def __init__(self, ranks, boundaries):
+            builds.append(min(ranks, default=0))  # -1 when augmented
+            super().__init__(ranks, boundaries)
+
+    monkeypatch.setattr(sponge, "IntegerChainComplex", Counted)
+    return builds
+
+
+def test_realization_cross_check_reduces_each_cellular_boundary_once(monkeypatch):
+    builds = _count_cellular_builds(monkeypatch)
+    reduced = []
+    smith = complexes.smith_diagonal
+
+    def recording(m):
+        reduced.append(m)
+        return smith(m)
+
+    monkeypatch.setattr(complexes, "smith_diagonal", recording)
+    z = octahedron_sponge()
+    realization_cross_check(z)
+    assert builds == [-1]  # one augmented build, shared with check_acyclic
+    c = cellular_complex(z, augmented=True)
+    for d in (0, 1, 2):
+        assert sum(m is c.boundary(d) for m in reduced) == 1, d
+
+
+def test_local_cohomology_over_every_face_builds_one_cellular_complex(monkeypatch):
+    builds = _count_cellular_builds(monkeypatch)
+    z = gen_model_sponge(6)
+    for f in z.faces.elements():
+        local_cohomology(z, f)
+    assert builds == [0]
 
 
 # ---------------------------------------------------------------------------
