@@ -120,11 +120,14 @@ def parse_sponge(doc: dict, name: str = "") -> SpongeComplex:
         flags = doc.get("flags", {})
         if not isinstance(flags, dict):
             raise TypeError("flags must be an object")
+        non_compact = flags.get("non_compact", False)
+        if type(non_compact) is not bool:
+            raise TypeError(f"non_compact must be a boolean, not {non_compact!r}")
         return SpongeComplex(
             n=n,
             faces=GradedPoset(faces, covers),
             incidence=incidence,
-            non_compact=bool(flags.get("non_compact", False)),
+            non_compact=non_compact,
             name=name,
         )
     except (KeyError, TypeError, ValueError) as err:

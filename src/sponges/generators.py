@@ -322,101 +322,130 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 # of a canonical graph leaves a canonical graph, so growing canonical graphs
 # by appending edges past the current last position enumerates every
 # isomorphism class exactly once.
+#
+# Canonicity is a depth-first search over relabellings, one new label per
+# level: label k goes to the old vertex used[k].  Every unused vertex carries
+# its back-edge pattern against `used`, one bit longer per level.  A pattern
+# above the current graph's at that level proves a larger code; only ties are
+# followed.  Three rules shrink the tree without changing the verdict:
+#
+# * unused twins (same pattern, same unused neighbours) are interchangeable,
+#   so only the first is followed;
+# * a leaf's code equals the current one, so k -> used[k] is an automorphism.
+#   If it first moves label d, it maps the subtree below the prefix 0..d
+#   (searched first there: d is the smallest unused vertex, and a tie) onto
+#   the one below 0..d-1, used[d], so the search returns to the prefix 0..d-1
+#   (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+#   2014);
+# * at each node only one tie per orbit of the recorded automorphisms that
+#   fix `used` pointwise is followed.
+#
+# The position -> (i, j) pairs and, per position and vertex, the number of
+# later positions touching that vertex are tables built once per n.
 
 
 def _position(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def _position_pair(p: int) -> tuple[int, int]:
-    j = 1
-    while _position(0, j + 1) <= p:
-        j += 1
-    return p - _position(0, j), j
+def _orbit_closure(mask: int, perms: list[list[int]]) -> int:
+    """The union of the orbits of the vertices in ``mask`` under ``perms``."""
+    frontier = mask
+    while frontier:
+        image = 0
+        for perm in perms:
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                image |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+        frontier = image & ~mask
+        mask |= frontier
+    return mask
 
 
 class _CubicSearch:
     def __init__(self, n: int):
         self.n = n
         self.target_edges = 3 * n // 2
+        self.pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        # available[last][v]: positions past ``last`` that touch vertex v
+        self.available: list[tuple[int, ...]] = [()] * len(self.pairs)
+        counts = [0] * n
+        for p in range(len(self.pairs) - 1, -1, -1):
+            self.available[p] = tuple(counts)
+            for v in self.pairs[p]:
+                counts[v] += 1
         self.adj = [0] * n
         self.deg = [0] * n
+        self.pats = [0] * n  # back-edge bits per vertex, vertex 0 most significant
         self.edges: list[tuple[int, int]] = []
         self.found: list[tuple[int, list[tuple[int, int]]]] = []
 
     # -- canonicity -------------------------------------------------------
 
-    def _group_patterns(self) -> list[int]:
-        """Pattern of back-edge bits per vertex slot, packed msb-first."""
-        pats = [0] * self.n
-        for j in range(1, self.n):
-            pat = 0
-            for i in range(j):
-                if (self.adj[j] >> i) & 1:
-                    pat |= 1 << (j - 1 - i)
-            pats[j] = pat
-        return pats
-
     def _is_canonical(self) -> bool:
-        pats = self._group_patterns()
-        adj = self.adj
+        """No relabelling has a larger code; see the comment above the class."""
         n = self.n
+        adj = self.adj
+        pats = self.pats
+        used: list[int] = []
+        autos: list[tuple[int, list[int]]] = []  # (fixed-point mask, permutation)
+        resume = n  # depth to return to after a non-identity leaf
 
-        def larger_exists(used: list[int], used_mask: int) -> bool:
+        def larger_exists(used_mask: int, cand: list[tuple[int, int]]) -> bool:
+            nonlocal resume
             j = len(used)
             if j == n:
+                moved = [k for k in range(n) if used[k] != k]
+                if moved:
+                    fixed = ((1 << n) - 1) ^ sum(1 << k for k in moved)
+                    autos.append((fixed, used[:]))
+                    resume = moved[0]
                 return False
             target = pats[j]
             ties = []
             seen_rows = set()
-            for v in range(n):
-                if (used_mask >> v) & 1:
-                    continue
-                pat = 0
-                av = adj[v]
-                for idx, u in enumerate(used):
-                    if (av >> u) & 1:
-                        pat |= 1 << (j - 1 - idx)
+            for v, pat in cand:
                 if pat > target:
                     return True
                 if pat == target:
-                    row = av & ~used_mask & ~(1 << v)
+                    row = adj[v] & ~used_mask & ~(1 << v)
                     if row not in seen_rows:  # unused twins are interchangeable
                         seen_rows.add(row)
                         ties.append(v)
+            followed = 0
             for v in ties:
+                if followed and autos:
+                    stabilizer = [perm for fixed, perm in autos if not used_mask & ~fixed]
+                    if stabilizer:
+                        followed = _orbit_closure(followed, stabilizer)
+                        if (followed >> v) & 1:
+                            continue
+                av = adj[v]
                 used.append(v)
-                if larger_exists(used, used_mask | (1 << v)):
-                    used.pop()
-                    return True
+                larger = larger_exists(
+                    used_mask | (1 << v),
+                    [(u, (pat << 1) | ((av >> u) & 1)) for u, pat in cand if u != v],
+                )
                 used.pop()
+                if larger:
+                    return True
+                if resume < j:  # an automorphism mirrors this node's subtree
+                    return False
+                resume = n
+                followed |= 1 << v
             return False
 
-        return not larger_exists([], 0)
+        return not larger_exists(0, [(v, 0) for v in range(n)])
 
     # -- feasibility ------------------------------------------------------
 
-    def _available(self, v: int, last: int) -> int:
-        """Future positions past ``last`` that touch vertex v."""
-        i0, j0 = _position_pair(last)
-        count = 0
-        if v == j0:
-            count += j0 - 1 - i0
-        elif i0 < v < j0:
-            count += 1
-        count += self.n - 1 - max(v, j0)
-        if v > j0:
-            count += v
-        return count
-
     def _feasible(self, last: int) -> bool:
-        remaining = self.target_edges - len(self.edges)
-        total_positions = self.n * (self.n - 1) // 2 - 1 - last
-        if total_positions < remaining:
+        if len(self.pairs) - 1 - last < self.target_edges - len(self.edges):
             return False
-        for v in range(self.n):
-            need = 3 - self.deg[v]
-            if need and self._available(v, last) < need:
+        for d, a in zip(self.deg, self.available[last]):
+            if d + a < 3:
                 return False
         return True
 
@@ -429,27 +458,36 @@ class _CubicSearch:
         if len(self.edges) == self.target_edges:
             if all(d == 3 for d in self.deg) and self._connected():
                 code = 0
-                top = self.n * (self.n - 1) // 2
+                top = len(self.pairs)
                 for a, b in self.edges:
                     code |= 1 << (top - 1 - _position(a, b))
                 self.found.append((code, list(self.edges)))
             return
-        for p in range(last + 1, self.n * (self.n - 1) // 2):
-            i, j = _position_pair(p)
+        for p in range(last + 1, len(self.pairs)):
+            i, j = self.pairs[p]
             if self.deg[i] >= 3 or self.deg[j] >= 3:
                 continue
-            self.adj[i] |= 1 << j
-            self.adj[j] |= 1 << i
-            self.deg[i] += 1
-            self.deg[j] += 1
-            self.edges.append((i, j))
+            self._add_edge(i, j)
             if self._feasible(p) and self._is_canonical():
                 self._extend(p)
-            self.edges.pop()
-            self.adj[i] &= ~(1 << j)
-            self.adj[j] &= ~(1 << i)
-            self.deg[i] -= 1
-            self.deg[j] -= 1
+            self._pop_edge()
+
+    def _add_edge(self, i: int, j: int) -> None:
+        """Append the edge i < j."""
+        self.adj[i] |= 1 << j
+        self.adj[j] |= 1 << i
+        self.pats[j] |= 1 << (j - 1 - i)
+        self.deg[i] += 1
+        self.deg[j] += 1
+        self.edges.append((i, j))
+
+    def _pop_edge(self) -> None:
+        i, j = self.edges.pop()
+        self.adj[i] &= ~(1 << j)
+        self.adj[j] &= ~(1 << i)
+        self.pats[j] &= ~(1 << (j - 1 - i))
+        self.deg[i] -= 1
+        self.deg[j] -= 1
 
     def _connected(self) -> bool:
         seen = 1

@@ -138,11 +138,16 @@ class ScanSummary:
 
 
 class _Checkpoint:
-    """Append-only JSONL store of completed records."""
+    """Append-only JSONL store of completed records.
+
+    One append handle, opened at the first write, serves the whole scan;
+    each record is flushed as it is written, and `close` releases it.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
         self.seen: dict[str, ScanRecord] = {}
+        self._handle = None
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -167,8 +172,15 @@ class _Checkpoint:
 
     def write(self, record: ScanRecord) -> None:
         if self.path:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanRecord:
@@ -202,17 +214,20 @@ def scan(
     checkpoint = _Checkpoint(checkpoint_path)
     summary = ScanSummary()
     seen_now = set()
-    for z in family:
-        ident = z.name or f"sponge-{len(seen_now)}"
-        if ident in seen_now:
-            continue
-        seen_now.add(ident)
-        if checkpoint.has(ident):
-            summary.add(checkpoint.seen[ident])
-            continue
-        record = classify_sponge(z, ident)
-        checkpoint.write(record)
-        summary.add(record)
+    try:
+        for z in family:
+            ident = z.name or f"sponge-{len(seen_now)}"
+            if ident in seen_now:
+                continue
+            seen_now.add(ident)
+            if checkpoint.has(ident):
+                summary.add(checkpoint.seen[ident])
+                continue
+            record = classify_sponge(z, ident)
+            checkpoint.write(record)
+            summary.add(record)
+    finally:
+        checkpoint.close()
     summary.finalize()
     return summary
 
@@ -226,6 +241,19 @@ def _grid(bounds: Iterable[int]) -> Iterator[tuple[int, ...]]:
     for rest in _grid(tail):
         for value in range(head + 1):
             yield (value, *rest)
+
+
+def _grid_point_record(ident: str, n: int, f: tuple[int, ...]) -> ScanRecord:
+    try:
+        b = b_from_euler(f, n)
+    except NegativeB:
+        return ScanRecord(identifier=ident, n=n, f=f, error="NegativeB", realized=False)
+    hv = hvector_of(ExtendedFVector(n=n, f=f, b=b))
+    return ScanRecord(
+        identifier=ident, n=n, f=f, b=b, h=hv.h,
+        symmetric=hv.symmetric, nonnegative=hv.nonnegative,
+        acyclic=True, realized=False,
+    )
 
 
 def scan_fvector_space(
@@ -243,29 +271,16 @@ def scan_fvector_space(
         raise ValueError(f"need {n - 1} bounds for n={n}")
     checkpoint = _Checkpoint(checkpoint_path)
     summary = ScanSummary()
-    for f in sorted(_grid(bounds)):
-        ident = f"fspace-n{n}-" + "-".join(map(str, f))
-        if checkpoint.has(ident):
-            summary.add(checkpoint.seen[ident])
-            continue
-        try:
-            b = b_from_euler(f, n)
-        except NegativeB:
-            record = ScanRecord(
-                identifier=ident, n=n, f=tuple(f), error="NegativeB",
-                realized=False,
-            )
+    try:
+        for f in sorted(_grid(bounds)):
+            ident = f"fspace-n{n}-" + "-".join(map(str, f))
+            if checkpoint.has(ident):
+                summary.add(checkpoint.seen[ident])
+                continue
+            record = _grid_point_record(ident, n, tuple(f))
             checkpoint.write(record)
             summary.add(record)
-            continue
-        fv = ExtendedFVector(n=n, f=tuple(f), b=b)
-        hv = hvector_of(fv)
-        record = ScanRecord(
-            identifier=ident, n=n, f=fv.f, b=b, h=hv.h,
-            symmetric=hv.symmetric, nonnegative=hv.nonnegative,
-            acyclic=True, realized=False,
-        )
-        checkpoint.write(record)
-        summary.add(record)
+    finally:
+        checkpoint.close()
     summary.finalize()
     return summary

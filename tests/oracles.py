@@ -16,10 +16,13 @@ order complexes built and eliminated afresh instead of the open-interval
 homology cached on the face poset, local cohomology through the
 order-complex pair instead of the cellular quotient, and the cosheaf's
 section complexes as cochain subcomplexes selected from the full cochain
-complex instead of the cochain complex of `section_complex`.
+complex instead of the cochain complex of `section_complex`, and the
+maximal code of a labelled graph through all n! relabellings instead of
+the pruned canonicity search.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Mapping
 
 from sponges.complexes import (
@@ -118,6 +121,23 @@ def maximal_faces_bruteforce(faces) -> set[frozenset]:
     """The inclusion-maximal nonempty faces, by an all-pairs subset test."""
     raw = {frozenset(f) for f in faces} - {frozenset()}
     return {f for f in raw if not any(f < g for g in raw)}
+
+
+def max_code_brute_force(n: int, edges) -> int:
+    """The largest code of any relabelling of a simple graph on 0..n-1.
+
+    A code has one bit per pair i < j, read in the order (j, i) ascending,
+    most significant bit first; all n! relabellings are tried.
+    """
+    top = n * (n - 1) // 2
+    best = 0
+    for perm in permutations(range(n)):
+        code = 0
+        for a, b in edges:
+            i, j = sorted((perm[a], perm[b]))
+            code |= 1 << (top - 1 - j * (j - 1) // 2 - i)
+        best = max(best, code)
+    return best
 
 
 def dense_product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:

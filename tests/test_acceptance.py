@@ -186,9 +186,16 @@ def test_criterion_9_conjecture_scan_cubic_10():
         assert summary.acyclic_count == summary.total
         assert summary.ds_failures == []
         assert summary.nonneg_failures == []
+        # closed form: a connected cubic graph on v = 2m vertices has m + 1
+        # independent cycles and h = (1, m - 1, m - 1, 1)
+        classes = {}
         for record in summary.records:
             m = record.f[0] // 2
+            classes[2 * m] = classes.get(2 * m, 0) + 1
+            assert record.acyclic and record.f == (2 * m, 3 * m), record.identifier
+            assert record.b == m + 1, record.identifier
             assert record.h == (1, m - 1, m - 1, 1), record.identifier
+        assert classes == {4: 1, 6: 2, 8: 5, 10: 19}
     timer.check("9 (conjecture scan, cubic <= 10 vertices)")
 
 

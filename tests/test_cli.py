@@ -383,6 +383,18 @@ def test_non_object_flags_exit_2(tmp_path):
     assert code == EXIT_INPUT_ERROR and "flags" in report["error"]
 
 
+def test_non_compact_flag_must_be_a_json_boolean(tmp_path):
+    doc = serialize_sponge(builtin("f3_k33"))
+    for value in ["false", 0, 1, None]:
+        doc["flags"] = {"non_compact": value}
+        code, report = run_json(["check-acyclic", write_doc(tmp_path, doc)])
+        assert code == EXIT_INPUT_ERROR, value
+        assert report["error"] == ("malformed sponge document: non_compact must be a "
+                                   f"boolean, not {value!r}")
+    doc["flags"] = {"non_compact": False}
+    assert run(["check-acyclic", write_doc(tmp_path, doc)])[0] == EXIT_PASS
+
+
 def test_integer_fields_must_be_json_integers(tmp_path):
     """n, dim, incidence, f, b and dimension are read as they stand, never coerced."""
     k33 = serialize_sponge(builtin("f3_k33"))

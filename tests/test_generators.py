@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +9,7 @@ from sponges.complexes import profile
 from sponges.enumerative import ExtendedFVector, betti_polynomial, fvector_of, hvector_of
 from sponges.generators import (
     BadParameter,
+    _CubicSearch,
     NotSimple,
     PolytopeFaceLattice,
     UnknownBuiltin,
@@ -20,6 +24,8 @@ from sponges.generators import (
 )
 from sponges.poset import check_cohen_macaulay, reduced_simplicial_homology
 from sponges.sponge import check_acyclic, check_local_model, validate_sponge
+
+from oracles import max_code_brute_force
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,89 @@ def test_enumeration_deterministic():
     assert first == second
 
 
+# sha256 of json.dumps(enumerate_connected_cubic(v)): codes and edge lists,
+# each graph in its maximal-code labelling
+CUBIC_DIGESTS = {
+    4: "19b877de74f69c225a8c0e7fb45209b68f2c1a2e0bf60d25a4fb0ddce47acb69",
+    6: "bd44ce51b4a568a6e91ab9a401029f36c1ef63f10ac0a06d8d9b451ed5de52bc",
+    8: "50eccdfe61981737e236a6f20fc562771c704796b7879592871e2ac6ad5c994f",
+    10: "77eeb64c00770764549f1c092656dab39ba6adf26d50ae7d6b61f09a8cd205d6",
+    12: "cc13cd5aad4a2874dd736b4536c86e859dc302a6434884eb279b3fe2a46d7ea9",
+}
+
+
 def test_cubic_count_twelve_vertices_desk_scale():
-    # the largest size the enumerator is meant for; known class count 85
-    assert len(enumerate_connected_cubic(12)) == 85
+    # the largest size the enumerator is meant for; known class count 85.
+    # The digests pin every output for v <= 12 byte for byte.
+    for v, digest in CUBIC_DIGESTS.items():
+        graphs = enumerate_connected_cubic(v)
+        assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == digest, v
+    assert len(graphs) == 85
+
+
+def edge_code(n, edges):
+    top = n * (n - 1) // 2
+    code = 0
+    for a, b in edges:
+        i, j = sorted((a, b))
+        code |= 1 << (top - 1 - j * (j - 1) // 2 - i)
+    return code
+
+
+def code_edges(n, code):
+    top = n * (n - 1) // 2
+    return [(i, j) for j in range(1, n) for i in range(j)
+            if (code >> (top - 1 - j * (j - 1) // 2 - i)) & 1]
+
+
+def test_cubic_codes_are_brute_force_maximal():
+    for v in (4, 6, 8):
+        for code, edges in enumerate_connected_cubic(v):
+            assert code == edge_code(v, edges) == max_code_brute_force(v, edges), (v, edges)
+
+
+def is_canonical(n, edges):
+    search = _CubicSearch(n)
+    for i, j in sorted(tuple(sorted(e)) for e in edges):
+        search._add_edge(i, j)
+    return search._is_canonical()
+
+
+def symmetric_graphs():
+    """Partial graphs of degree <= 3 with many automorphisms."""
+    triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    k4 = list(combinations(range(4), 2))
+    yield from ((n, triangles) for n in (6, 7))
+    yield from ((n, k4) for n in (4, 5, 6, 7))
+    yield from ((n, [(2 * k, 2 * k + 1) for k in range(m)])
+                for n in range(2, 8) for m in range(n // 2 + 1))
+    yield from ((n, [(k, (k + 1) % n) for k in range(n)]) for n in range(3, 8))
+    yield 6, [(a, b) for a in range(3) for b in range(3, 6)]  # K_{3,3}
+    yield 6, triangles + [(0, 3), (1, 4), (2, 5)]  # the prism
+    yield 7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)]  # claw and triangle
+
+
+def test_is_canonical_matches_brute_force():
+    """Each graph, its maximal-code labelling and one transposition of that."""
+    rng = random.Random(20140101)
+    graphs = list(symmetric_graphs())
+    for _ in range(250):
+        n = rng.randint(2, 7)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        deg = [0] * n
+        edges = []
+        for i, j in pairs[: rng.randint(0, len(pairs))]:
+            if deg[i] < 3 and deg[j] < 3:
+                edges.append((i, j))
+                deg[i] += 1
+                deg[j] += 1
+        graphs.append((n, edges))
+    for n, edges in graphs:
+        best = max_code_brute_force(n, edges)
+        canonical = code_edges(n, best)
+        a, b = rng.sample(range(n), 2)
+        swap = {a: b, b: a}
+        swapped = [(swap.get(x, x), swap.get(y, y)) for x, y in canonical]
+        for g in (edges, canonical, swapped):
+            assert is_canonical(n, g) == (edge_code(n, g) == best), (n, g)

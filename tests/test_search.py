@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from sponges import search
 from sponges.generators import builtin, gen_trivalent_sponges, graph_sponge
 from sponges.search import ScanRecord, classify_sponge, scan, scan_fvector_space
 
@@ -118,3 +121,32 @@ def test_scan_fvector_space_counts_unrealized_points_separately():
     assert summary.acyclic_count == 0
     assert len(summary.nonneg_failures) == 8
     assert scan(gen_trivalent_sponges(6)).to_json()["unrealized_count"] == 0
+
+
+def test_scan_checkpoint_opens_one_handle_and_closes_it(tmp_path, monkeypatch):
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handles.append((args[1:2], handle))
+        return handle
+
+    monkeypatch.setattr(search, "open", recording_open, raising=False)
+    path = str(tmp_path / "checkpoint.jsonl")
+    summary = scan_fvector_space(3, [3, 3], checkpoint_path=path)
+    assert [mode for mode, _ in handles] == [("a",)]
+    with open(path) as fh:
+        assert len(fh.readlines()) == summary.total == 16
+
+    def failing_family():
+        yield from gen_trivalent_sponges(6)
+        raise RuntimeError("stream broke")
+
+    handles.clear()
+    path = str(tmp_path / "broken.jsonl")
+    with pytest.raises(RuntimeError, match="stream broke"):
+        scan(failing_family(), checkpoint_path=path)
+    assert [mode for mode, _ in handles] == [("a",)]
+    assert handles[0][1].closed
+    with open(path) as fh:
+        assert len(fh.readlines()) == 3
