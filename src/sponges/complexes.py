@@ -17,6 +17,8 @@ selection of generators.
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
 leftmost-independent selection), so matrices of induced maps are reproducible.
+Each basis keeps the solve operator of that one elimination per degree, so
+coordinates of cycles are matrix products, not fresh eliminations.
 """
 
 from __future__ import annotations
@@ -290,25 +292,28 @@ class RationalHomologyBasis:
 
     Per degree: representatives are integer cycle vectors (from the kernel
     lattice of the boundary) extending a column basis of the boundaries from
-    above.  ``coordinates`` expresses cycles in this basis modulo
-    boundaries.
+    above.  One Gauss-Jordan elimination of [boundary and kernel columns |
+    identity] picks them and yields E with E * columns reduced.  The rows of
+    E at the representatives' pivots give coordinates in the homology basis
+    modulo boundaries; the rows past the rank vanish exactly on the cycles.
     """
 
     def __init__(self, c: IntegerChainComplex):
         self.complex = c
         self._reps: dict[int, list[tuple[int, ...]]] = {}
-        self._solver_columns: dict[int, list[tuple[int, ...]]] = {}
-        self._boundary_count: dict[int, int] = {}
+        self._solve: dict[int, list[list[Fraction]]] = {}  # E's coordinate rows, then test rows
         for d in c.degrees():
+            n = c.rank(d)
             kernel = integer_kernel_basis(c.boundary(d))
             boundary_cols = [tuple(col) for col in c.boundary(d + 1).transpose().to_rows()]
             all_cols = boundary_cols + kernel
-            _, chosen = rational_rref(list(zip(*all_cols)))
-            b_basis = [all_cols[i] for i in chosen if i < len(boundary_cols)]
-            reps = [all_cols[i] for i in chosen if i >= len(boundary_cols)]
-            self._reps[d] = reps
-            self._solver_columns[d] = b_basis + reps
-            self._boundary_count[d] = len(b_basis)
+            rows = [[col[i] for col in all_cols] + [int(i == j) for j in range(n)]
+                    for i in range(n)]
+            reduced, pivots = rational_rref(rows)
+            chosen = [k for k in pivots if k < len(all_cols)]
+            first_rep = sum(1 for k in chosen if k < len(boundary_cols))
+            self._reps[d] = [all_cols[k] for k in chosen[first_rep:]]
+            self._solve[d] = [row[len(all_cols):] for row in reduced[first_rep:]]
 
     def betti(self, degree: int) -> int:
         return len(self._reps.get(degree, []))
@@ -321,24 +326,22 @@ class RationalHomologyBasis:
     ) -> list[list[Fraction]]:
         """Coordinates of each cycle in the homology basis (mod boundaries).
 
-        One Gauss-Jordan elimination serves every vector: they are appended
-        as extra columns, and since columns are reduced left to right the
-        pivots of the (independent) solver columns stay those columns.  A
-        vector is then inconsistent exactly when its column holds a pivot;
-        otherwise its solution is unique and sits in that column.
+        Each vector is multiplied by the kept rows of E: the first betti
+        products are its coordinates, unique since the basis columns are
+        independent, and the rest must vanish for it to be a cycle.
         """
         n = self.complex.rank(degree)
         if any(len(v) != n for v in vectors):
             raise ValueError(f"vectors in degree {degree} must have length {n}")
-        cols = self._solver_columns.get(degree, [])
-        rows = [[col[i] for col in cols] + [v[i] for v in vectors] for i in range(n)]
-        reduced, pivots = rational_rref(rows)
-        if len(pivots) > len(cols):
-            raise ValueError("vector is not a cycle modulo boundaries")
-        return [
-            [row[len(cols) + k] for row in reduced[self._boundary_count.get(degree, 0):]]
-            for k in range(len(vectors))
-        ]
+        rows, betti = self._solve.get(degree, []), self.betti(degree)
+        out = []
+        for v in vectors:
+            support = [(i, x) for i, x in enumerate(v) if x]
+            image = [sum((row[i] * x for i, x in support), Fraction(0)) for row in rows]
+            if any(image[betti:]):
+                raise ValueError("vector is not a cycle modulo boundaries")
+            out.append(image[:betti])
+        return out
 
 
 def _is_chain_map(

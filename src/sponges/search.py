@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable
 
 from .enumerative import (
     ExtendedFVector,
@@ -207,24 +209,19 @@ def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanReco
         return ScanRecord(identifier=ident, n=z.n, error=f"{type(err).__name__}: {err}")
 
 
-def scan(
-    family: Iterable[SpongeComplex], checkpoint_path: str | None = None
+def _run(
+    items: Iterable[tuple[str, Callable[[], ScanRecord]]], checkpoint_path: str | None
 ) -> ScanSummary:
-    """Classify every sponge in the stream; see module docstring."""
+    """Summarize (identifier, make-record) pairs, reusing records the checkpoint holds."""
     checkpoint = _Checkpoint(checkpoint_path)
     summary = ScanSummary()
-    seen_now = set()
     try:
-        for z in family:
-            ident = z.name or f"sponge-{len(seen_now)}"
-            if ident in seen_now:
-                continue
-            seen_now.add(ident)
+        for ident, make_record in items:
             if checkpoint.has(ident):
-                summary.add(checkpoint.seen[ident])
-                continue
-            record = classify_sponge(z, ident)
-            checkpoint.write(record)
+                record = checkpoint.seen[ident]
+            else:
+                record = make_record()
+                checkpoint.write(record)
             summary.add(record)
     finally:
         checkpoint.close()
@@ -232,15 +229,20 @@ def scan(
     return summary
 
 
-def _grid(bounds: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    bounds = list(bounds)
-    if not bounds:
-        yield ()
-        return
-    head, *tail = bounds
-    for rest in _grid(tail):
-        for value in range(head + 1):
-            yield (value, *rest)
+def scan(
+    family: Iterable[SpongeComplex], checkpoint_path: str | None = None
+) -> ScanSummary:
+    """Classify every sponge in the stream; see module docstring."""
+
+    def items():
+        seen = set()
+        for z in family:
+            ident = z.name or f"sponge-{len(seen)}"
+            if ident not in seen:
+                seen.add(ident)
+                yield ident, partial(classify_sponge, z, ident)
+
+    return _run(items(), checkpoint_path)
 
 
 def _grid_point_record(ident: str, n: int, f: tuple[int, ...]) -> ScanRecord:
@@ -269,18 +271,10 @@ def scan_fvector_space(
     bounds = list(bounds)
     if len(bounds) != n - 1:
         raise ValueError(f"need {n - 1} bounds for n={n}")
-    checkpoint = _Checkpoint(checkpoint_path)
-    summary = ScanSummary()
-    try:
-        for f in sorted(_grid(bounds)):
+
+    def items():
+        for f in product(*(range(b + 1) for b in bounds)):
             ident = f"fspace-n{n}-" + "-".join(map(str, f))
-            if checkpoint.has(ident):
-                summary.add(checkpoint.seen[ident])
-                continue
-            record = _grid_point_record(ident, n, tuple(f))
-            checkpoint.write(record)
-            summary.add(record)
-    finally:
-        checkpoint.close()
-    summary.finalize()
-    return summary
+            yield ident, partial(_grid_point_record, ident, n, f)
+
+    return _run(items(), checkpoint_path)

@@ -247,7 +247,7 @@ def cohen_macaulay_via_links(p, coefficients: str = "integers") -> CMReport:
     """
     complex_ = order_complex(p)
     witnesses: list[CMWitness] = []
-    for face in complex_.all_faces(include_empty=True):
+    for face in [()] + complex_.all_faces():
         link = complex_.link(face)
         dim = link.dimension if not link.is_empty() else -1
         if dim <= -1:

@@ -101,6 +101,15 @@ def test_malformed_json_exit_2(tmp_path):
     assert "line" in out  # position carried in the error
 
 
+def test_non_utf8_document_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n":3,"faces":[],"covers":[],"x":"\xff"}')
+    for argv in (["validate", str(path)], ["gen", "polytope-skeleton", str(path)]):
+        code, out, err = run(argv)
+        assert code == EXIT_INPUT_ERROR, argv
+        assert "utf-8" in json.loads(out)["error"] and err.startswith("error:"), argv
+
+
 def test_unknown_builtin_exit_2():
     code, out, _ = run(["gen", "builtin", "nope"])
     assert code == EXIT_INPUT_ERROR
@@ -230,17 +239,17 @@ def test_scan_fspace_cli():
 
 
 def test_scan_checkpoint_via_cli(tmp_path):
-    checkpoint = str(tmp_path / "scan.jsonl")
+    checkpoint = tmp_path / "scan.jsonl"
     code, first = run_json(
-        ["scan", "--family", "trivalent", "--max", "6", "--checkpoint", checkpoint]
+        ["scan", "--family", "trivalent", "--max", "6", "--checkpoint", str(checkpoint)]
     )
     assert code == EXIT_PASS
-    recorded = open(checkpoint, encoding="utf-8").read()
+    recorded = checkpoint.read_text(encoding="utf-8")
     code, second = run_json(
-        ["scan", "--family", "trivalent", "--max", "6", "--checkpoint", checkpoint]
+        ["scan", "--family", "trivalent", "--max", "6", "--checkpoint", str(checkpoint)]
     )
     assert first == second
-    assert open(checkpoint, encoding="utf-8").read() == recorded  # nothing re-run
+    assert checkpoint.read_text(encoding="utf-8") == recorded  # nothing re-run
 
 
 def test_reports_are_byte_identical(tmp_path):

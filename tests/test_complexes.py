@@ -276,3 +276,32 @@ def test_long_exact_sequence_rank_balance_on_random_pairs():
             h = homology(c, coefficients="rationals")
             return sum((-1) ** d * h.free_rank(d) for d in h.degrees())
         assert chi(sub) - chi(total) + chi(quot) == 0
+
+
+def test_coordinates_recover_combinations_of_representatives():
+    """Seeded: for v = sum a_j rep_j plus boundaries, `coordinates` returns
+    exactly a, as Fractions (the zero vector too); a non-cycle part raises.
+    RP^2 and the quotients carry torsion, whose cycles have no coordinates."""
+    rng = random.Random(5150)
+    rp2 = projective_plane_minimal()
+    corpus = [rp2, cochain_complex(rp2), square_with_filled_triangle()]
+    for _ in range(40):
+        total, sub = random_simplicial_boundaries(rng)
+        corpus += [total, quotient_complex(total, sub)]
+    for c in corpus:
+        basis = RationalHomologyBasis(c)
+        for d in c.degrees():
+            reps = basis.representatives(d)
+            boundaries = c.boundary(d + 1).transpose().to_rows()
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
+            b = [rng.randint(-2, 2) for _ in boundaries]
+            v = [sum(x * rep[i] for x, rep in zip(a, reps))
+                 + sum(y * col[i] for y, col in zip(b, boundaries)) for i in range(c.rank(d))]
+            got = basis.coordinates(d, [v, [0] * c.rank(d)])
+            assert got == [a, [0] * len(reps)], (c, d)
+            assert all(type(x) is Fraction for row in got for x in row)
+            moving = sorted({j for _, j, _ in c.boundary(d).nonzero_items()})
+            if moving:
+                v[rng.choice(moving)] += 1
+                with pytest.raises(ValueError, match="not a cycle"):
+                    basis.coordinates(d, [v])

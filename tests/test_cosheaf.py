@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from sponges.complexes import cochain_complex, cohomology, profile
+from sponges import complexes
+from sponges.complexes import RationalHomologyBasis, cochain_complex, cohomology, profile
 from sponges.cosheaf import (
     NotCohenMacaulay,
     assemble_chain_complex,
@@ -71,6 +72,33 @@ def test_cosheaf_digest_is_pinned():
         for key in sorted(c.cover_maps):
             h.update(repr((key, sorted(c.cover_maps[key].items()))).encode())
     assert h.hexdigest() == COSHEAF_DIGEST
+
+
+def test_cosheaf_eliminates_once_per_section_and_degree(monkeypatch):
+    """Each section's homology basis is one elimination per degree, and the
+    cover maps read coordinates from it without eliminating again."""
+    eliminations, open_coordinates = [], []
+    rational_rref = complexes.rational_rref
+    coordinates = RationalHomologyBasis.coordinates
+
+    def counted_rref(rows):
+        eliminations.append(bool(open_coordinates))
+        return rational_rref(rows)
+
+    def counted_coordinates(self, degree, vectors):
+        open_coordinates.append(degree)
+        try:
+            return coordinates(self, degree, vectors)
+        finally:
+            open_coordinates.pop()
+
+    monkeypatch.setattr(complexes, "rational_rref", counted_rref)
+    monkeypatch.setattr(RationalHomologyBasis, "coordinates", counted_coordinates)
+    model = gen_model_sponge(6)
+    c = build_cosheaf(model)
+    assert c.cover_maps and len(model.faces) == 57
+    assert len(eliminations) == 57 * 5  # every section complex has degrees 0..4 here
+    assert not any(eliminations)
 
 
 def doubled_edge_sponge():

@@ -73,13 +73,13 @@ def test_scan_rerun_identical():
 
 
 def test_scan_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "checkpoint.jsonl")
-    first = scan(gen_trivalent_sponges(6), checkpoint_path=path)
-    lines = [l for l in open(path, encoding="utf-8").read().splitlines() if l]
+    path = tmp_path / "checkpoint.jsonl"
+    first = scan(gen_trivalent_sponges(6), checkpoint_path=str(path))
+    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
     assert len(lines) == first.total == 3
     # rerun: nothing recomputed (file unchanged), summary identical
-    second = scan(gen_trivalent_sponges(6), checkpoint_path=path)
-    lines_after = [l for l in open(path, encoding="utf-8").read().splitlines() if l]
+    second = scan(gen_trivalent_sponges(6), checkpoint_path=str(path))
+    lines_after = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
     assert lines_after == lines
     assert first.to_json() == second.to_json()
 
