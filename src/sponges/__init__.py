@@ -15,7 +15,6 @@ from .complexes import (
     IntegerChainComplex,
     cohomology,
     homology,
-    quotient_complex,
     induced_map_on_homology,
 )
 from .cosheaf import LocalCohomologyCosheaf, build_cosheaf, cosheaf_homology, dihomology_check
@@ -52,7 +51,6 @@ from .poset import (
     SimplicialComplex,
     check_cohen_macaulay,
     order_complex,
-    reduced_simplicial_homology,
     subposet,
 )
 from .search import ScanRecord, scan, scan_fvector_space

@@ -201,7 +201,7 @@ def profile_json(p: HomologyProfile) -> list[dict]:
 def _read_document(path: str) -> dict:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

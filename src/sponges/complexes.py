@@ -1,5 +1,5 @@
 """Chain complexes of finitely generated free modules over Z, and their
-homology, cohomology, relative quotients, and induced maps.
+homology, cohomology and induced maps.
 
 A complex stores one boundary matrix per degree (from degree d down to d-1)
 and validates d o d = 0 on construction.  Homology and cohomology are both
@@ -9,10 +9,10 @@ cohomology torsion from those of the outgoing one (the coboundary is the
 transposed boundary, which has the same invariant factors).  That is the
 universal-coefficient theorem; the test suite checks it against an oracle
 that runs Smith forms on the transposed matrices.  Complexes are immutable
-after construction and all operations are pure.  A pair is cut down only by
-`quotient_complex`: relative (co)homology, and with it the local cohomology
-of a sponge, is the (co)homology of the quotient by a boundary-closed
-selection of generators.
+after construction and all operations are pure.  Every simplicial,
+cellular, section and open-interval complex is built by `cell_complex` from
+cells and their signed faces.  A face that is not a cell counts as zero, so
+the complex on the cells outside a subcomplex is the quotient by it.
 
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
@@ -24,7 +24,7 @@ coordinates of cycles are matrix products, not fresh eliminations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .exactalg import IntegerMatrix, integer_kernel_basis, rational_rref, smith_diagonal
 
@@ -34,18 +34,6 @@ RATIONALS = "rationals"
 
 class MalformedComplex(ValueError):
     """The boundary data does not define a chain complex."""
-
-
-class NotASubcomplex(ValueError):
-    """A selected generator has boundary outside the selection."""
-
-    def __init__(self, degree: int, generator: int):
-        self.degree = degree
-        self.generator = generator
-        super().__init__(
-            f"generator {generator} in degree {degree} has boundary support "
-            "outside the selected generators"
-        )
 
 
 class NotAChainMap(ValueError):
@@ -234,37 +222,27 @@ def _check_coefficients(coefficients: str) -> None:
         raise ValueError(f"unknown coefficients {coefficients!r}")
 
 
-def _closure_check(total: IntegerChainComplex, selected: dict[int, set[int]]) -> None:
-    for d in sorted(selected):
-        below = selected.get(d - 1, set())
-        leaving = {j for i, j, _ in total.boundary(d).nonzero_items() if i not in below}
-        for g in sorted(selected[d]):
-            if not 0 <= g < total.rank(d) or g in leaving:
-                raise NotASubcomplex(d, g)
-
-
-def quotient_complex(
-    total: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
+def cell_complex(
+    cells: Mapping[int, Sequence[Hashable]],
+    faces: Callable[[Hashable], Iterable[tuple[Hashable, int]]],
 ) -> IntegerChainComplex:
-    """The quotient of ``total`` by the subcomplex spanned by the selection.
+    """The chain complex on ``cells`` whose boundaries are read from signed faces.
 
-    Its homology is the relative homology of the pair (total, sub).  The
-    selection must be boundary-closed, otherwise NotASubcomplex is raised
-    naming the violating generator.
+    ``cells`` maps each degree to its generators in order, and ``faces(cell)``
+    yields (face, sign) pairs, each face at most once.  The boundary of a cell
+    is the signed sum of those faces that are cells one degree down; every
+    other face is zero, so when the missing faces span a subcomplex the
+    result is the quotient by it.
     """
-    selected = {int(d): set(int(i) for i in idx) for d, idx in sub_generators.items()}
-    _closure_check(total, selected)
-    kept = {
-        d: [i for i in range(total.rank(d)) if i not in selected.get(d, set())]
-        for d in total.degrees()
-    }
-    ranks = {d: len(kept[d]) for d in kept}
+    index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cells.items()}
     boundaries = {}
-    for d in total.degrees():
-        m = total.boundary(d)
-        if d - 1 in kept:
-            boundaries[d] = m.submatrix(kept[d - 1], kept[d])
-    return IntegerChainComplex(ranks, boundaries)
+    for d, cs in cells.items():
+        if d - 1 in index:
+            below = index[d - 1]
+            ent = {(below[f], j): sign for j, c in enumerate(cs) for f, sign in faces(c)
+                   if f in below}
+            boundaries[d] = IntegerMatrix(len(below), len(cs), ent)
+    return IntegerChainComplex({d: len(cs) for d, cs in cells.items()}, boundaries)
 
 
 def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:

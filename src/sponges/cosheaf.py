@@ -2,8 +2,8 @@
 
 For a sponge (a graded poset with a sign convention) the section at a face s
 is its local cohomology `sponge.local_cohomology(z, s)`: the cohomology of
-`sponge.section_complex(z, s)`, the cellular complex modulo everything
-outside the star of s, whose generators are the faces above s.  For s > t
+`sponge.section_complex(z, s)`, the cellular complex on the faces above s
+(the quotient by everything outside the star of s).  For s > t
 the extension by zero of the faces above s into the faces above t is a
 cochain map between the two section complexes; its induced map on
 cohomology is the cosheaf's cover map.
@@ -47,7 +47,7 @@ from .complexes import (
 )
 from .exactalg import IntegerMatrix
 from .poset import check_cohen_macaulay, interval_homology
-from .sponge import SpongeComplex, ensure_valid, section_complex, up_set_generators
+from .sponge import SpongeComplex, ensure_valid, faces_above, section_complex
 
 
 class NotCohenMacaulay(ValueError):
@@ -97,19 +97,19 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     Each section is the cohomology of its `section_complex`; rational bases
     and cover maps live on that complex's cochain complex, where
     cohomological degree p sits at chain degree -p, and are reported at p.
-    The cover maps are induced by the inclusions of `up_set_generators`.
+    The cover maps are induced by the inclusions of the `faces_above` lists.
     """
     ensure_valid(z)
-    generators = {s: up_set_generators(z, s) for s in z.faces.elements()}
+    generators = {s: faces_above(z, s) for s in z.faces.elements()}
     complexes: dict[str, IntegerChainComplex] = {}
     bases: dict[str, RationalHomologyBasis] = {}
     sections: dict[str, HomologyProfile] = {}
     sections_integral: dict[str, HomologyProfile] = {}
     for s in z.faces.elements():
-        quotient = section_complex(z, s)
-        sections_integral[s] = cohomology(quotient)
-        sections[s] = cohomology(quotient, RATIONALS)
-        complexes[s] = cochain_complex(quotient)
+        section = section_complex(z, s)
+        sections_integral[s] = cohomology(section)
+        sections[s] = cohomology(section, RATIONALS)
+        complexes[s] = cochain_complex(section)
         bases[s] = RationalHomologyBasis(complexes[s])
     cover_maps: dict[tuple[str, str], dict[int, list[list[Fraction]]]] = {}
     for upper, lower in z.faces.covers():

@@ -7,10 +7,13 @@ produces an order-convex subset, so the induced cover relation is simply the
 restriction of the original one.
 
 The order complex realizes the poset as a simplicial complex whose simplices
-are the chains, with a deterministic vertex order by (rank, identifier).
-Order-complex homology is asked of open intervals (x, y) of P^, P with a
-bottom 0^ and a top 1^ added; `interval_homology` answers over Z and caches
-the answer on the poset.  The Cohen-Macaulay test walks every chain of P
+are the chains, with a deterministic vertex order by (rank, identifier).  A
+simplicial chain complex is `complexes.cell_complex` on the faces, each
+face's faces being its vertices dropped one at a time.  Order-complex
+homology is asked of open intervals (x, y) of P^, P with a bottom 0^ and a
+top 1^ added; `interval_homology` answers over Z from the interval's chains,
+enumerated once on P with no order complex built, and caches the answer on
+the poset.  The Cohen-Macaulay test walks every chain of P
 depth-first (the empty one included) and checks that its link has vanishing
 reduced homology below the link's own dimension.  The link of x_1 < ... <
 x_k is the join of (0^, x_1), ..., (x_k, 1^), so its homology follows from
@@ -24,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .complexes import (
     HomologyProfile,
     IntegerChainComplex,
     RATIONALS,
     _check_coefficients,
+    cell_complex,
     homology,
 )
 from .exactalg import IntegerMatrix, smith_diagonal
@@ -127,35 +131,26 @@ class GradedPoset:
         if ident not in self.ranks:
             raise UnknownElement(ident)
 
-    def downset(self, ident) -> frozenset:
-        """All t <= ident."""
+    def _closure(self, ident, covers: dict, cache: dict) -> frozenset:
+        """Everything reached from ident through ``covers``, cached in ``cache``."""
         self._require(ident)
-        if ident not in self._downsets:
-            seen = {ident}
-            stack = [ident]
+        if ident not in cache:
+            seen, stack = {ident}, [ident]
             while stack:
-                cur = stack.pop()
-                for nxt in self._lower[cur]:
+                for nxt in covers[stack.pop()]:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-            self._downsets[ident] = frozenset(seen)
-        return self._downsets[ident]
+            cache[ident] = frozenset(seen)
+        return cache[ident]
+
+    def downset(self, ident) -> frozenset:
+        """All t <= ident."""
+        return self._closure(ident, self._lower, self._downsets)
 
     def upset(self, ident) -> frozenset:
         """All t >= ident."""
-        self._require(ident)
-        if ident not in self._upsets:
-            seen = {ident}
-            stack = [ident]
-            while stack:
-                cur = stack.pop()
-                for nxt in self._upper[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            self._upsets[ident] = frozenset(seen)
-        return self._upsets[ident]
+        return self._closure(ident, self._upper, self._upsets)
 
     def restrict(self, keep: Iterable) -> "GradedPoset":
         """Induced poset on an order-convex subset; ranks are preserved."""
@@ -197,6 +192,11 @@ def subposet(p: GradedPoset, selector: str, s=None, t=None) -> GradedPoset:
     else:
         raise ValueError(f"unknown selector {selector!r}")
     return p.restrict(keep)
+
+
+def _drop_one(cell: tuple) -> Iterator[tuple[tuple, int]]:
+    """The faces of a simplex or chain: vertex k dropped, with sign (-1)^k."""
+    return ((cell[:k] + cell[k + 1:], -1 if k & 1 else 1) for k in range(len(cell)))
 
 
 def _maximal(faces: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -249,9 +249,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def is_empty(self) -> bool:
-        return not self.facets
-
     def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         """All faces (as index tuples), keyed by dimension, sorted."""
         if self._faces is None:
@@ -261,12 +258,6 @@ class SimplicialComplex:
                     found.setdefault(k - 1, set()).update(combinations(f, k))
             self._faces = {d: sorted(fs) for d, fs in sorted(found.items())}
         return self._faces
-
-    def all_faces(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        for d in sorted(self.faces_by_dim()):
-            out.extend(self.faces_by_dim()[d])
-        return out
 
     def face_vertices(self, face: tuple[int, ...]) -> tuple:
         return tuple(self.vertices[i] for i in face)
@@ -287,28 +278,13 @@ class SimplicialComplex:
     def chain_complex(self, augmented: bool = False) -> IntegerChainComplex:
         """Oriented simplicial chain complex (lexicographic orientation).
 
-        With ``augmented`` an extra rank-one group in degree -1 receives every
-        vertex with coefficient 1, so homology is reduced homology.
+        With ``augmented`` the empty simplex is a generator in degree -1, so
+        homology is reduced homology.
         """
-        faces = self.faces_by_dim()
-        ranks = {d: len(fs) for d, fs in faces.items()}
-        index = {
-            d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()
-        }
-        boundaries: dict[int, IntegerMatrix] = {}
-        for d in sorted(faces):
-            if d == 0:
-                continue
-            ent = {}
-            for j, f in enumerate(faces[d]):
-                for k in range(len(f)):
-                    ent[index[d - 1][f[:k] + f[k + 1:]], j] = (-1) ** k
-            boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
+        cells = dict(self.faces_by_dim())
         if augmented:
-            ranks[-1] = 1
-            if 0 in faces:
-                boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
-        return IntegerChainComplex(ranks, boundaries)
+            cells[-1] = [()]
+        return cell_complex(cells, _drop_one)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim().items())
@@ -344,17 +320,6 @@ def order_complex(p: GradedPoset) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
-def reduced_simplicial_homology(
-    k: SimplicialComplex, coefficients: str = "integers"
-) -> HomologyProfile:
-    """Reduced homology via the augmented chain complex.
-
-    The empty complex has reduced homology Z in degree -1 (its augmentation
-    survives), matching the convention that it is a (-1)-sphere.
-    """
-    return homology(k.chain_complex(augmented=True), coefficients)
-
-
 @dataclass(frozen=True)
 class CMWitness:
     """One failure of the Cohen-Macaulay condition."""
@@ -382,7 +347,8 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
     is the (-1)-sphere.  An interval with a unique minimal or a unique
     maximal element is a cone, so its reduced homology vanishes; every other
-    interval is eliminated.  The result is cached on ``p``.
+    interval's chains are enumerated once and eliminated as the augmented
+    chain complex of its order complex.  The result is cached on ``p``.
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]
@@ -402,9 +368,27 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
         if minimal == 1 or maximal == 1:
             result = HomologyProfile({}), dim
         else:
-            result = reduced_simplicial_homology(order_complex(p.restrict(inside))), dim
+            result = homology(cell_complex(_chains(p, inside), _drop_one)), dim
     p._intervals[x, y] = result
     return result
+
+
+def _chains(p: GradedPoset, inside: set) -> dict[int, list[tuple[int, ...]]]:
+    """The chains of ``inside`` by dimension, the empty one included.
+
+    A chain is the increasing tuple of its positions in the (rank, id) order.
+    Grown depth-first, each dimension's chains come out lexicographically.
+    """
+    order = sorted(inside, key=p.sort_key)
+    pos = {e: i for i, e in enumerate(order)}
+    above = [sorted(pos[u] for u in p.upset(e) if u in pos and u != e) for e in order]
+    cells: dict[int, list[tuple[int, ...]]] = {-1: [()]}
+    stack = [(i,) for i in reversed(range(len(order)))]
+    while stack:
+        chain = stack.pop()
+        cells.setdefault(len(chain) - 1, []).append(chain)
+        stack.extend(chain + (j,) for j in reversed(above[chain[-1]]))
+    return cells
 
 
 def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:

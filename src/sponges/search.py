@@ -32,7 +32,7 @@ from .enumerative import (
     b_from_euler,
     hvector_of,
 )
-from .sponge import SpongeComplex, check_acyclic, check_local_model, validate_sponge
+from .sponge import InvalidSponge, SpongeComplex, check_acyclic, check_local_model, ensure_valid
 
 
 class CorruptCheckpoint(ValueError):
@@ -189,8 +189,7 @@ def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanReco
     """One sponge -> one record; failures land in the record, never raise."""
     ident = identifier or z.name or "unnamed"
     try:
-        if not validate_sponge(z).is_valid:
-            return ScanRecord(identifier=ident, n=z.n, error="invalid sponge")
+        ensure_valid(z)  # reads the verdict cached on the sponge
         local = check_local_model(z).passed
         report = check_acyclic(z)
         if not report.is_acyclic:
@@ -205,6 +204,8 @@ def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanReco
             symmetric=hv.symmetric, nonnegative=hv.nonnegative,
             acyclic=True, local_model=local,
         )
+    except InvalidSponge:
+        return ScanRecord(identifier=ident, n=z.n, error="invalid sponge")
     except Exception as err:  # per-item errors must never abort a scan
         return ScanRecord(identifier=ident, n=z.n, error=f"{type(err).__name__}: {err}")
 

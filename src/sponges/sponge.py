@@ -6,20 +6,23 @@ are validated: every rank-2 interval is a diamond (exactly two intermediate
 faces), every diamond satisfies the sign relation
 [F:G1][G1:F'] + [F:G2][G2:F'] = 0, and every face has a vertex below it.
 
-Cellular (co)homology is read straight off the incidence numbers.  Each
-sponge keeps one cellular complex per ``augmented`` flag, so every homology
-question on it reads one complex and that complex's cached Smith diagonals.
-Local cohomology at a face F is the cohomology of `section_complex(z, F)`,
-the cellular complex modulo the subcomplex of faces not above F; the cosheaf
-takes its sections from the same complex.  For compact face-acyclic sponges
-this agrees with the order-complex pair computation, which the test suite
-keeps as an independent oracle.  The two genuinely differ on the non-compact
-local models, whose faces are cones; such sponges carry the ``non_compact``
-flag and keep only the local-cohomology / poset / Cohen-Macaulay machinery
-enabled.  Order-complex homology, of (0^, F) for face acyclicity and of
-(0^, 1^) for the realization cross-check, is `poset.interval_homology`,
-cached on the face poset, so the checks eliminate each interval at most once
-per sponge.
+Cellular (co)homology is read straight off the incidence numbers: a cellular
+complex is `complexes.cell_complex` on the faces, each face's faces being
+its lower covers with their incidences.  Each sponge keeps one cellular
+complex per ``augmented`` flag, so every homology question on it reads one
+complex and that complex's cached Smith diagonals.  Local cohomology at a
+face F is the cohomology of `section_complex(z, F)`, the complex on the
+faces above F alone: the faces not above F span a subcomplex, so leaving
+them out is the quotient by it, and no whole cellular complex is built.  The
+cosheaf takes its sections from the same complex.  For compact face-acyclic
+sponges this agrees with the order-complex pair computation, which the test
+suite keeps as an independent oracle.  The two genuinely differ on the
+non-compact local models, whose faces are cones; such sponges carry the
+``non_compact`` flag and keep only the local-cohomology / poset /
+Cohen-Macaulay machinery enabled.  Order-complex homology, of (0^, F) for
+face acyclicity and of (0^, 1^) for the realization cross-check, is
+`poset.interval_homology`, cached on the face poset, so the checks eliminate
+each interval at most once per sponge.
 
 Face identifiers are opaque strings, and the canonical generator order is
 (dimension, identifier) everywhere, so every matrix in this module is
@@ -34,10 +37,9 @@ from .complexes import (
     HomologyProfile,
     IntegerChainComplex,
     MalformedComplex,
+    cell_complex,
     cohomology,
-    quotient_complex,
 )
-from .exactalg import IntegerMatrix
 from .poset import GradedPoset, UnknownElement, interval_homology
 
 
@@ -203,40 +205,35 @@ def ensure_valid(z: SpongeComplex) -> None:
         raise InvalidSponge(z._validation)
 
 
+def _signed_faces(z: SpongeComplex, face: str) -> list[tuple[str | None, int]]:
+    """The lower covers of a face with their incidences; a vertex has the face None."""
+    if not z.faces.ranks[face]:
+        return [(None, 1)]
+    return [(g, z.incidence[face, g]) for g in z.faces.lower_covers(face)]
+
+
 def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainComplex:
     """The cellular chain complex: one generator per face, incidence boundary.
 
-    With ``augmented`` a rank-one group in degree -1 receives every vertex
-    with coefficient 1; this requires the edge incidences to be balanced
-    (each 1-face's vertex incidences sum to zero), and an unbalanced edge
-    raises `MalformedComplex` naming it.  The complex is cached on the
+    With ``augmented`` a rank-one group in degree -1, the cell None, receives
+    every vertex with coefficient 1; this requires the edge incidences to be
+    balanced (each 1-face's vertex incidences sum to zero), and an unbalanced
+    edge raises `MalformedComplex` naming it.  The complex is cached on the
     sponge per flag; an unbalanced edge is never cached, so it raises again.
     """
     ensure_valid(z)
     if augmented in z._cellular:
         return z._cellular[augmented]
-    ranks = {d: len(z.faces_of_dim(d)) for d in range(z.n - 1)}
-    index = {
-        d: {f: i for i, f in enumerate(z.faces_of_dim(d))} for d in range(z.n - 1)
-    }
-    boundaries: dict[int, IntegerMatrix] = {}
-    for d in range(1, z.n - 1):
-        ent = {
-            (index[d - 1][g], index[d][f]): z.incidence[(f, g)]
-            for f in z.faces_of_dim(d)
-            for g in z.faces.lower_covers(f)
-        }
-        boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
+    cells: dict[int, list] = {d: z.faces_of_dim(d) for d in range(z.n - 1)}
     if augmented:
-        for e in index.get(1, ()):
+        for e in cells.get(1, ()):
             k = sum(z.incidence[(e, g)] for g in z.faces.lower_covers(e))
             if k:
                 raise MalformedComplex(
                     f"edge {e!r} is unbalanced: its vertex incidences sum to {k}, not 0"
                 )
-        ranks[-1] = 1
-        boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
-    z._cellular[augmented] = IntegerChainComplex(ranks, boundaries)
+        cells[-1] = [None]
+    z._cellular[augmented] = cell_complex(cells, lambda f: _signed_faces(z, f))
     return z._cellular[augmented]
 
 
@@ -302,25 +299,22 @@ def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
     )
 
 
-def up_set_generators(z: SpongeComplex, face: str) -> dict[int, list[int]]:
-    """Per dimension, the positions of the faces above ``face`` in canonical order."""
+def faces_above(z: SpongeComplex, face: str) -> dict[int, list[str]]:
+    """Per dimension, the faces above ``face`` in canonical order."""
     up = z.faces.upset(face)
-    return {d: [i for i, f in enumerate(z.faces_of_dim(d)) if f in up] for d in range(z.n - 1)}
+    return {d: [f for f in z.faces_of_dim(d) if f in up] for d in range(z.n - 1)}
 
 
 def section_complex(z: SpongeComplex, face: str) -> IntegerChainComplex:
-    """The cellular complex modulo the subcomplex of faces not above F.
+    """The cellular complex on the faces above F.
 
-    The faces not above F are closed under the boundary, and the quotient
-    keeps the faces above F in the positions of `up_set_generators`.
+    The faces not above F span a subcomplex, and the cellular boundary with
+    them left out is the quotient of the cellular complex by it.
     """
     ensure_valid(z)
     if face not in z.faces.ranks:
         raise UnknownElement(face)
-    total = cellular_complex(z, augmented=False)
-    kept = up_set_generators(z, face)
-    outside = {d: sorted(set(range(total.rank(d))) - set(kept[d])) for d in kept}
-    return quotient_complex(total, outside)
+    return cell_complex(faces_above(z, face), lambda f: _signed_faces(z, f))
 
 
 def local_cohomology(

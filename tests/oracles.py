@@ -13,12 +13,16 @@ cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
 instead of a scaled integral chain complex and Smith diagonals, and face
 acyclicity, the realization cross-check and the dihomology check through
 order complexes built and eliminated afresh instead of the open-interval
-homology cached on the face poset, local cohomology through the
-order-complex pair instead of the cellular quotient, and the cosheaf's
-section complexes as cochain subcomplexes selected from the full cochain
-complex instead of the cochain complex of `section_complex`, and the
-maximal code of a labelled graph through all n! relabellings instead of
-the pruned canonicity search.
+homology cached on the face poset, simplicial boundaries assembled matrix
+by matrix instead of through `cell_complex`, the homology of an open
+interval through the order complex of the restricted interval (cones
+included) instead of its chains, section complexes as quotients of the
+whole cellular complex instead of complexes on the faces above F, local
+cohomology through the order-complex pair instead of the section complex,
+and the cosheaf's section complexes as cochain subcomplexes selected from
+the full cochain complex instead of the cochain complex of
+`section_complex`, and the maximal code of a labelled graph through all n!
+relabellings instead of the pruned canonicity search.
 """
 
 from fractions import Fraction
@@ -28,10 +32,9 @@ from typing import Iterable, Mapping
 from sponges.complexes import (
     HomologyProfile,
     IntegerChainComplex,
-    _closure_check,
     cochain_complex,
     cohomology,
-    quotient_complex,
+    homology,
 )
 from sponges.cosheaf import (
     DihomologyReport,
@@ -40,14 +43,15 @@ from sponges.cosheaf import (
     build_cosheaf,
     cosheaf_homology,
 )
-from sponges.exactalg import rational_rref, smith_diagonal
+from sponges.exactalg import IntegerMatrix, rational_rref, smith_diagonal
 from sponges.poset import (
     CMReport,
     CMWitness,
+    GradedPoset,
+    SimplicialComplex,
     UnknownElement,
     check_cohen_macaulay,
     order_complex,
-    reduced_simplicial_homology,
     subposet,
 )
 from sponges.sponge import (
@@ -61,6 +65,109 @@ from sponges.sponge import (
     cellular_complex,
     ensure_valid,
 )
+
+
+class NotASubcomplex(ValueError):
+    """A selected generator has boundary outside the selection."""
+
+    def __init__(self, degree: int, generator: int):
+        self.degree = degree
+        self.generator = generator
+        super().__init__(
+            f"generator {generator} in degree {degree} has boundary support "
+            "outside the selected generators"
+        )
+
+
+def _closure_check(total: IntegerChainComplex, selected: dict[int, set[int]]) -> None:
+    for d in sorted(selected):
+        below = selected.get(d - 1, set())
+        leaving = {j for i, j, _ in total.boundary(d).nonzero_items() if i not in below}
+        for g in sorted(selected[d]):
+            if not 0 <= g < total.rank(d) or g in leaving:
+                raise NotASubcomplex(d, g)
+
+
+def quotient_complex(
+    total: IntegerChainComplex, sub_generators: Mapping[int, Iterable[int]]
+) -> IntegerChainComplex:
+    """The quotient of ``total`` by the subcomplex spanned by the selection.
+
+    Its homology is the relative homology of the pair (total, sub).  The
+    selection must be boundary-closed, otherwise NotASubcomplex is raised
+    naming the violating generator.
+    """
+    selected = {int(d): set(int(i) for i in idx) for d, idx in sub_generators.items()}
+    _closure_check(total, selected)
+    kept = {
+        d: [i for i in range(total.rank(d)) if i not in selected.get(d, set())]
+        for d in total.degrees()
+    }
+    ranks = {d: len(kept[d]) for d in kept}
+    boundaries = {}
+    for d in total.degrees():
+        m = total.boundary(d)
+        if d - 1 in kept:
+            boundaries[d] = m.submatrix(kept[d - 1], kept[d])
+    return IntegerChainComplex(ranks, boundaries)
+
+
+def simplicial_chain_complex(k: SimplicialComplex, augmented: bool = False) -> IntegerChainComplex:
+    """The oriented simplicial chain complex, one boundary matrix at a time.
+
+    Dropping vertex i of a face gives sign (-1)^i; ``augmented`` adds a
+    rank-one group in degree -1 receiving every vertex with coefficient 1.
+    """
+    faces = k.faces_by_dim()
+    ranks = {d: len(fs) for d, fs in faces.items()}
+    boundaries = {}
+    for d in sorted(faces):
+        if d == 0:
+            continue
+        index = {f: i for i, f in enumerate(faces[d - 1])}
+        ent = {(index[f[:i] + f[i + 1:]], j): (-1) ** i
+               for j, f in enumerate(faces[d]) for i in range(len(f))}
+        boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d], ent)
+    if augmented:
+        ranks[-1] = 1
+        if 0 in faces:
+            boundaries[0] = IntegerMatrix(1, ranks[0], {(0, j): 1 for j in range(ranks[0])})
+    return IntegerChainComplex(ranks, boundaries)
+
+
+def reduced_simplicial_homology(
+    k: SimplicialComplex, coefficients: str = "integers"
+) -> HomologyProfile:
+    """Reduced homology via the augmented chain complex.
+
+    The empty complex has reduced homology Z in degree -1 (its augmentation
+    survives), matching the convention that it is a (-1)-sphere.
+    """
+    return homology(k.chain_complex(augmented=True), coefficients)
+
+
+def all_faces(k: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Every nonempty face of k, by dimension and then lexicographically."""
+    return [f for d in sorted(k.faces_by_dim()) for f in k.faces_by_dim()[d]]
+
+
+def is_empty(k: SimplicialComplex) -> bool:
+    return not k.facets
+
+
+def interval_homology_via_order_complex(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
+    """Reduced homology and dimension of (x, y) in P^ from its order complex.
+
+    ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The interval is
+    restricted to a poset of its own, its order complex is built from the
+    maximal chains, its boundaries are assembled matrix by matrix, and cones
+    are eliminated like every other interval.
+    """
+    inside = set(p.ranks) if x is None else set(p.upset(x))
+    if y is not None:
+        inside &= p.downset(y)
+    k = order_complex(p.restrict(inside - {x, y}))
+    return homology(simplicial_chain_complex(k, augmented=True)), k.dimension
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
@@ -195,11 +302,9 @@ def series_quotient(numerator: list[int], denominator: list[int], up_to: int) ->
         for j in range(1, min(k, len(denominator) - 1) + 1):
             acc -= denominator[j] * out[k - j]
         out.append(acc / lead)
-    result = []
-    for c in out:
-        assert c.denominator == 1
-        result.append(int(c))
-    return result
+    if any(c.denominator != 1 for c in out):
+        raise ValueError("the series has non-integral coefficients")
+    return [int(c) for c in out]
 
 
 def poly_multiply(a: list[int], b: list[int]) -> list[int]:
@@ -247,9 +352,9 @@ def cohen_macaulay_via_links(p, coefficients: str = "integers") -> CMReport:
     """
     complex_ = order_complex(p)
     witnesses: list[CMWitness] = []
-    for face in [()] + complex_.all_faces():
+    for face in [()] + all_faces(complex_):
         link = complex_.link(face)
-        dim = link.dimension if not link.is_empty() else -1
+        dim = link.dimension if not is_empty(link) else -1
         if dim <= -1:
             continue
         h = reduced_simplicial_homology(link, coefficients)
@@ -372,7 +477,7 @@ def realization_cross_check_via_order_complex(z) -> RealizationReport:
             f"{[f for f, _ in report.lower_interval_failures]}"
         )
     cellular = cohomology(cellular_complex(z, augmented=True))
-    simplicial = cohomology(order_complex(z.faces).chain_complex(augmented=True))
+    simplicial = cohomology(simplicial_chain_complex(order_complex(z.faces), augmented=True))
     degrees = sorted(set(cellular.degrees()) | set(simplicial.degrees()) | set(range(z.n - 1)))
     for d in degrees:
         left = (cellular.free_rank(d), cellular.torsion(d))
@@ -407,7 +512,7 @@ def dihomology_check_via_order_complex(z) -> DihomologyReport:
                 torsion.append((s, d, t))
     lhs_profile = cosheaf_homology(cosheaf, top)
     lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
-    oc = cohomology(order_complex(z.faces).chain_complex(augmented=False))
+    oc = cohomology(simplicial_chain_complex(order_complex(z.faces)))
     rhs = tuple(oc.free_rank(top - r) for r in range(top + 1))
     report = DihomologyReport(
         n=z.n,
@@ -447,6 +552,14 @@ def _section_selector(z: SpongeComplex, s: str) -> dict[int, list[int]]:
     return sel
 
 
+def section_complex_via_quotient(z: SpongeComplex, face: str) -> IntegerChainComplex:
+    """The section complex at F as the cellular complex modulo the faces not above F."""
+    up = z.faces.upset(face)
+    outside = {d: [i for i, f in enumerate(z.faces_of_dim(d)) if f not in up]
+               for d in range(z.n - 1)}
+    return quotient_complex(cellular_complex(z), outside)
+
+
 def section_cochain_subcomplex(z: SpongeComplex, s: str) -> IntegerChainComplex:
     """The cosheaf's section complex at s, selected from the full cochain complex."""
     cochain = cochain_complex(cellular_complex(z, augmented=False))
@@ -467,7 +580,7 @@ def local_cohomology_via_order_complex(
         raise UnknownElement(face)
     up = z.faces.upset(face)
     k = order_complex(z.faces)
-    total = k.chain_complex(augmented=False)
+    total = simplicial_chain_complex(k)
     faces_by_dim = k.faces_by_dim()
     sub = {
         d: [

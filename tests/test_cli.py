@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 from sponges.cli import (
     EXIT_CHECK_FAILED,
@@ -108,6 +109,26 @@ def test_non_utf8_document_exit_2(tmp_path):
         code, out, err = run(argv)
         assert code == EXIT_INPUT_ERROR, argv
         assert "utf-8" in json.loads(out)["error"] and err.startswith("error:"), argv
+
+
+def test_stdin_document_is_strict_utf8(tmp_path, monkeypatch):
+    """A document on stdin reads like the same bytes by path: valid UTF-8 gives
+    the same report, and a raw 0xff byte in a face id exits 2."""
+    doc = {"format_version": 1, "n": 2, "faces": [{"id": "v~", "dim": 0}], "covers": []}
+    good = json.dumps(doc).encode()
+    bad = good.replace(b"~", b"\xff")
+    path = tmp_path / "doc.json"
+
+    def both(data):
+        path.write_bytes(data)
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return run(["validate", "-"]), run(["validate", str(path)])
+
+    piped, by_path = both(good)
+    assert piped == by_path and piped[0] == EXIT_PASS
+    for code, out, err in both(bad):
+        assert code == EXIT_INPUT_ERROR and "utf-8" in json.loads(out)["error"], out
 
 
 def test_unknown_builtin_exit_2():

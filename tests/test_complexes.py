@@ -8,18 +8,22 @@ from sponges.complexes import (
     IntegerChainComplex,
     MalformedComplex,
     NotAChainMap,
-    NotASubcomplex,
     RationalHomologyBasis,
     cochain_complex,
     cohomology,
     homology,
     induced_map_on_homology,
     profile,
-    quotient_complex,
 )
 from sponges.exactalg import IntegerMatrix
 
-from oracles import cohomology_via_transpose, rational_betti_numbers, subcomplex
+from oracles import (
+    NotASubcomplex,
+    cohomology_via_transpose,
+    quotient_complex,
+    rational_betti_numbers,
+    subcomplex,
+)
 
 
 def mat(rows, cols=None):

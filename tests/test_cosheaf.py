@@ -24,7 +24,11 @@ from sponges.generators import (
 from sponges.poset import GradedPoset, order_complex
 from sponges.sponge import SpongeComplex, local_cohomology, section_complex
 
-from oracles import cosheaf_homology_dense, section_cochain_subcomplex
+from oracles import (
+    cosheaf_homology_dense,
+    section_cochain_subcomplex,
+    section_complex_via_quotient,
+)
 
 
 def two_disjoint_chains_sponge():
@@ -108,16 +112,18 @@ def doubled_edge_sponge():
 
 
 def test_sections_are_local_cohomology_of_the_section_complex():
-    """The cochain complex of each section quotient is the cochain subcomplex
-    on the faces above s, and the cosheaf's sections are local cohomology."""
+    """Each section complex is the cellular complex modulo the faces not above
+    s, its cochain complex is the cochain subcomplex on the faces above s, and
+    the cosheaf's sections are local cohomology."""
     torsion = build_cosheaf(doubled_edge_sponge())
     assert torsion.sections_integral["v"] == profile({1: (0, (2,))})
     assert torsion.sections["v"].is_trivial()
     for z in [*cosheaf_corpus(), doubled_edge_sponge()]:
         c = build_cosheaf(z)
         for s in z.faces.elements():
-            quotient = section_complex(z, s)
-            assert cochain_complex(quotient) == section_cochain_subcomplex(z, s), (z.name, s)
+            section = section_complex(z, s)
+            assert section == section_complex_via_quotient(z, s), (z.name, s)
+            assert cochain_complex(section) == section_cochain_subcomplex(z, s), (z.name, s)
             assert c.sections_integral[s] == local_cohomology(z, s), (z.name, s)
             assert c.sections[s] == local_cohomology(z, s, "rationals"), (z.name, s)
 

@@ -22,10 +22,10 @@ from sponges.generators import (
     hypercube_lattice,
     simplex_lattice,
 )
-from sponges.poset import check_cohen_macaulay, reduced_simplicial_homology
+from sponges.poset import check_cohen_macaulay
 from sponges.sponge import check_acyclic, check_local_model, validate_sponge
 
-from oracles import max_code_brute_force
+from oracles import max_code_brute_force, reduced_simplicial_homology
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,25 @@ def test_scan_per_item_errors_do_not_abort():
     assert summary.total == 2
     assert summary.errors == 1
     assert summary.acyclic_count == 1
+    assert classify_sponge(bad) == ScanRecord(identifier="bad", n=3, error="invalid sponge")
+
+
+def test_scan_validates_each_sponge_once(monkeypatch):
+    """The verdict cached by `graph_sponge` is the one the scan reads."""
+    from sponges import generators, sponge
+
+    calls = []
+    validate_sponge = sponge.validate_sponge
+
+    def counted(z):
+        calls.append(z.name)
+        return validate_sponge(z)
+
+    for module in (sponge, search, generators):
+        if hasattr(module, "validate_sponge"):
+            monkeypatch.setattr(module, "validate_sponge", counted)
+    summary = scan(gen_trivalent_sponges(10))
+    assert summary.total == len(calls) == len(set(calls)) == 27
 
 
 def test_scan_order_independent():

@@ -1,7 +1,7 @@
 import pytest
 
 from sponges import complexes, sponge
-from sponges.complexes import IntegerChainComplex, MalformedComplex, cohomology, homology, profile
+from sponges.complexes import MalformedComplex, cohomology, homology, profile
 from sponges.generators import (
     builtin,
     gen_model_sponge,
@@ -132,20 +132,21 @@ def test_unbalanced_augmented_complex_is_never_cached():
     assert cellular_complex(z) is cellular_complex(z)
 
 
-def _count_cellular_builds(monkeypatch):
+def _count_cell_complexes(monkeypatch):
+    """The cells of every complex the sponge module builds, per degree."""
     builds = []
+    cell_complex = sponge.cell_complex
 
-    class Counted(IntegerChainComplex):
-        def __init__(self, ranks, boundaries):
-            builds.append(min(ranks, default=0))  # -1 when augmented
-            super().__init__(ranks, boundaries)
+    def counted(cells, faces):
+        builds.append({d: list(cs) for d, cs in cells.items()})
+        return cell_complex(cells, faces)
 
-    monkeypatch.setattr(sponge, "IntegerChainComplex", Counted)
+    monkeypatch.setattr(sponge, "cell_complex", counted)
     return builds
 
 
 def test_realization_cross_check_reduces_each_cellular_boundary_once(monkeypatch):
-    builds = _count_cellular_builds(monkeypatch)
+    builds = _count_cell_complexes(monkeypatch)
     reduced = []
     smith = complexes.smith_diagonal
 
@@ -156,18 +157,24 @@ def test_realization_cross_check_reduces_each_cellular_boundary_once(monkeypatch
     monkeypatch.setattr(complexes, "smith_diagonal", recording)
     z = octahedron_sponge()
     realization_cross_check(z)
-    assert builds == [-1]  # one augmented build, shared with check_acyclic
+    assert [min(cells) for cells in builds] == [-1]  # one augmented build, shared with check_acyclic
     c = cellular_complex(z, augmented=True)
     for d in (0, 1, 2):
         assert sum(m is c.boundary(d) for m in reduced) == 1, d
 
 
-def test_local_cohomology_over_every_face_builds_one_cellular_complex(monkeypatch):
-    builds = _count_cellular_builds(monkeypatch)
+def test_local_cohomology_builds_one_section_complex_per_face(monkeypatch):
+    builds = _count_cell_complexes(monkeypatch)
+    wholes = []
+    monkeypatch.setattr(sponge, "cellular_complex", lambda *args: wholes.append(args))
     z = gen_model_sponge(6)
     for f in z.faces.elements():
         local_cohomology(z, f)
-    assert builds == [0]
+    # each section complex holds exactly the faces above its face, and no
+    # cellular complex of the whole sponge is built for them
+    above = [{d: [g for g in z.faces_of_dim(d) if g in z.faces.upset(f)] for d in range(z.n - 1)}
+             for f in z.faces.elements()]
+    assert builds == above and not wholes and not z._cellular
 
 
 # ---------------------------------------------------------------------------
