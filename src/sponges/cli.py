@@ -455,6 +455,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
             bounds = bounds * (args.n - 1)
         if args.n < 2 or len(bounds) != args.n - 1:
             raise InputError(f"--fspace needs n >= 2 and one or n-1 bounds, got n={args.n}")
+        if min(bounds) < 0:
+            raise InputError(f"--fspace needs nonnegative bounds, got {bounds}")
         summary = scan_fvector_space(args.n, bounds, checkpoint_path=args.checkpoint)
         parameters = {"mode": "fspace", "n": args.n, "bounds": list(bounds)}
     else:

@@ -17,8 +17,9 @@ the complex on the cells outside a subcomplex is the quotient by it.
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
 leftmost-independent selection), so matrices of induced maps are reproducible.
-Each basis keeps the solve operator of that one elimination per degree, so
-coordinates of cycles are matrix products, not fresh eliminations.
+Each basis keeps the sparse columns of one forward reduction per degree,
+with their coordinates, so the coordinates of a cycle come from reducing it
+against them, not from a fresh elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .exactalg import IntegerMatrix, integer_kernel_basis, rational_rref, smith_diagonal
+from .exactalg import IntegerMatrix, integer_kernel_basis, smith_diagonal
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -270,28 +271,35 @@ class RationalHomologyBasis:
 
     Per degree: representatives are integer cycle vectors (from the kernel
     lattice of the boundary) extending a column basis of the boundaries from
-    above.  One Gauss-Jordan elimination of [boundary and kernel columns |
-    identity] picks them and yields E with E * columns reduced.  The rows of
-    E at the representatives' pivots give coordinates in the homology basis
-    modulo boundaries; the rows past the rank vanish exactly on the cycles.
+    above.  The boundary columns, then the kernel columns, are reduced in
+    order against the sparse columns kept so far (`_reduce`).  One that does
+    not vanish is kept with its coordinates modulo boundaries: none for a
+    boundary, while a kept kernel column is the next representative.
     """
 
     def __init__(self, c: IntegerChainComplex):
         self.complex = c
         self._reps: dict[int, list[tuple[int, ...]]] = {}
-        self._solve: dict[int, list[list[Fraction]]] = {}  # E's coordinate rows, then test rows
+        # degree -> pivot row -> (column, coordinates), scaled to pivot entry 1
+        self._kept: dict[int, dict[int, tuple[dict, dict]]] = {}
         for d in c.degrees():
-            n = c.rank(d)
-            kernel = integer_kernel_basis(c.boundary(d))
-            boundary_cols = [tuple(col) for col in c.boundary(d + 1).transpose().to_rows()]
-            all_cols = boundary_cols + kernel
-            rows = [[col[i] for col in all_cols] + [int(i == j) for j in range(n)]
-                    for i in range(n)]
-            reduced, pivots = rational_rref(rows)
-            chosen = [k for k in pivots if k < len(all_cols)]
-            first_rep = sum(1 for k in chosen if k < len(boundary_cols))
-            self._reps[d] = [all_cols[k] for k in chosen[first_rep:]]
-            self._solve[d] = [row[len(all_cols):] for row in reduced[first_rep:]]
+            reps, kept = self._reps.setdefault(d, []), self._kept.setdefault(d, {})
+            columns: dict[int, dict] = {}
+            for j, i, v in c.boundary(d + 1).transpose().nonzero_items():
+                columns.setdefault(j, {})[i] = v
+            pending = [(column, None) for column in columns.values()]
+            pending += [({i: x for i, x in enumerate(k) if x}, k)
+                        for k in integer_kernel_basis(c.boundary(d))]
+            for column, rep in pending:
+                coords = {} if rep is None else {len(reps): 1}
+                _reduce(kept, column, coords)
+                if column:
+                    if rep is not None:
+                        reps.append(rep)
+                    pivot = max(column)
+                    scale = Fraction(column[pivot])
+                    kept[pivot] = ({i: x / scale for i, x in column.items()},
+                                   {k: x / scale for k, x in coords.items()})
 
     def betti(self, degree: int) -> int:
         return len(self._reps.get(degree, []))
@@ -304,22 +312,35 @@ class RationalHomologyBasis:
     ) -> list[list[Fraction]]:
         """Coordinates of each cycle in the homology basis (mod boundaries).
 
-        Each vector is multiplied by the kept rows of E: the first betti
-        products are its coordinates, unique since the basis columns are
-        independent, and the rest must vanish for it to be a cycle.
+        A cycle reduces to zero against the kept columns, and the coordinates
+        subtracted alongside are minus its own, unique since the basis is
+        independent.  A vector that leaves a remainder is no cycle.
         """
         n = self.complex.rank(degree)
         if any(len(v) != n for v in vectors):
             raise ValueError(f"vectors in degree {degree} must have length {n}")
-        rows, betti = self._solve.get(degree, []), self.betti(degree)
-        out = []
+        kept, betti, out = self._kept.get(degree, {}), self.betti(degree), []
         for v in vectors:
-            support = [(i, x) for i, x in enumerate(v) if x]
-            image = [sum((row[i] * x for i, x in support), Fraction(0)) for row in rows]
-            if any(image[betti:]):
+            column, coords = {i: x for i, x in enumerate(v) if x}, {}
+            _reduce(kept, column, coords)
+            if column:
                 raise ValueError("vector is not a cycle modulo boundaries")
-            out.append(image[:betti])
+            out.append([-coords.get(k, Fraction(0)) for k in range(betti)])
         return out
+
+
+def _reduce(kept: Mapping[int, tuple[dict, dict]], column: dict, coords: dict) -> None:
+    """Subtract kept columns from ``column`` ({row: nonzero value}), and their
+    coordinates from ``coords``, in place until its last row is no pivot."""
+    while column and (pivot := max(column)) in kept:
+        f = column[pivot]
+        kept_column, kept_coords = kept[pivot]
+        for i, x in kept_column.items():
+            column[i] = column.get(i, 0) - f * x
+            if not column[i]:
+                del column[i]
+        for k, x in kept_coords.items():
+            coords[k] = coords.get(k, 0) - f * x
 
 
 def _is_chain_map(

@@ -19,17 +19,15 @@ equal to it is the pivot.  So the pivots are exactly those of a full scan,
 found with heap operations and a scan of one row instead of every nonzero.
 The unimodular transforms are only computed when a caller actually needs
 them (`smith_normal_form`); rank and torsion queries go through the cheaper
-`smith_diagonal`.  Linear algebra over Q (independent columns, and a solve
-operator from eliminating them beside an identity block) goes through the one
-Gauss-Jordan routine `rational_rref`; ranks of rational matrices come from
-Smith diagonals once their denominators are cleared.
+`smith_diagonal`.  Ranks of rational matrices come from Smith diagonals once
+their denominators are cleared; the one solver over Q, for coordinates in a
+homology basis, reduces sparse columns in `complexes`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Mapping, Sequence
 
@@ -38,10 +36,10 @@ class IntegerMatrix:
     """An immutable integer matrix that stores only its nonzero entries.
 
     ``entries`` maps (i, j) to a value.  Zeros are dropped, indices outside
-    the shape are rejected, and the nonzeros are kept as a tuple of
-    (i, j, value) triples in row-major order.  Products, transposes,
-    submatrices, comparisons and zero tests cost O(nnz); only the dense
-    views `to_rows`, `row` and `column` cost O(rows x cols).
+    the shape and non-integer values are rejected, and the nonzeros are kept
+    as a tuple of (i, j, value) triples in row-major order.  Products,
+    transposes, submatrices, comparisons and zero tests cost O(nnz); only
+    the dense views `to_rows`, `row` and `column` cost O(rows x cols).
     """
 
     __slots__ = ("rows", "cols", "_nonzeros")
@@ -53,7 +51,10 @@ class IntegerMatrix:
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
-            v = int(v)
+            if type(v) is not int:
+                if v != int(v):
+                    raise ValueError(f"entry {v!r} at ({i}, {j}) is not an integer")
+                v = int(v)
             if v:
                 nonzeros.append((i, j, v))
         self.rows, self.cols, self._nonzeros = rows, cols, tuple(sorted(nonzeros))
@@ -415,34 +416,3 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
     snf = smith_normal_form(m)
     r = len(snf.diagonal)
     return [tuple(col) for col in snf.V.transpose().to_rows()[r:]]
-
-
-def rational_rref(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form over Q, by Gauss-Jordan elimination.
-
-    Returns the nonzero reduced rows (each with pivot entry 1) and the pivot
-    column of each.  Columns are scanned left to right, so the pivot columns
-    are the leftmost maximal independent subset of the columns and their
-    count is the rank.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        pivot_row = m[r] = [x / pv for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[c]:
-                f = row[c]
-                m[i] = [x - f * y for x, y in zip(row, pivot_row)]
-        pivots.append(c)
-    return m[: len(pivots)], pivots

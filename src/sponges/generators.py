@@ -109,7 +109,7 @@ class PolytopeFaceLattice:
             raise ValueError("lattice must have exactly one top face")
         if any(d < 0 or d > self.dimension for _, d in self.faces):
             raise ValueError("face dimensions out of range")
-        self.poset()  # raises on duplicate or unknown faces and on cycles
+        self.poset()  # raises on duplicate faces or covers, unknown faces and cycles
 
     def poset(self) -> GradedPoset:
         return GradedPoset(self.faces, self.covers)

@@ -71,6 +71,7 @@ class GradedPoset:
         self._covers = tuple(sorted(covers, key=self._cover_key))
         self._upper: dict = {e: [] for e in self.ranks}
         self._lower: dict = {e: [] for e in self.ranks}
+        seen = set()
         for upper, lower in self._covers:
             if upper not in self.ranks or lower not in self.ranks:
                 missing = upper if upper not in self.ranks else lower
@@ -80,6 +81,9 @@ class GradedPoset:
                     f"cover {upper!r} > {lower!r} does not connect consecutive "
                     f"ranks ({self.ranks[upper]} vs {self.ranks[lower]})"
                 )
+            if (upper, lower) in seen:
+                raise ValueError(f"duplicate cover {upper!r} > {lower!r}")
+            seen.add((upper, lower))
             self._lower[upper].append(lower)
             self._upper[lower].append(upper)
         for e in self.ranks:

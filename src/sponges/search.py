@@ -272,6 +272,8 @@ def scan_fvector_space(
     bounds = list(bounds)
     if len(bounds) != n - 1:
         raise ValueError(f"need {n - 1} bounds for n={n}")
+    if any(b < 0 for b in bounds):
+        raise ValueError(f"bounds must be nonnegative, got {bounds}")
 
     def items():
         for f in product(*(range(b + 1) for b in bounds)):

@@ -10,7 +10,9 @@ diagonals shared with homology, maximal faces through an all-pairs
 subset test instead of the vertex index, the Cohen-Macaulay test through
 the homology of every chain's link instead of joins of cached intervals,
 cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
-instead of a scaled integral chain complex and Smith diagonals, and face
+instead of a scaled integral chain complex and Smith diagonals, rational
+homology bases and coordinates through one dense Gauss-Jordan elimination
+beside an identity block per degree instead of sparse reduced columns, face
 acyclicity, the realization cross-check and the dihomology check through
 order complexes built and eliminated afresh instead of the open-interval
 homology cached on the face poset, simplicial boundaries assembled matrix
@@ -27,11 +29,12 @@ relabellings instead of the pruned canonicity search.
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from sponges.complexes import (
     HomologyProfile,
     IntegerChainComplex,
+    RationalHomologyBasis,
     cochain_complex,
     cohomology,
     homology,
@@ -43,7 +46,7 @@ from sponges.cosheaf import (
     build_cosheaf,
     cosheaf_homology,
 )
-from sponges.exactalg import IntegerMatrix, rational_rref, smith_diagonal
+from sponges.exactalg import IntegerMatrix, integer_kernel_basis, smith_diagonal
 from sponges.poset import (
     CMReport,
     CMWitness,
@@ -195,6 +198,114 @@ def rank_fraction_free(rows: list[list[int]]) -> int:
         if r == nrows:
             break
     return r
+
+
+def rational_rref(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over Q, by Gauss-Jordan elimination.
+
+    Returns the nonzero reduced rows (each with pivot entry 1) and the pivot
+    column of each.  Columns are scanned left to right, so the pivot columns
+    are the leftmost maximal independent subset of the columns and their
+    count is the rank.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        pivot_row = m[r] = [x / pv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                m[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+class RationalHomologyBasisDense:
+    """The homology bases of `complexes.RationalHomologyBasis`, dense.
+
+    One Gauss-Jordan elimination per degree of [boundary and kernel columns |
+    identity] picks the representatives and yields E with E * columns
+    reduced.  The rows of E at the representatives' pivots give coordinates
+    modulo boundaries; the rows past the rank vanish exactly on the cycles.
+    """
+
+    def __init__(self, c: IntegerChainComplex):
+        self._reps: dict[int, list[tuple[int, ...]]] = {}
+        self._solve: dict[int, list[list[Fraction]]] = {}
+        for d in c.degrees():
+            n = c.rank(d)
+            kernel = integer_kernel_basis(c.boundary(d))
+            boundary_cols = [tuple(col) for col in c.boundary(d + 1).transpose().to_rows()]
+            all_cols = boundary_cols + kernel
+            rows = [[col[i] for col in all_cols] + [int(i == j) for j in range(n)]
+                    for i in range(n)]
+            reduced, pivots = rational_rref(rows)
+            chosen = [k for k in pivots if k < len(all_cols)]
+            first_rep = sum(1 for k in chosen if k < len(boundary_cols))
+            self._reps[d] = [all_cols[k] for k in chosen[first_rep:]]
+            self._solve[d] = [row[len(all_cols):] for row in reduced[first_rep:]]
+
+    def representatives(self, degree: int) -> list[tuple[int, ...]]:
+        return list(self._reps.get(degree, []))
+
+    def coordinates(self, degree: int, vectors) -> list[list[Fraction]]:
+        rows, betti = self._solve.get(degree, []), len(self._reps.get(degree, []))
+        out = []
+        for v in vectors:
+            image = [sum((row[i] * x for i, x in enumerate(v)), Fraction(0)) for row in rows]
+            if any(image[betti:]):
+                raise ValueError("vector is not a cycle modulo boundaries")
+            out.append(image[:betti])
+        return out
+
+
+def dense_basis_mismatches(c: IntegerChainComplex, rng) -> list[tuple[int, str]]:
+    """Where `RationalHomologyBasis` and `RationalHomologyBasisDense` disagree on c.
+
+    Per degree: the representatives, the exact coordinates of the kernel
+    vectors and of random rational combinations of the representatives plus
+    boundaries, and the ValueError for such a vector with a non-cycle added.
+    Returns (degree, what) pairs, none when the two agree.
+    """
+    sparse, dense = RationalHomologyBasis(c), RationalHomologyBasisDense(c)
+    out = []
+    for d in c.degrees():
+        reps = dense.representatives(d)
+        if sparse.representatives(d) != reps:
+            out.append((d, "representatives"))
+        boundaries = c.boundary(d + 1).transpose().to_rows()
+        vectors = [list(k) for k in integer_kernel_basis(c.boundary(d))]
+        for _ in range(3):
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
+            b = [rng.randint(-2, 2) for _ in boundaries]
+            vectors.append([sum(x * rep[i] for x, rep in zip(a, reps))
+                            + sum(y * col[i] for y, col in zip(b, boundaries))
+                            for i in range(c.rank(d))])
+        if sparse.coordinates(d, vectors) != dense.coordinates(d, vectors):
+            out.append((d, "coordinates"))
+        moving = sorted({j for _, j, _ in c.boundary(d).nonzero_items()})
+        if moving:
+            vectors[-1][rng.choice(moving)] += 1
+            for basis in (sparse, dense):
+                try:
+                    basis.coordinates(d, vectors[-1:])
+                except ValueError as err:
+                    if "not a cycle" not in str(err):
+                        out.append((d, f"{type(basis).__name__}: {err}"))
+                else:
+                    out.append((d, f"{type(basis).__name__} accepts a non-cycle"))
+    return out
 
 
 def determinant_bareiss(rows: list[list[int]]) -> int:

@@ -346,11 +346,14 @@ def test_scan_checkpoint_fields_must_have_their_types(tmp_path):
 
 
 def test_scan_fspace_bad_sizes_exit_2():
-    for argv in (["--n", "4", "--bound", "1", "2"], ["--n", "0", "--bound", "1"],
-                 ["--n", "1", "--bound", "3"]):
+    for argv, message in [(["--n", "4", "--bound", "1", "2"], "--fspace needs n >= 2"),
+                          (["--n", "0", "--bound", "1"], "--fspace needs n >= 2"),
+                          (["--n", "1", "--bound", "3"], "--fspace needs n >= 2"),
+                          (["--n", "3", "--bound", "-1"], "nonnegative bounds, got [-1, -1]"),
+                          (["--n", "3", "--bound", "2", "-1"], "nonnegative bounds, got [2, -1]")]:
         code, report = run_json(["scan", "--fspace", *argv])
         assert code == EXIT_INPUT_ERROR, argv
-        assert "--fspace needs n >= 2" in report["error"]
+        assert message in report["error"], argv
 
 
 def test_hilbert_negative_expand_exits_2(tmp_path):
@@ -404,6 +407,26 @@ def test_gen_polytope_skeleton_rejects_bad_lattices_exit_2(tmp_path):
     code, out = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, _lattice_document(
         hypercube_lattice(2)))])
     assert code == EXIT_PASS and [f["dim"] for f in out["faces"]] == [0, 0, 0, 0]
+
+
+def test_repeated_cover_exits_2(tmp_path):
+    """A cover listed twice is refused, whatever its incidences, in sponge and
+    polytope documents alike."""
+    code, doc = run_json(["gen", "builtin", "f3_k33"])
+    covers, first = doc["covers"], doc["covers"][0]
+    for repeat in (first, {**first, "incidence": -first["incidence"]}):
+        doc["covers"] = covers + [repeat]
+        for command in ("validate", "check-acyclic"):
+            code, report = run_json([command, write_doc(tmp_path, doc)])
+            assert code == EXIT_INPUT_ERROR, (command, repeat)
+            assert report["error"] == ("malformed sponge document: duplicate cover "
+                                       f"{first['upper']!r} > {first['lower']!r}")
+    from sponges.generators import simplex_lattice
+
+    lattice = _lattice_document(simplex_lattice(3))
+    lattice["covers"].append(lattice["covers"][-1])
+    code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, lattice)])
+    assert code == EXIT_INPUT_ERROR and "duplicate cover" in report["error"]
 
 
 def test_non_object_flags_exit_2(tmp_path):

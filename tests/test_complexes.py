@@ -20,6 +20,7 @@ from sponges.exactalg import IntegerMatrix
 from oracles import (
     NotASubcomplex,
     cohomology_via_transpose,
+    dense_basis_mismatches,
     quotient_complex,
     rational_betti_numbers,
     subcomplex,
@@ -282,17 +283,30 @@ def test_long_exact_sequence_rank_balance_on_random_pairs():
         assert chi(sub) - chi(total) + chi(quot) == 0
 
 
-def test_coordinates_recover_combinations_of_representatives():
-    """Seeded: for v = sum a_j rep_j plus boundaries, `coordinates` returns
-    exactly a, as Fractions (the zero vector too); a non-cycle part raises.
-    RP^2 and the quotients carry torsion, whose cycles have no coordinates."""
-    rng = random.Random(5150)
+def coordinates_corpus(rng):
+    """RP^2, its cochain complex, a square and 40 random complexes with quotients."""
     rp2 = projective_plane_minimal()
     corpus = [rp2, cochain_complex(rp2), square_with_filled_triangle()]
     for _ in range(40):
         total, sub = random_simplicial_boundaries(rng)
         corpus += [total, quotient_complex(total, sub)]
-    for c in corpus:
+    return corpus
+
+
+def test_basis_matches_dense_oracle_on_random_corpus():
+    """Representatives, exact coordinates and the non-cycle error agree with
+    one dense Gauss-Jordan elimination per degree."""
+    rng = random.Random(5150)
+    for c in coordinates_corpus(rng):
+        assert not dense_basis_mismatches(c, rng), c
+
+
+def test_coordinates_recover_combinations_of_representatives():
+    """Seeded: for v = sum a_j rep_j plus boundaries, `coordinates` returns
+    exactly a, as Fractions (the zero vector too); a non-cycle part raises.
+    RP^2 and the quotients carry torsion, whose cycles have no coordinates."""
+    rng = random.Random(5150)
+    for c in coordinates_corpus(rng):
         basis = RationalHomologyBasis(c)
         for d in c.degrees():
             reps = basis.representatives(d)

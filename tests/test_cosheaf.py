@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import random
 from math import gcd
 
 import pytest
@@ -26,6 +28,7 @@ from sponges.sponge import SpongeComplex, local_cohomology, section_complex
 
 from oracles import (
     cosheaf_homology_dense,
+    dense_basis_mismatches,
     section_cochain_subcomplex,
     section_complex_via_quotient,
 )
@@ -65,44 +68,68 @@ def cosheaf_corpus():
 # cosheaf_corpus() plus model n=6, recorded before sections were read off
 # `section_complex`
 COSHEAF_DIGEST = "15f2371a21cae0b97ecf230aa331a2053bbaf929ebb0aff6d3015f84652f46ec"
+# the same over model n=7 alone, recorded while the bases were dense
+# Gauss-Jordan eliminations
+COSHEAF_MODEL7_DIGEST = "3a7818b846ffa7503b7314ef5367409af11554820a9d0d736a1de239fd47f49d"
 
 
-def test_cosheaf_digest_is_pinned():
+def cosheaf_digest(sponges):
     h = hashlib.sha256()
-    for z in [*cosheaf_corpus(), gen_model_sponge(6)]:
+    for z in sponges:
         c = build_cosheaf(z)
         for s in z.faces.elements():
             h.update(repr((s, c.sections[s], c.sections_integral[s])).encode())
         for key in sorted(c.cover_maps):
             h.update(repr((key, sorted(c.cover_maps[key].items()))).encode())
-    assert h.hexdigest() == COSHEAF_DIGEST
+    return h.hexdigest()
+
+
+def test_cosheaf_digest_is_pinned():
+    assert cosheaf_digest([*cosheaf_corpus(), gen_model_sponge(6)]) == COSHEAF_DIGEST
+
+
+def test_cosheaf_digest_of_model_7_is_pinned():
+    assert cosheaf_digest([gen_model_sponge(7)]) == COSHEAF_MODEL7_DIGEST
+
+
+def test_section_bases_match_dense_oracle():
+    """Every section cochain complex of the corpus and of model 6 gets the
+    dense oracle's representatives and exact coordinates."""
+    rng = random.Random(2718)
+    for z in [*cosheaf_corpus(), gen_model_sponge(6)]:
+        for s in z.faces.elements():
+            c = cochain_complex(section_complex(z, s))
+            assert not dense_basis_mismatches(c, rng), (z.name, s)
 
 
 def test_cosheaf_eliminates_once_per_section_and_degree(monkeypatch):
-    """Each section's homology basis is one elimination per degree, and the
-    cover maps read coordinates from it without eliminating again."""
-    eliminations, open_coordinates = [], []
-    rational_rref = complexes.rational_rref
+    """Each section's homology basis is one reduction per degree, and the
+    cover maps read coordinates from it without reducing it again."""
+    reductions, open_coordinates, changed = [], [], []
+    kernel_basis = complexes.integer_kernel_basis
     coordinates = RationalHomologyBasis.coordinates
 
-    def counted_rref(rows):
-        eliminations.append(bool(open_coordinates))
-        return rational_rref(rows)
+    def counted_kernel_basis(m):
+        reductions.append(bool(open_coordinates))
+        return kernel_basis(m)
 
     def counted_coordinates(self, degree, vectors):
         open_coordinates.append(degree)
+        kept = copy.deepcopy(self._kept)
         try:
             return coordinates(self, degree, vectors)
         finally:
             open_coordinates.pop()
+            changed.append(kept != self._kept)
 
-    monkeypatch.setattr(complexes, "rational_rref", counted_rref)
+    monkeypatch.setattr(complexes, "integer_kernel_basis", counted_kernel_basis)
     monkeypatch.setattr(RationalHomologyBasis, "coordinates", counted_coordinates)
     model = gen_model_sponge(6)
     c = build_cosheaf(model)
     assert c.cover_maps and len(model.faces) == 57
-    assert len(eliminations) == 57 * 5  # every section complex has degrees 0..4 here
-    assert not any(eliminations)
+    assert len(reductions) == 57 * 5  # every section complex has degrees 0..4 here
+    assert not any(reductions)
+    assert changed and not any(changed)
 
 
 def doubled_edge_sponge():

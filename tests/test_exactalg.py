@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,6 @@ from sponges.exactalg import (
     IntegerMatrix,
     integer_kernel_basis,
     rank,
-    rational_rref,
     smith_diagonal,
     smith_normal_form,
 )
@@ -22,6 +22,7 @@ from oracles import (
     dense_transpose,
     determinant_bareiss,
     rank_fraction_free,
+    rational_rref,
 )
 
 
@@ -160,6 +161,25 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_library_modules_use_every_import():
+    """Each name a module of the package imports is used in it; only
+    `__init__` imports names just to re-export them."""
+    for path in sorted(Path(sponges.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
 def test_every_library_definition_is_referenced():
     """No dead code: each top-level function or class of the package is named
     (as a name, an attribute or an import) somewhere in the package or the
@@ -244,6 +264,18 @@ def test_sparse_matrix_rejects_out_of_range_indices():
         IntegerMatrix(-1, 2, {})
     assert IntegerMatrix(2, 3, {(0, 0): 0}) == IntegerMatrix.zeros(2, 3)
     assert IntegerMatrix(2, 3, {(0, 0): 0}).nonzero_items() == ()
+
+
+def test_sparse_matrix_rejects_non_integer_entries():
+    """A non-integer value is refused with its index, never truncated."""
+    for bad, index in [({(0, 0): Fraction(1, 2), (0, 1): 2}, "(0, 0)"),
+                       ({(0, 0): 0, (0, 1): 2.7}, "(0, 1)"),
+                       ({(0, 1): Fraction(-7, 3)}, "(0, 1)")]:
+        with pytest.raises(ValueError, match=re.escape(f"at {index} is not an integer")):
+            IntegerMatrix(1, 2, bad)
+    m = IntegerMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(0)})
+    assert m.nonzero_items() == ((0, 0, 2),) and type(m.entry(0, 0)) is int
+    assert IntegerMatrix(1, 2, {(0, 1): 3.0}).nonzero_items() == ((0, 1, 3),)
 
 
 def test_huge_sparse_matrix_is_instant():

@@ -91,6 +91,14 @@ def test_cover_rank_validation():
         GradedPoset([("a", 0), ("b", 2)], [("b", "a")])
 
 
+def test_duplicate_cover_is_refused():
+    with pytest.raises(ValueError, match="duplicate cover 'b' > 'a'"):
+        GradedPoset([("a", 0), ("b", 1), ("c", 1)], [("b", "a"), ("c", "a"), ("b", "a")])
+    with pytest.raises(ValueError, match="duplicate element 'a'"):
+        GradedPoset([("a", 0), ("a", 0)], [])
+    assert len(GradedPoset([("a", 0), ("b", 1), ("c", 1)], [("b", "a"), ("c", "a")]).covers()) == 2
+
+
 def test_unknown_element():
     p = chain_poset(3)
     with pytest.raises(UnknownElement):

@@ -126,6 +126,13 @@ def test_scan_fvector_space_negative_b_skipped():
     assert summary.records[0].error == "NegativeB"
 
 
+def test_scan_fvector_space_refuses_bad_bounds():
+    for bounds, message in [([1, 2, 3], "need 2 bounds"), ([-1, -1], "nonnegative"),
+                            ([2, -1], r"nonnegative, got \[2, -1\]")]:
+        with pytest.raises(ValueError, match=message):
+            scan_fvector_space(3, bounds)
+
+
 def test_scan_record_roundtrip():
     record = classify_sponge(builtin("f3_k33"))
     again = ScanRecord.from_json(record.to_json())
