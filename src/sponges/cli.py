@@ -28,7 +28,7 @@ import hashlib
 import json
 import sys
 
-from .complexes import HomologyProfile, MalformedComplex, cohomology, homology
+from .complexes import MalformedComplex, cohomology, homology
 from .cosheaf import NotCohenMacaulay, RankMismatch, dihomology_check
 from .enumerative import (
     ExtendedFVector,
@@ -108,14 +108,22 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _array(value, field: str) -> list:
+    """A JSON array as it stands: a string or an object is refused."""
+    if type(value) is not list:
+        raise TypeError(f"{field} must be a list, not {value!r}")
+    return value
+
+
 def parse_sponge(doc: dict, name: str = "") -> SpongeComplex:
     try:
         n = _integer(doc["n"], "n")
-        faces = [(str(f["id"]), _integer(f["dim"], "dim")) for f in doc["faces"]]
-        covers = [(str(c["upper"]), str(c["lower"])) for c in doc["covers"]]
+        face_docs, cover_docs = _array(doc["faces"], "faces"), _array(doc["covers"], "covers")
+        faces = [(str(f["id"]), _integer(f["dim"], "dim")) for f in face_docs]
+        covers = [(str(c["upper"]), str(c["lower"])) for c in cover_docs]
         incidence = {
             (str(c["upper"]), str(c["lower"])): _integer(c["incidence"], "incidence")
-            for c in doc["covers"]
+            for c in cover_docs
         }
         flags = doc.get("flags", {})
         if not isinstance(flags, dict):
@@ -145,9 +153,7 @@ def serialize_fvector(fv: ExtendedFVector) -> dict:
 
 def parse_fvector(doc: dict) -> ExtendedFVector:
     try:
-        n, f, b = _integer(doc["n"], "n"), doc["f"], _integer(doc["b"], "b")
-        if type(f) is not list:
-            raise TypeError(f"f must be a list, not {f!r}")
+        n, f, b = _integer(doc["n"], "n"), _array(doc["f"], "f"), _integer(doc["b"], "b")
         return ExtendedFVector(n=n, f=tuple(_integer(x, "f") for x in f), b=b)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed f-vector document: {err}") from err
@@ -156,8 +162,8 @@ def parse_fvector(doc: dict) -> ExtendedFVector:
 def parse_simplicial(doc: dict) -> SimplicialComplex:
     try:
         return SimplicialComplex(
-            [str(v) for v in doc["vertices"]],
-            [[str(v) for v in facet] for facet in doc["facets"]],
+            [str(v) for v in _array(doc["vertices"], "vertices")],
+            [[str(v) for v in _array(f, "facet")] for f in _array(doc["facets"], "facets")],
         )
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed simplicial-complex document: {err}") from err
@@ -173,10 +179,11 @@ def serialize_simplicial(k: SimplicialComplex) -> dict:
 
 def parse_polytope_lattice(doc: dict) -> PolytopeFaceLattice:
     try:
+        face_docs, cover_docs = _array(doc["faces"], "faces"), _array(doc["covers"], "covers")
         return PolytopeFaceLattice(
             dimension=_integer(doc["dimension"], "dimension"),
-            faces=tuple((str(f["id"]), _integer(f["dim"], "dim")) for f in doc["faces"]),
-            covers=tuple((str(c["upper"]), str(c["lower"])) for c in doc["covers"]),
+            faces=tuple((str(f["id"]), _integer(f["dim"], "dim")) for f in face_docs),
+            covers=tuple((str(c["upper"]), str(c["lower"])) for c in cover_docs),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed polytope-lattice document: {err}") from err
@@ -188,10 +195,6 @@ def canonical_json(obj) -> str:
 
 def digest(obj) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
-def profile_json(p: HomologyProfile) -> list[dict]:
-    return p.to_entries()
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,8 @@ def _cmd_homology(args) -> tuple[dict, int]:
     payload = {
         "coefficients": coefficients,
         "reduced": bool(args.reduced),
-        "homology": profile_json(homology(c, coefficients)),
-        "cohomology": profile_json(cohomology(c, coefficients)),
+        "homology": homology(c, coefficients).to_entries(),
+        "cohomology": cohomology(c, coefficients).to_entries(),
     }
     return _report("homology", doc, payload), EXIT_PASS
 
@@ -334,7 +337,7 @@ def _cmd_local_cohomology(args) -> tuple[dict, int]:
     payload = {
         "face": args.face,
         "coefficients": coefficients,
-        "local_cohomology": profile_json(prof),
+        "local_cohomology": prof.to_entries(),
     }
     return _report("local-cohomology", doc, payload), EXIT_PASS
 

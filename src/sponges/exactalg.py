@@ -319,37 +319,28 @@ class _Eliminator:
         """Clear row r / column c, keeping the pivot dividing everything left."""
         while True:
             # clear the pivot column
-            moved = True
-            while moved:
-                moved = False
-                for r2 in sorted(self.colindex.get(c, set()) - {r}):
-                    q = self.rowdata[r2][c] // v
-                    self.row_op(r2, r, q)
-                # remainders lie in [0, v); a nonzero one becomes the new pivot
-                rem = [
-                    (self.rowdata[r2][c], r2)
-                    for r2 in self.colindex.get(c, set()) - {r}
-                ]
-                if rem:
-                    v, r = min(rem)
-                    moved = True
+            for r2 in sorted(self.colindex.get(c, set()) - {r}):
+                q = self.rowdata[r2][c] // v
+                self.row_op(r2, r, q)
+            # remainders lie in [0, v); a nonzero one becomes the new pivot
+            rem = [
+                (self.rowdata[r2][c], r2)
+                for r2 in self.colindex.get(c, set()) - {r}
+            ]
+            if rem:
+                v, r = min(rem)
+                continue
             # clear the pivot row (column ops never touch column c)
-            moved = True
-            while moved:
-                moved = False
-                for c2 in sorted(set(self.rowdata.get(r, {})) - {c}):
-                    q = self.rowdata[r][c2] // v
-                    self.col_op(c2, c, q)
-                rem = [
-                    (self.rowdata[r][c2], c2)
-                    for c2 in set(self.rowdata.get(r, {})) - {c}
-                ]
-                if rem:
-                    v, c = min(rem)
-                    moved = True
-                    # the new pivot column may be dirty; restart fully
-                    break
-            if set(self.rowdata.get(r, {})) - {c} or self.colindex.get(c, set()) - {r}:
+            for c2 in sorted(set(self.rowdata.get(r, {})) - {c}):
+                q = self.rowdata[r][c2] // v
+                self.col_op(c2, c, q)
+            rem = [
+                (self.rowdata[r][c2], c2)
+                for c2 in set(self.rowdata.get(r, {})) - {c}
+            ]
+            if rem:
+                # the new pivot column may be dirty; restart fully
+                v, c = min(rem)
                 continue
             # pivot isolated; enforce divisibility of the remaining submatrix
             bad = self._find_nondivisible(r, v)

@@ -327,7 +327,7 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 # level: label k goes to the old vertex used[k].  Every unused vertex carries
 # its back-edge pattern against `used`, one bit longer per level.  A pattern
 # above the current graph's at that level proves a larger code; only ties are
-# followed.  Three rules shrink the tree without changing the verdict:
+# followed.  Two rules shrink the tree without changing the verdict:
 #
 # * unused twins (same pattern, same unused neighbours) are interchangeable,
 #   so only the first is followed;
@@ -336,9 +336,8 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 #   (searched first there: d is the smallest unused vertex, and a tie) onto
 #   the one below 0..d-1, used[d], so the search returns to the prefix 0..d-1
 #   (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
-#   2014);
-# * at each node only one tie per orbit of the recorded automorphisms that
-#   fix `used` pointwise is followed.
+#   2014).
+# Ties are not also filtered by automorphism orbits: that saves nodes, not time.
 #
 # The position -> (i, j) pairs and, per position and vertex, the number of
 # later positions touching that vertex are tables built once per n.
@@ -346,22 +345,6 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 
 def _position(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
-
-
-def _orbit_closure(mask: int, perms: list[list[int]]) -> int:
-    """The union of the orbits of the vertices in ``mask`` under ``perms``."""
-    frontier = mask
-    while frontier:
-        image = 0
-        for perm in perms:
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                image |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-        frontier = image & ~mask
-        mask |= frontier
-    return mask
 
 
 class _CubicSearch:
@@ -390,18 +373,13 @@ class _CubicSearch:
         adj = self.adj
         pats = self.pats
         used: list[int] = []
-        autos: list[tuple[int, list[int]]] = []  # (fixed-point mask, permutation)
         resume = n  # depth to return to after a non-identity leaf
 
         def larger_exists(used_mask: int, cand: list[tuple[int, int]]) -> bool:
             nonlocal resume
             j = len(used)
             if j == n:
-                moved = [k for k in range(n) if used[k] != k]
-                if moved:
-                    fixed = ((1 << n) - 1) ^ sum(1 << k for k in moved)
-                    autos.append((fixed, used[:]))
-                    resume = moved[0]
+                resume = next((k for k in range(n) if used[k] != k), n)
                 return False
             target = pats[j]
             ties = []
@@ -414,14 +392,7 @@ class _CubicSearch:
                     if row not in seen_rows:  # unused twins are interchangeable
                         seen_rows.add(row)
                         ties.append(v)
-            followed = 0
             for v in ties:
-                if followed and autos:
-                    stabilizer = [perm for fixed, perm in autos if not used_mask & ~fixed]
-                    if stabilizer:
-                        followed = _orbit_closure(followed, stabilizer)
-                        if (followed >> v) & 1:
-                            continue
                 av = adj[v]
                 used.append(v)
                 larger = larger_exists(
@@ -434,7 +405,6 @@ class _CubicSearch:
                 if resume < j:  # an automorphism mirrors this node's subtree
                     return False
                 resume = n
-                followed |= 1 << v
             return False
 
         return not larger_exists(0, [(v, 0) for v in range(n)])

@@ -14,7 +14,7 @@ lines, one record each) makes long scans resumable: already-recorded keys
 are skipped and their records merged back into the summary.  A torn final
 line (an append cut short) is dropped and truncated away; any other line
 that does not parse, or has a field of the wrong type, raises
-CorruptCheckpoint.
+CorruptCheckpoint, as does a checkpoint that cannot be read or appended to.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .sponge import InvalidSponge, SpongeComplex, check_acyclic, check_local_mod
 
 
 class CorruptCheckpoint(ValueError):
-    """A complete checkpoint line that is not a scan record."""
+    """An unreadable or unwritable checkpoint, or a complete line that is not a scan record."""
 
 
 # the JSON types a checkpoint record's fields may have; lists hold integers
@@ -151,33 +151,39 @@ class _Checkpoint:
         self.seen: dict[str, ScanRecord] = {}
         self._handle = None
         if path and os.path.exists(path):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            complete = data[: data.rfind(b"\n") + 1]
-            for lineno, line in enumerate(complete.splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = ScanRecord.from_json(json.loads(line))
-                except (ValueError, KeyError, TypeError) as err:
-                    raise CorruptCheckpoint(
-                        f"checkpoint {path} line {lineno} is not a scan record: {err}"
-                    ) from err
-                self.seen[record.identifier] = record
-            if len(complete) < len(data):
-                # torn final line: drop it so the next append starts cleanly
-                with open(path, "r+b") as fh:
-                    fh.truncate(len(complete))
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                complete = data[: data.rfind(b"\n") + 1]
+                for lineno, line in enumerate(complete.splitlines(), 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = ScanRecord.from_json(json.loads(line))
+                    except (ValueError, KeyError, TypeError) as err:
+                        raise CorruptCheckpoint(
+                            f"checkpoint {path} line {lineno} is not a scan record: {err}"
+                        ) from err
+                    self.seen[record.identifier] = record
+                if len(complete) < len(data):
+                    # torn final line: drop it so the next append starts cleanly
+                    with open(path, "r+b") as fh:
+                        fh.truncate(len(complete))
+            except OSError as err:
+                raise CorruptCheckpoint(f"cannot load checkpoint {path}: {err}") from err
 
     def has(self, identifier: str) -> bool:
         return identifier in self.seen
 
     def write(self, record: ScanRecord) -> None:
         if self.path:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-            self._handle.flush()
+            try:
+                if self._handle is None:
+                    self._handle = open(self.path, "a", encoding="utf-8")
+                self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+                self._handle.flush()
+            except OSError as err:
+                raise CorruptCheckpoint(f"cannot append to checkpoint {self.path}: {err}") from err
 
     def close(self) -> None:
         if self._handle is not None:

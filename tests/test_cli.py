@@ -345,6 +345,16 @@ def test_scan_checkpoint_fields_must_have_their_types(tmp_path):
     assert code == fresh_code and report["summary"]["total"] == fresh["summary"]["total"]
 
 
+def test_unusable_checkpoint_path_exits_2(tmp_path):
+    """A directory, or a file in a missing directory, is refused with the path named."""
+    for path in (tmp_path, tmp_path / "missing-dir" / "x.jsonl"):
+        code, report = run_json(
+            ["scan", "--family", "trivalent", "--max", "4", "--checkpoint", str(path)]
+        )
+        assert code == EXIT_INPUT_ERROR, path
+        assert f"checkpoint {path}: " in report["error"]
+
+
 def test_scan_fspace_bad_sizes_exit_2():
     for argv, message in [(["--n", "4", "--bound", "1", "2"], "--fspace needs n >= 2"),
                           (["--n", "0", "--bound", "1"], "--fspace needs n >= 2"),
@@ -484,3 +494,31 @@ def test_integer_fields_must_be_json_integers(tmp_path):
     lattice["faces"][0]["dim"] = 0.0
     code, report = run_json(["gen", "polytope-skeleton", write_doc(tmp_path, lattice, "lat.json")])
     assert code == EXIT_INPUT_ERROR and "dim must be an integer" in report["error"]
+
+
+def test_array_fields_must_be_json_arrays(tmp_path):
+    """faces, covers, vertices, facets and each facet are JSON arrays, never iterated
+    strings or objects."""
+    k33 = serialize_sponge(builtin("f3_k33"))
+    for key, value in [("covers", ""), ("covers", {}), ("faces", ""), ("faces", {"v": 0})]:
+        for command in ("validate", "homology"):
+            code, report = run_json([command, write_doc(tmp_path, {**k33, key: value})])
+            assert code == EXIT_INPUT_ERROR, (command, key, value)
+            assert report["error"] == (f"malformed sponge document: {key} must be a list, "
+                                       f"not {value!r}")
+    for doc, field in [({"vertices": "ab", "facets": "ab"}, "vertices must be a list"),
+                       ({"vertices": ["a", "b"], "facets": "ab"}, "facets must be a list"),
+                       ({"vertices": ["a", "b"], "facets": {"a": 1}}, "facets must be a list"),
+                       ({"vertices": ["a", "b"], "facets": ["a", ["b"]]}, "facet must be a list"),
+                       ({"vertices": {"a": 1}, "facets": [["a"]]}, "vertices must be a list")]:
+        code, report = run_json(["homology", write_doc(tmp_path, doc)])
+        assert code == EXIT_INPUT_ERROR and field in report["error"], doc
+    fine = {"vertices": ["a", "b"], "facets": [["a"], ["b"]]}
+    assert run(["homology", write_doc(tmp_path, fine)])[0] == EXIT_PASS
+    from sponges.generators import simplex_lattice
+
+    lattice = _lattice_document(simplex_lattice(3))
+    for key, value in [("faces", ""), ("covers", ""), ("covers", {})]:
+        code, report = run_json(["gen", "polytope-skeleton",
+                                 write_doc(tmp_path, {**lattice, key: value}, "lat.json")])
+        assert code == EXIT_INPUT_ERROR and f"{key} must be a list" in report["error"], key

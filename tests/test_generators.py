@@ -311,6 +311,10 @@ def symmetric_graphs():
     yield 6, [(a, b) for a in range(3) for b in range(3, 6)]  # K_{3,3}
     yield 6, triangles + [(0, 3), (1, 4), (2, 5)]  # the prism
     yield 7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)]  # claw and triangle
+    # vertex-transitive cubic graphs, automorphism groups of order 48, 16 and 1,152
+    yield 8, [(a, a ^ (1 << k)) for a in range(8) for k in range(3) if a < a ^ (1 << k)]
+    yield 8, [(k, (k + 1) % 8) for k in range(8)] + [(k, k + 4) for k in range(4)]  # Wagner
+    yield 8, k4 + [(a + 4, b + 4) for a, b in k4]  # two disjoint K4s
 
 
 def test_is_canonical_matches_brute_force():
