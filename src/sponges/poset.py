@@ -350,9 +350,12 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
 
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
     is the (-1)-sphere.  An interval with a unique minimal or a unique
-    maximal element is a cone, so its reduced homology vanishes; every other
-    interval's chains are enumerated once and eliminated as the augmented
-    chain complex of its order complex.  The result is cached on ``p``.
+    maximal element is a cone, so its reduced homology vanishes without its
+    chains being enumerated (coreduction would delete them all, but only
+    after building and checking them); every other interval's chains are
+    enumerated once into the augmented chain complex of its order complex,
+    whose homology `complexes.homology` reads after coreduction.  The result
+    is cached on ``p``.
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]

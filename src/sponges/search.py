@@ -142,8 +142,9 @@ class ScanSummary:
 class _Checkpoint:
     """Append-only JSONL store of completed records.
 
-    One append handle, opened at the first write, serves the whole scan;
-    each record is flushed as it is written, and `close` releases it.
+    One append handle, opened once the records on file are loaded, before
+    any record is computed, serves the whole scan; each record is flushed as
+    it is written, and `close` releases it.
     """
 
     def __init__(self, path: str | None):
@@ -171,15 +172,18 @@ class _Checkpoint:
                         fh.truncate(len(complete))
             except OSError as err:
                 raise CorruptCheckpoint(f"cannot load checkpoint {path}: {err}") from err
+        if path:
+            try:
+                self._handle = open(path, "a", encoding="utf-8")
+            except OSError as err:
+                raise CorruptCheckpoint(f"cannot append to checkpoint {path}: {err}") from err
 
     def has(self, identifier: str) -> bool:
         return identifier in self.seen
 
     def write(self, record: ScanRecord) -> None:
-        if self.path:
+        if self._handle is not None:
             try:
-                if self._handle is None:
-                    self._handle = open(self.path, "a", encoding="utf-8")
                 self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
                 self._handle.flush()
             except OSError as err:

@@ -10,13 +10,14 @@ Cellular (co)homology is read straight off the incidence numbers: a cellular
 complex is `complexes.cell_complex` on the faces, each face's faces being
 its lower covers with their incidences.  Each sponge keeps one cellular
 complex per ``augmented`` flag, so every homology question on it reads one
-complex and that complex's cached Smith diagonals.  Local cohomology at a
-face F is the cohomology of `section_complex(z, F)`, the complex on the
-faces above F alone: the faces not above F span a subcomplex, so leaving
-them out is the quotient by it, and no whole cellular complex is built.  The
-cosheaf takes its sections from the same complex.  For compact face-acyclic
-sponges this agrees with the order-complex pair computation, which the test
-suite keeps as an independent oracle.  The two genuinely differ on the
+complex, its cached residual after coreduction and that residual's Smith
+diagonals.  Local cohomology at a face F is the cohomology of
+`section_complex(z, F)`, the complex on the faces above F alone: the faces
+not above F span a subcomplex, so leaving them out is the quotient by it,
+and no whole cellular complex is built.  The cosheaf takes its sections
+from the same complex.  For compact face-acyclic sponges this agrees with
+the order-complex pair computation, which the test suite keeps as an
+independent oracle.  The two genuinely differ on the
 non-compact local models, whose faces are cones; such sponges carry the
 ``non_compact`` flag and keep only the local-cohomology / poset /
 Cohen-Macaulay machinery enabled.  Order-complex homology, of (0^, F) for

@@ -6,7 +6,9 @@ form, determinants through Bareiss expansion, matrix products, transposes
 and submatrices through dense lists of rows instead of the sparse
 IntegerMatrix, series through direct long division of power series,
 cohomology through Smith forms of the transposed boundaries instead of the
-diagonals shared with homology, maximal faces through an all-pairs
+diagonals shared with homology, homology and cohomology through Smith
+diagonals of the full boundaries instead of those of the residual complex
+left by coreduction, maximal faces through an all-pairs
 subset test instead of the vertex index, the Cohen-Macaulay test through
 the homology of every chain's link instead of joins of cached intervals,
 cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
@@ -32,6 +34,8 @@ from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from sponges.complexes import (
+    INTEGERS,
+    RATIONALS,
     HomologyProfile,
     IntegerChainComplex,
     RationalHomologyBasis,
@@ -164,13 +168,18 @@ def interval_homology_via_order_complex(p: GradedPoset, x, y) -> tuple[HomologyP
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The interval is
     restricted to a poset of its own, its order complex is built from the
     maximal chains, its boundaries are assembled matrix by matrix, and cones
-    are eliminated like every other interval.
+    are eliminated like every other interval, with no coreduction.
     """
+    k = interval_order_complex(p, x, y)
+    return homology_without_coreduction(simplicial_chain_complex(k, augmented=True)), k.dimension
+
+
+def interval_order_complex(p: GradedPoset, x, y) -> SimplicialComplex:
+    """The order complex of the open interval (x, y) of P^, restricted to a poset of its own."""
     inside = set(p.ranks) if x is None else set(p.upset(x))
     if y is not None:
         inside &= p.downset(y)
-    k = order_complex(p.restrict(inside - {x, y}))
-    return homology(simplicial_chain_complex(k, augmented=True)), k.dimension
+    return order_complex(p.restrict(inside - {x, y}))
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
@@ -382,6 +391,36 @@ def rational_betti_numbers(rank_per_degree: dict[int, int],
         rup = rank_fraction_free(up) if up else 0
         betti[d] = n - rd - rup
     return betti
+
+
+def homology_without_coreduction(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyProfile:
+    """Homology from the Smith diagonals of the full boundaries, not of the
+    residual complex that coreduction leaves."""
+    return _profile_without_coreduction(c, coefficients, torsion_from=1)
+
+
+def cohomology_without_coreduction(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyProfile:
+    """Cohomology from the Smith diagonals of the full boundaries: torsion in
+    degree d from the diagonal of d_d (universal coefficients)."""
+    return _profile_without_coreduction(c, coefficients, torsion_from=0)
+
+
+def _profile_without_coreduction(c, coefficients: str, torsion_from: int) -> HomologyProfile:
+    if coefficients not in (INTEGERS, RATIONALS):
+        raise ValueError(f"unknown coefficients {coefficients!r}")
+    diagonals: dict[int, tuple[int, ...]] = {}
+
+    def diagonal(d):
+        if d not in diagonals:
+            diagonals[d] = smith_diagonal(c.boundary(d))
+        return diagonals[d]
+
+    data = {}
+    for d in c.degrees():
+        free = c.rank(d) - len(diagonal(d + 1)) - len(diagonal(d))
+        torsion = tuple(t for t in diagonal(d + torsion_from) if t > 1)
+        data[d] = (free, torsion if coefficients == INTEGERS else ())
+    return HomologyProfile(data)
 
 
 def cohomology_via_transpose(c) -> HomologyProfile:

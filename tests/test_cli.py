@@ -2,6 +2,7 @@ import io
 import json
 import sys
 
+from sponges import search
 from sponges.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -345,14 +346,18 @@ def test_scan_checkpoint_fields_must_have_their_types(tmp_path):
     assert code == fresh_code and report["summary"]["total"] == fresh["summary"]["total"]
 
 
-def test_unusable_checkpoint_path_exits_2(tmp_path):
-    """A directory, or a file in a missing directory, is refused with the path named."""
+def test_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch):
+    """A directory, or a file in a missing directory, is refused with the path
+    named, before any sponge is classified."""
+    classified = []
+    monkeypatch.setattr(search, "classify_sponge", lambda *args: classified.append(args))
     for path in (tmp_path, tmp_path / "missing-dir" / "x.jsonl"):
         code, report = run_json(
             ["scan", "--family", "trivalent", "--max", "4", "--checkpoint", str(path)]
         )
         assert code == EXIT_INPUT_ERROR, path
         assert f"checkpoint {path}: " in report["error"]
+    assert classified == []
 
 
 def test_scan_fspace_bad_sizes_exit_2():

@@ -30,6 +30,7 @@ from sponges.sponge import (
 from sponges.poset import UnknownElement
 
 from oracles import local_cohomology_via_order_complex
+from test_interval_homology import rp2_sponge
 
 
 def single_vertex_sponge():
@@ -147,20 +148,33 @@ def _count_cell_complexes(monkeypatch):
 
 def test_realization_cross_check_reduces_each_cellular_boundary_once(monkeypatch):
     builds = _count_cell_complexes(monkeypatch)
-    reduced = []
-    smith = complexes.smith_diagonal
+    coreduced, reduced = [], []
+    coreduce, smith = complexes._coreduce, complexes.smith_diagonal
 
-    def recording(m):
+    def recording_coreduce(c):
+        coreduced.append((c, coreduce(c)))
+        return coreduced[-1][1]
+
+    def recording_smith(m):
         reduced.append(m)
         return smith(m)
 
-    monkeypatch.setattr(complexes, "smith_diagonal", recording)
-    z = octahedron_sponge()
-    realization_cross_check(z)
-    assert [min(cells) for cells in builds] == [-1]  # one augmented build, shared with check_acyclic
-    c = cellular_complex(z, augmented=True)
-    for d in (0, 1, 2):
-        assert sum(m is c.boundary(d) for m in reduced) == 1, d
+    monkeypatch.setattr(complexes, "_coreduce", recording_coreduce)
+    monkeypatch.setattr(complexes, "smith_diagonal", recording_smith)
+    # the octahedron coreduces to its top cohomology; RP^2 keeps a 5x5 d_2
+    for z, nonzero in ((octahedron_sponge(), []), (rp2_sponge(), [2])):
+        for seen in (builds, coreduced, reduced):
+            seen.clear()
+        realization_cross_check(z)
+        assert [min(cells) for cells in builds] == [-1]  # one augmented build, shared with check_acyclic
+        c = cellular_complex(z, augmented=True)
+        residuals = [r for source, r in coreduced if source is c]
+        assert len(residuals) == 1  # one coreduction, shared with check_acyclic
+        r = residuals[0]
+        assert [d for d in r.degrees() if not r.boundary(d).is_zero()] == nonzero
+        for d in r.degrees():
+            assert sum(m is r.boundary(d) for m in reduced) == (d in nonzero), d
+        assert not any(m is c.boundary(d) for m in reduced for d in c.degrees())
 
 
 def test_local_cohomology_builds_one_section_complex_per_face(monkeypatch):
