@@ -596,15 +596,12 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
         return EXIT_INPUT_ERROR if err.code not in (0, None) else EXIT_PASS
     try:
         report, code = _HANDLERS[args.command](args)
-    except InputError as err:
-        print(canonical_json({"error": str(err)}), file=stdout)
-        print(f"error: {err}", file=stderr)
-        return EXIT_INPUT_ERROR
-    except (UnknownBuiltin, UnknownElement) as err:
-        print(canonical_json({"error": f"unknown name: {err}"}), file=stdout)
-        return EXIT_INPUT_ERROR
-    except (BadParameter, NegativeB, CorruptCheckpoint, MalformedComplex, NotSimple) as err:
-        print(canonical_json({"error": str(err)}), file=stdout)
+    except (InputError, BadParameter, NegativeB, CorruptCheckpoint, MalformedComplex, NotSimple,
+            UnknownBuiltin, UnknownElement) as err:
+        unknown = isinstance(err, (UnknownBuiltin, UnknownElement))
+        message = f"unknown name: {err}" if unknown else str(err)
+        print(canonical_json({"error": message}), file=stdout)
+        print(f"error: {message}", file=stderr)
         return EXIT_INPUT_ERROR
     except (InvalidSponge, NonCompactSponge, NotAcyclicSponge) as err:
         print(canonical_json({"error": str(err), "check_failed": True}), file=stdout)

@@ -21,6 +21,7 @@ the two formulas compute the same thing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .sponge import NotAcyclicSponge, SpongeComplex, check_acyclic
@@ -66,10 +67,9 @@ def _pmul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _one_minus_t2_pow(k: int) -> tuple[int, ...]:
-    out: tuple[int, ...] = (1,)
-    for _ in range(k):
-        out = _pmul(out, (1, 0, -1))
-    return out
+    out = [0] * (2 * k + 1)
+    out[::2] = [(-1) ** m * comb(k, m) for m in range(k + 1)]
+    return tuple(out)
 
 
 def _shift(p: Sequence[int], by: int) -> tuple[int, ...]:

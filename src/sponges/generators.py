@@ -324,10 +324,12 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 # isomorphism class exactly once.
 #
 # Canonicity is a depth-first search over relabellings, one new label per
-# level: label k goes to the old vertex used[k].  Every unused vertex carries
-# its back-edge pattern against `used`, one bit longer per level.  A pattern
-# above the current graph's at that level proves a larger code; only ties are
-# followed.  Two rules shrink the tree without changing the verdict:
+# level: label k goes to the old vertex used[k].  At level j the candidates
+# are one bitmask, `ties`, first the unused vertices; no pattern is kept per
+# vertex (there is no `pats` table).  Walking k up from 0, an edge (k, j)
+# keeps only the ties adjacent to used[k]; at a non-edge, a tie adjacent to
+# used[k] proves a larger code.  The ties left are followed in ascending
+# order.  Two rules shrink the tree without changing the verdict:
 #
 # * unused twins (same pattern, same unused neighbours) are interchangeable,
 #   so only the first is followed;
@@ -361,7 +363,6 @@ class _CubicSearch:
                 counts[v] += 1
         self.adj = [0] * n
         self.deg = [0] * n
-        self.pats = [0] * n  # back-edge bits per vertex, vertex 0 most significant
         self.edges: list[tuple[int, int]] = []
         self.found: list[tuple[int, list[tuple[int, int]]]] = []
 
@@ -371,35 +372,39 @@ class _CubicSearch:
         """No relabelling has a larger code; see the comment above the class."""
         n = self.n
         adj = self.adj
-        pats = self.pats
         used: list[int] = []
+        nbrs: list[int] = []  # nbrs[k] == adj[used[k]]
         resume = n  # depth to return to after a non-identity leaf
 
-        def larger_exists(used_mask: int, cand: list[tuple[int, int]]) -> bool:
+        def larger_exists(unused: int) -> bool:
             nonlocal resume
             j = len(used)
             if j == n:
                 resume = next((k for k in range(n) if used[k] != k), n)
                 return False
-            target = pats[j]
-            ties = []
-            seen_rows = set()
-            for v, pat in cand:
-                if pat > target:
+            target = adj[j]  # bit k: the edge (k, j), read as k runs up
+            ties = unused
+            for nb in nbrs:
+                if target & 1:
+                    ties &= nb
+                elif ties & nb:
                     return True
-                if pat == target:
-                    row = adj[v] & ~used_mask & ~(1 << v)
-                    if row not in seen_rows:  # unused twins are interchangeable
-                        seen_rows.add(row)
-                        ties.append(v)
-            for v in ties:
-                av = adj[v]
+                target >>= 1
+            seen_rows = set()
+            while ties:
+                low = ties & -ties
+                ties ^= low
+                v = low.bit_length() - 1
+                rest = unused ^ low
+                row = adj[v] & rest
+                if row in seen_rows:  # unused twins are interchangeable
+                    continue
+                seen_rows.add(row)
                 used.append(v)
-                larger = larger_exists(
-                    used_mask | (1 << v),
-                    [(u, (pat << 1) | ((av >> u) & 1)) for u, pat in cand if u != v],
-                )
+                nbrs.append(adj[v])
+                larger = larger_exists(rest)
                 used.pop()
+                nbrs.pop()
                 if larger:
                     return True
                 if resume < j:  # an automorphism mirrors this node's subtree
@@ -407,7 +412,7 @@ class _CubicSearch:
                 resume = n
             return False
 
-        return not larger_exists(0, [(v, 0) for v in range(n)])
+        return not larger_exists((1 << n) - 1)
 
     # -- feasibility ------------------------------------------------------
 
@@ -446,7 +451,6 @@ class _CubicSearch:
         """Append the edge i < j."""
         self.adj[i] |= 1 << j
         self.adj[j] |= 1 << i
-        self.pats[j] |= 1 << (j - 1 - i)
         self.deg[i] += 1
         self.deg[j] += 1
         self.edges.append((i, j))
@@ -455,7 +459,6 @@ class _CubicSearch:
         i, j = self.edges.pop()
         self.adj[i] &= ~(1 << j)
         self.adj[j] &= ~(1 << i)
-        self.pats[j] &= ~(1 << (j - 1 - i))
         self.deg[i] -= 1
         self.deg[j] -= 1
 

@@ -25,8 +25,10 @@ whole cellular complex instead of complexes on the faces above F, local
 cohomology through the order-complex pair instead of the section complex,
 and the cosheaf's section complexes as cochain subcomplexes selected from
 the full cochain complex instead of the cochain complex of
-`section_complex`, and the maximal code of a labelled graph through all n!
-relabellings instead of the pruned canonicity search.
+`section_complex`, the maximal code of a labelled graph through all n!
+relabellings instead of the pruned canonicity search, and that search itself
+with a list of back-edge patterns per candidate instead of one bitmask of
+tied candidates.
 """
 
 from fractions import Fraction
@@ -365,6 +367,59 @@ def max_code_brute_force(n: int, edges) -> int:
             code |= 1 << (top - 1 - j * (j - 1) // 2 - i)
         best = max(best, code)
     return best
+
+
+def is_canonical_by_patterns(n: int, edges) -> bool:
+    """Whether no relabelling of a simple graph on 0..n-1 has a larger code.
+
+    The same pruned search as the cubic generator's, on other state: each
+    unused vertex carries its back-edge pattern against the labelled prefix
+    `used` as an integer, one bit longer per level, and the candidates are a
+    list of (vertex, pattern) pairs compared with the graph's own pattern.
+    """
+    adj = [0] * n
+    pats = [0] * n  # back-edge bits per vertex, vertex 0 most significant
+    for a, b in edges:
+        i, j = sorted((a, b))
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        pats[j] |= 1 << (j - 1 - i)
+    used: list[int] = []
+    resume = n  # depth to return to after a non-identity leaf
+
+    def larger_exists(used_mask: int, cand: list[tuple[int, int]]) -> bool:
+        nonlocal resume
+        j = len(used)
+        if j == n:
+            resume = next((k for k in range(n) if used[k] != k), n)
+            return False
+        target = pats[j]
+        ties = []
+        seen_rows = set()
+        for v, pat in cand:
+            if pat > target:
+                return True
+            if pat == target:
+                row = adj[v] & ~used_mask & ~(1 << v)
+                if row not in seen_rows:  # unused twins are interchangeable
+                    seen_rows.add(row)
+                    ties.append(v)
+        for v in ties:
+            av = adj[v]
+            used.append(v)
+            larger = larger_exists(
+                used_mask | (1 << v),
+                [(u, (pat << 1) | ((av >> u) & 1)) for u, pat in cand if u != v],
+            )
+            used.pop()
+            if larger:
+                return True
+            if resume < j:  # an automorphism mirrors this node's subtree
+                return False
+            resume = n
+        return False
+
+    return not larger_exists(0, [(v, 0) for v in range(n)])
 
 
 def dense_product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:

@@ -160,6 +160,59 @@ def test_unknown_face_exit_2(tmp_path):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
+    """Each exit-2 exception class prints ``error: <message>`` on stderr, the
+    message that the JSON on stdout carries."""
+    from sponges import cli
+    from sponges.enumerative import NegativeB
+    from sponges.generators import simplex_lattice
+    from sponges.poset import UnknownElement
+
+    model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(3)), "model.json")
+    extra_vertex = write_doc(tmp_path, _lattice_document(
+        simplex_lattice(2), extra_faces=[{"id": "x", "dim": 0}]), "lattice.json")
+    fvector = write_doc(tmp_path, serialize_fvector(builtin("hp2_fvector")), "fv.json")
+    cases = [
+        ("InputError", ["scan", "--family", "trivalent"]),
+        ("BadParameter", ["scan", "--family", "trivalent", "--max", "3"]),
+        ("NegativeB", ["hvector", fvector]),
+        ("CorruptCheckpoint", ["scan", "--family", "trivalent", "--max", "4",
+                               "--checkpoint", str(tmp_path)]),
+        ("MalformedComplex", ["homology", model, "--reduced"]),
+        ("NotSimple", ["gen", "polytope-skeleton", extra_vertex]),
+        ("UnknownBuiltin", ["gen", "builtin", "nope"]),
+        ("UnknownElement", ["fvector", model]),
+    ]
+
+    # No document reaches NegativeB or UnknownElement: the f-space scan records
+    # the one per grid point, and document parsing and --face turn the other
+    # into an InputError.  So two steps are made to raise them.
+    def raiser(err):
+        def step(*args):
+            raise err
+        return step
+
+    monkeypatch.setattr(cli, "hvector_of", raiser(NegativeB("face counts (3,) force b = -1 < 0")))
+    monkeypatch.setattr(cli, "fvector_of", raiser(UnknownElement("ghost")))
+    raised = []
+    for name, argv in cases:
+        handler = cli._HANDLERS[argv[0]]
+
+        def spy(args, handler=handler):
+            try:
+                return handler(args)
+            except Exception as err:
+                raised.append(type(err).__name__)
+                raise
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], spy)
+        code, out, err = run(argv)
+        monkeypatch.setitem(cli._HANDLERS, argv[0], handler)
+        assert code == EXIT_INPUT_ERROR, name
+        assert raised[-1] == name
+        assert err == f"error: {json.loads(out)['error']}\n", name
+
+
 def test_local_cohomology_model(tmp_path):
     path = write_doc(tmp_path, serialize_sponge(gen_model_sponge(4)))
     code, report = run_json(["local-cohomology", path, "--face", "o"])

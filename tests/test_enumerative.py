@@ -6,6 +6,8 @@ from sponges.enumerative import (
     ExtendedFVector,
     HilbertSeries,
     NegativeB,
+    _one_minus_t2_pow,
+    _pmul,
     b_from_euler,
     betti_polynomial,
     betti_polynomial_alt,
@@ -329,3 +331,10 @@ def test_hilbert_series_equality_is_cross_multiplicative():
     b = HilbertSeries((1,), 0)
     assert a == b
     assert a.denominator_power == 0  # normalized on construction
+
+
+def test_one_minus_t2_power_closed_form_matches_repeated_products():
+    product = (1,)
+    for k in range(25):
+        assert _one_minus_t2_pow(k) == product, k
+        product = _pmul(product, (1, 0, -1))

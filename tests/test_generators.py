@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from sponges.generators import (
 from sponges.poset import check_cohen_macaulay
 from sponges.sponge import check_acyclic, check_local_model, validate_sponge
 
-from oracles import max_code_brute_force, reduced_simplicial_homology
+from oracles import is_canonical_by_patterns, max_code_brute_force, reduced_simplicial_homology
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +264,9 @@ CUBIC_DIGESTS = {
 
 
 def test_cubic_count_twelve_vertices_desk_scale():
-    # the largest size the enumerator is meant for; known class count 85.
-    # The digests pin every output for v <= 12 byte for byte.
+    # v = 12 has 85 classes (OEIS A002851); v = 14, with 509, takes about
+    # eight times as long, so the test stops at 12.  The digests pin every
+    # output for v <= 12 byte for byte.
     for v, digest in CUBIC_DIGESTS.items():
         graphs = enumerate_connected_cubic(v)
         assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == digest, v
@@ -317,22 +319,26 @@ def symmetric_graphs():
     yield 8, k4 + [(a + 4, b + 4) for a, b in k4]  # two disjoint K4s
 
 
+def random_partial_graph(rng, n):
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    deg = [0] * n
+    edges = []
+    for i, j in pairs[: rng.randint(0, len(pairs))]:
+        if deg[i] < 3 and deg[j] < 3:
+            edges.append((i, j))
+            deg[i] += 1
+            deg[j] += 1
+    return edges
+
+
 def test_is_canonical_matches_brute_force():
     """Each graph, its maximal-code labelling and one transposition of that."""
     rng = random.Random(20140101)
     graphs = list(symmetric_graphs())
     for _ in range(250):
         n = rng.randint(2, 7)
-        pairs = list(combinations(range(n), 2))
-        rng.shuffle(pairs)
-        deg = [0] * n
-        edges = []
-        for i, j in pairs[: rng.randint(0, len(pairs))]:
-            if deg[i] < 3 and deg[j] < 3:
-                edges.append((i, j))
-                deg[i] += 1
-                deg[j] += 1
-        graphs.append((n, edges))
+        graphs.append((n, random_partial_graph(rng, n)))
     for n, edges in graphs:
         best = max_code_brute_force(n, edges)
         canonical = code_edges(n, best)
@@ -341,3 +347,52 @@ def test_is_canonical_matches_brute_force():
         swapped = [(swap.get(x, x), swap.get(y, y)) for x, y in canonical]
         for g in (edges, canonical, swapped):
             assert is_canonical(n, g) == (edge_code(n, g) == best), (n, g)
+
+
+def search_nodes(canonicity_test, *args):
+    """The verdict and the labelled prefixes ``used`` of every node that a
+    canonicity search visits, in visiting order.  Both searches keep the
+    prefix in ``used`` and recurse through a function ``larger_exists``."""
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "larger_exists":
+            nodes.append(tuple(frame.f_locals["used"]))
+
+    sys.setprofile(profile)
+    try:
+        verdict = canonicity_test(*args)
+    finally:
+        sys.setprofile(None)
+    return verdict, nodes
+
+
+def test_is_canonical_matches_pattern_search_beyond_brute_force(monkeypatch):
+    """Verdict and search tree against the pattern-list search, on every
+    partial graph that generating the 10-vertex cubic graphs tests, and on
+    random partial graphs of degree <= 3 on 9 to 12 vertices, each also
+    relabelled at random.  The generation that lists the partial graphs runs
+    on the oracle, so a faulty search cannot change the list."""
+    visited = []
+
+    def recording(search):
+        visited.append((search.n, list(search.edges)))
+        return is_canonical_by_patterns(search.n, search.edges)
+
+    monkeypatch.setattr(_CubicSearch, "_is_canonical", recording)
+    graphs = enumerate_connected_cubic(10)
+    monkeypatch.undo()
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == CUBIC_DIGESTS[10]
+    rng = random.Random(19980101)
+    graphs = visited[:]
+    for _ in range(200):
+        n = rng.randint(9, 12)
+        edges = random_partial_graph(rng, n)
+        perm = rng.sample(range(n), n)
+        graphs += [(n, edges), (n, [(perm[a], perm[b]) for a, b in edges])]
+    verdicts = set()
+    for n, edges in graphs:
+        expected = search_nodes(is_canonical_by_patterns, n, edges)
+        assert search_nodes(is_canonical, n, edges) == expected, (n, edges)
+        verdicts.add(expected[0])
+    assert len(visited) > 1000 and verdicts == {True, False}

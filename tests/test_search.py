@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,3 +177,14 @@ def test_scan_checkpoint_opens_one_handle_and_closes_it(tmp_path, monkeypatch):
     assert handles[0][1].closed
     with open(path) as fh:
         assert len(fh.readlines()) == 3
+
+
+# sha256 of the sorted-key JSON of scan_fvector_space(5, [5, 5, 5, 5])'s
+# summary: every grid point's b, h-vector and verdicts for n = 5
+FSPACE_N5_DIGEST = "7a5b2f3bcc8d9881294cacf8a95ba96b2027fc4498672863d4b2a16d85110265"
+
+
+def test_scan_fvector_space_n5_summary_is_pinned():
+    summary = scan_fvector_space(5, [5, 5, 5, 5]).to_json()
+    text = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FSPACE_N5_DIGEST
