@@ -13,7 +13,9 @@ Contents:
 * connected cubic graphs by orderly generation: graphs are built edge by
   edge in a fixed code order and only canonically-labelled (maximal-code)
   graphs are extended, so each isomorphism class appears exactly once and
-  reruns are byte-identical.
+  reruns are byte-identical.  Maximal codes label a connected graph in a
+  breadth-first order, so a partial graph that breaks that order is dropped
+  before its canonicity is tested, and no output needs a connectivity test.
 """
 
 from __future__ import annotations
@@ -341,6 +343,31 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 #   2014).
 # Ties are not also filtered by automorphism orbits: that saves nodes, not time.
 #
+# Most partial graphs have no output below them, and two cheap tests in
+# `_feasible` drop them before canonicity is tried (the idea of Meringer,
+# "Fast generation of regular graphs and construction of cages", J. Graph
+# Theory 30, 1999).  Both rest on one lemma: let G be connected, in its
+# maximal-code labelling, and let par(j) be the smallest neighbour of label j
+# below j.  Then (i) par(j) exists for every j >= 1, and (ii) par is
+# nondecreasing, so the labels are a breadth-first order.
+#
+# * (ii): if j < u and par(u) < par(j), give u label j and keep labels
+#   0..j-1.  Columns 1..j-1 do not change, and column j gains a 1 at bit
+#   par(u), where the old column had 0: a larger code.
+# * (i): connectivity gives some u > j adjacent to a label below j; moving u
+#   to label j the same way gives a larger code.
+#
+# Let the last edge be (i0, j0) and p0 = par(j0) <= i0.  Every later
+# position is (k, j0) with k > i0, or lies in a column past j0.  So no
+# maximal-code connected cubic completion exists if
+#
+# * (a) some label in 1..j0-1 has no smaller neighbour: its column is final;
+# * (b) some label k < p0 has degree below 3: an edge (k, u) with u > j0
+#   would give par(u) <= k < p0 = par(j0).
+#
+# A leaf ends in column n-1 and passed (a), so every label reaches 0 through
+# its parents: outputs need no connectivity test.
+#
 # The position -> (i, j) pairs and, per position and vertex, the number of
 # later positions touching that vertex are tables built once per n.
 
@@ -422,6 +449,16 @@ class _CubicSearch:
         for d, a in zip(self.deg, self.available[last]):
             if d + a < 3:
                 return False
+        # the BFS order of maximal codes; see the comment above _position
+        adj = self.adj
+        j0 = self.pairs[last][1]
+        for u in range(1, j0):
+            if not adj[u] & ((1 << u) - 1):  # (a): u has no parent
+                return False
+        parent = (adj[j0] & -adj[j0]).bit_length() - 1
+        for k in range(parent):
+            if self.deg[k] < 3:  # (b): k can gain no edge
+                return False
         return True
 
     # -- search -----------------------------------------------------------
@@ -431,12 +468,13 @@ class _CubicSearch:
 
     def _extend(self, last: int) -> None:
         if len(self.edges) == self.target_edges:
-            if all(d == 3 for d in self.deg) and self._connected():
-                code = 0
-                top = len(self.pairs)
-                for a, b in self.edges:
-                    code |= 1 << (top - 1 - _position(a, b))
-                self.found.append((code, list(self.edges)))
+            # 3n/2 edges of degree <= 3 make the graph cubic, and every label
+            # past 0 has a parent (a), so it is connected
+            code = 0
+            top = len(self.pairs)
+            for a, b in self.edges:
+                code |= 1 << (top - 1 - _position(a, b))
+            self.found.append((code, list(self.edges)))
             return
         for p in range(last + 1, len(self.pairs)):
             i, j = self.pairs[p]
@@ -461,20 +499,6 @@ class _CubicSearch:
         self.adj[j] &= ~(1 << i)
         self.deg[i] -= 1
         self.deg[j] -= 1
-
-    def _connected(self) -> bool:
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            rest = self.adj[v] & ~seen
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                seen |= low
-                stack.append(u)
-                rest &= ~low
-        return seen == (1 << self.n) - 1
 
 
 def enumerate_connected_cubic(n_vertices: int) -> list[tuple[int, list[tuple[int, int]]]]:

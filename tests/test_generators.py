@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from sponges.enumerative import ExtendedFVector, betti_polynomial, fvector_of, h
 from sponges.generators import (
     BadParameter,
     _CubicSearch,
+    _position,
     NotSimple,
     PolytopeFaceLattice,
     UnknownBuiltin,
@@ -190,6 +192,38 @@ def adjacency_sets(edges, nv):
     return adj
 
 
+def connected(edges, nv):
+    adj = adjacency_sets(edges, nv)
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for u in adj[v] - seen:
+            seen.add(u)
+            queue.append(u)
+    return len(seen) == nv
+
+
+def parents(edges, nv):
+    """par(j), the smallest neighbour of label j below j, for j = 1..nv-1;
+    None where label j has no smaller neighbour."""
+    adj = adjacency_sets(edges, nv)
+    return [min((u for u in adj[j] if u < j), default=None) for j in range(1, nv)]
+
+
+def breadth_first(edges, nv):
+    """Every label past 0 has a parent, and the parents never decrease."""
+    par = parents(edges, nv)
+    return None not in par and par == sorted(par)
+
+
+@cache
+def connected_cubic(nv):
+    """enumerate_connected_cubic(nv), checked against its pinned digest."""
+    graphs = enumerate_connected_cubic(nv)
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == CUBIC_DIGESTS[nv], nv
+    return graphs
+
+
 def triangle_count(edges, nv):
     adj = adjacency_sets(edges, nv)
     return sum(
@@ -260,17 +294,49 @@ CUBIC_DIGESTS = {
     8: "50eccdfe61981737e236a6f20fc562771c704796b7879592871e2ac6ad5c994f",
     10: "77eeb64c00770764549f1c092656dab39ba6adf26d50ae7d6b61f09a8cd205d6",
     12: "cc13cd5aad4a2874dd736b4536c86e859dc302a6434884eb279b3fe2a46d7ea9",
+    14: "23900b9cfac61635b2f2a6332e65d141f090108823fe4b8f45837478c3b1b1dd",
 }
 
 
 def test_cubic_count_twelve_vertices_desk_scale():
-    # v = 12 has 85 classes (OEIS A002851); v = 14, with 509, takes about
-    # eight times as long, so the test stops at 12.  The digests pin every
-    # output for v <= 12 byte for byte.
-    for v, digest in CUBIC_DIGESTS.items():
-        graphs = enumerate_connected_cubic(v)
-        assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == digest, v
-    assert len(graphs) == 85
+    # The class counts are OEIS A002851.  v = 14 takes a few seconds and is
+    # pinned too; v = 16 (4,060 classes) takes about ten times as long.  The
+    # digests pin every output for v <= 14 byte for byte.
+    assert [len(connected_cubic(v)) for v in CUBIC_DIGESTS] == [1, 2, 5, 19, 85, 509]
+
+
+def test_cubic_outputs_are_connected():
+    for v in CUBIC_DIGESTS:
+        for _, edges in connected_cubic(v):
+            assert connected(edges, v), (v, edges)
+
+
+def test_feasible_keeps_every_prefix_of_every_output():
+    """The breadth-first prune never cuts the path to an output: each prefix
+    of an output's edge list, which the generation grows edge by edge, passes
+    `_feasible` at its last position, and the output's labelling has a
+    parent for every label past 0, nondecreasing."""
+    for v in CUBIC_DIGESTS:
+        for _, edges in connected_cubic(v):
+            assert breadth_first(edges, v), (v, edges)
+            positions = [_position(i, j) for i, j in edges]
+            assert positions == sorted(positions)
+            search = _CubicSearch(v)
+            for (i, j), p in zip(edges, positions):
+                search._add_edge(i, j)
+                assert search._feasible(p), (v, edges, (i, j))
+
+
+def test_feasible_drops_prefixes_out_of_breadth_first_order():
+    def feasible(n, edges):
+        search = _CubicSearch(n)
+        for i, j in edges:
+            search._add_edge(i, j)
+        return search._feasible(_position(*edges[-1]))
+
+    assert feasible(6, [(0, 1), (0, 2), (0, 3), (1, 4)])  # label 1 may still grow
+    assert not feasible(6, [(0, 1), (0, 2), (0, 3), (1, 5)])  # (a): label 4 has no parent
+    assert not feasible(6, [(0, 1), (0, 2), (1, 3)])  # (b): label 0 < par(3) lacks an edge
 
 
 def edge_code(n, edges):
@@ -291,7 +357,30 @@ def code_edges(n, code):
 def test_cubic_codes_are_brute_force_maximal():
     for v in (4, 6, 8):
         for code, edges in enumerate_connected_cubic(v):
-            assert code == edge_code(v, edges) == max_code_brute_force(v, edges), (v, edges)
+            best = max_code_brute_force(v, edges)
+            assert code == edge_code(v, edges) == best, (v, edges)
+            assert breadth_first(code_edges(v, best), v), (v, edges)
+
+
+def test_maximal_codes_label_connected_graphs_breadth_first():
+    """In the maximal-code labelling of any graph, every label past 0 has a
+    smaller neighbour exactly when the graph is connected, and then the
+    smallest one never decreases."""
+    rng = random.Random(19990101)
+    graphs = [(n, edges) for n, edges in symmetric_graphs() if n <= 7]
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        density = rng.random()
+        graphs.append((n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+    kinds = set()
+    for n, edges in graphs:
+        canonical = code_edges(n, max_code_brute_force(n, edges))
+        par = parents(canonical, n)
+        assert (None not in par) == connected(edges, n), (n, edges)
+        if None not in par:
+            assert par == sorted(par), (n, edges)
+        kinds.add(None in par)
+    assert kinds == {True, False}
 
 
 def is_canonical(n, edges):
@@ -369,7 +458,7 @@ def search_nodes(canonicity_test, *args):
 
 def test_is_canonical_matches_pattern_search_beyond_brute_force(monkeypatch):
     """Verdict and search tree against the pattern-list search, on every
-    partial graph that generating the 10-vertex cubic graphs tests, and on
+    partial graph that generating the 12-vertex cubic graphs tests, and on
     random partial graphs of degree <= 3 on 9 to 12 vertices, each also
     relabelled at random.  The generation that lists the partial graphs runs
     on the oracle, so a faulty search cannot change the list."""
@@ -380,9 +469,9 @@ def test_is_canonical_matches_pattern_search_beyond_brute_force(monkeypatch):
         return is_canonical_by_patterns(search.n, search.edges)
 
     monkeypatch.setattr(_CubicSearch, "_is_canonical", recording)
-    graphs = enumerate_connected_cubic(10)
+    graphs = enumerate_connected_cubic(12)
     monkeypatch.undo()
-    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == CUBIC_DIGESTS[10]
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == CUBIC_DIGESTS[12]
     rng = random.Random(19980101)
     graphs = visited[:]
     for _ in range(200):
