@@ -32,7 +32,6 @@ from .complexes import MalformedComplex, cohomology, homology
 from .cosheaf import NotCohenMacaulay, RankMismatch, dihomology_check
 from .enumerative import (
     ExtendedFVector,
-    NegativeB,
     NotAcyclicSponge,
     betti_polynomial,
     betti_polynomial_alt,
@@ -596,10 +595,9 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
         return EXIT_INPUT_ERROR if err.code not in (0, None) else EXIT_PASS
     try:
         report, code = _HANDLERS[args.command](args)
-    except (InputError, BadParameter, NegativeB, CorruptCheckpoint, MalformedComplex, NotSimple,
-            UnknownBuiltin, UnknownElement) as err:
-        unknown = isinstance(err, (UnknownBuiltin, UnknownElement))
-        message = f"unknown name: {err}" if unknown else str(err)
+    except (InputError, BadParameter, CorruptCheckpoint, MalformedComplex, NotSimple,
+            UnknownBuiltin) as err:
+        message = f"unknown name: {err}" if isinstance(err, UnknownBuiltin) else str(err)
         print(canonical_json({"error": message}), file=stdout)
         print(f"error: {message}", file=stderr)
         return EXIT_INPUT_ERROR

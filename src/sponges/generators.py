@@ -476,7 +476,9 @@ class _CubicSearch:
                 code |= 1 << (top - 1 - _position(a, b))
             self.found.append((code, list(self.edges)))
             return
-        for p in range(last + 1, len(self.pairs)):
+        # a position past column j0 + 1 leaves that column empty, which (a) refuses
+        j0 = self.pairs[last][1] if last >= 0 else 0
+        for p in range(last + 1, min(_position(0, j0 + 2), len(self.pairs))):
             i, j = self.pairs[p]
             if self.deg[i] >= 3 or self.deg[j] >= 3:
                 continue

@@ -11,15 +11,18 @@ are the chains, with a deterministic vertex order by (rank, identifier).  A
 simplicial chain complex is `complexes.cell_complex` on the faces, each
 face's faces being its vertices dropped one at a time.  Order-complex
 homology is asked of open intervals (x, y) of P^, P with a bottom 0^ and a
-top 1^ added; `interval_homology` answers over Z from the interval's chains,
-enumerated once on P with no order complex built, and caches the answer on
-the poset.  The Cohen-Macaulay test walks every chain of P
-depth-first (the empty one included) and checks that its link has vanishing
-reduced homology below the link's own dimension.  The link of x_1 < ... <
-x_k is the join of (0^, x_1), ..., (x_k, 1^), so its homology follows from
-the cached intervals by the Kunneth formula for joins, one join per link and
-per extension; no order complex of P is built.  Building and eliminating
-each link instead is the test suite's oracle.
+top 1^ added; `interval_homology` answers over Z, in closed form for cones
+and for intervals of dimension at most 1, otherwise from the interval's
+chains, enumerated once on P with no order complex built, and caches the
+answer on the poset.  P is Cohen-Macaulay exactly when every such interval
+has homology only in its own dimension, which the Cohen-Macaulay test reads
+off the intervals first.  Only when that fails does it walk every chain of P
+depth-first (the empty one included) for the witnesses: the chains whose
+link has reduced homology below the link's own dimension.  The link of
+x_1 < ... < x_k is the join of (0^, x_1), ..., (x_k, 1^), so its homology
+follows from the cached intervals by the Kunneth formula for joins, one join
+per link and per extension; no order complex of P is built.  Building and
+eliminating each link instead is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -349,13 +352,17 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
     """Reduced integral homology and dimension of the order complex of (x, y) in P^.
 
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
-    is the (-1)-sphere.  An interval with a unique minimal or a unique
-    maximal element is a cone, so its reduced homology vanishes without its
-    chains being enumerated (coreduction would delete them all, but only
-    after building and checking them); every other interval's chains are
-    enumerated once into the augmented chain complex of its order complex,
-    whose homology `complexes.homology` reads after coreduction.  The result
-    is cached on ``p``.
+    is the (-1)-sphere.  Two kinds of interval are answered without their
+    chains being enumerated (coreduction would settle them, but only after
+    building and checking every chain):
+
+    * one with a unique minimal or a unique maximal element is a cone, so its
+      reduced homology vanishes;
+    * one of dimension 0 or 1 is a graph, see `_graph_homology`.
+
+    Every other interval's chains are enumerated once into the augmented
+    chain complex of its order complex, whose homology `complexes.homology`
+    reads after coreduction.  The result is cached on ``p``.
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]
@@ -374,10 +381,40 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
         maximal = sum(1 for e in inside if not any(u in inside for u in p._upper[e]))
         if minimal == 1 or maximal == 1:
             result = HomologyProfile({}), dim
+        elif dim <= 1:
+            result = _graph_homology(p, inside), dim
         else:
             result = homology(cell_complex(_chains(p, inside), _drop_one)), dim
     p._intervals[x, y] = result
     return result
+
+
+def _graph_homology(p: GradedPoset, inside: set) -> HomologyProfile:
+    """Reduced homology of an interval of dimension 0 or 1, a graph on ``inside``.
+
+    Its edges are the covers inside: a comparable pair two ranks apart has an
+    element between them, inside because intervals are convex, and the three
+    would make a 2-chain.  With V points, E edges and c components (found by
+    union-find), H~_0 is Z^(c-1) and H_1 is Z^(E-V+c); in dimension 0, E is 0.
+    """
+    root = {e: e for e in inside}
+
+    def find(e):
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    edges, components = 0, len(inside)
+    for e in inside:
+        for u in p._upper[e]:
+            if u in inside:
+                edges += 1
+                a, b = find(e), find(u)
+                if a != b:
+                    root[a] = b
+                    components -= 1
+    return HomologyProfile({0: (components - 1, ()), 1: (edges - len(inside) + components, ())})
 
 
 def _chains(p: GradedPoset, inside: set) -> dict[int, list[tuple[int, ...]]]:
@@ -437,16 +474,38 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
     For every chain sigma (the empty chain included), the link of sigma in
     the order complex must have vanishing reduced homology in all degrees
     below the dimension of that link.  The link of x_1 < ... < x_k is the
-    join of the open intervals (0^, x_1), ..., (x_k, 1^) of P^.  Chains are
-    walked depth-first on p, each carrying the join of its intervals up to
-    x_k (from the unit, the (-1)-sphere), so a link is one `_join` with
-    (x_k, 1^); dimensions add as (dimension + 1).  The default coefficient
-    ring is Z, so torsion alone also disqualifies; witnesses flag such
-    torsion-only failures separately.  The empty poset is Cohen-Macaulay by
-    convention.
+    join of the open intervals (0^, x_1), ..., (x_k, 1^) of P^.  That holds
+    for every chain exactly when every open interval (x, y) of P^ has reduced
+    homology only in its own dimension (Bjorner, Garsia & Stanley, "An
+    introduction to Cohen-Macaulay partially ordered sets", 1982):
+
+    * top-degree homology is free, so by the Kunneth formula for joins a
+      join of such intervals has homology only in its top degree;
+    * (x, y) is itself the link of a chain: a maximal chain of P^ through x
+      and y with its elements strictly between them dropped.
+
+    So the intervals are read first, and if they pass the report has no
+    witnesses.  Otherwise the chains are walked depth-first on p for the
+    witnesses, each carrying the join of its intervals up to x_k (from the
+    unit, the (-1)-sphere), so a link is one `_join` with (x_k, 1^);
+    dimensions add as (dimension + 1).  The default coefficient ring is Z, so
+    torsion alone also disqualifies; witnesses flag such torsion-only
+    failures separately.  Over Q only free ranks count.  The empty poset is
+    Cohen-Macaulay by convention.
     """
     _check_coefficients(coefficients)
+    rational = coefficients == RATIONALS
     above: dict = {None: p._order}  # element -> the elements above it, in (rank, id) order
+    for x in p._order:
+        up = p.upset(x)
+        above[x] = [y for y in p._order if y in up and y != x]
+
+    def top_only(x, y) -> bool:
+        h, dim = interval_homology(p, x, y)
+        return all(d == dim or (rational and not h.free_rank(d)) for d in h.degrees())
+
+    if all(top_only(x, y) for x in above for y in (*above[x], None)):
+        return CMReport(is_cm=True, coefficients=coefficients)
     witnesses: list[CMWitness] = []
 
     def walk(chain: tuple, head: HomologyProfile, head_dim: int) -> None:
@@ -455,13 +514,10 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
         dim = head_dim + rest_dim + 1
         if dim > -1:
             h = _join(head, rest)
-            if coefficients == RATIONALS:  # rational Betti numbers are the free ranks
+            if rational:  # rational Betti numbers are the free ranks
                 h = HomologyProfile({d: (h.free_rank(d), ()) for d in h.degrees()})
             witnesses.extend(CMWitness(chain, d, h.free_rank(d), h.torsion(d))
                              for d in h.degrees() if d < dim)
-        if top not in above:
-            up = p.upset(top)
-            above[top] = [y for y in p._order if y in up and y != top]
         for y in above[top]:
             step, step_dim = interval_homology(p, top, y)
             walk(chain + (y,), _join(head, step), head_dim + step_dim + 1)

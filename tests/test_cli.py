@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -13,6 +14,8 @@ from sponges.cli import (
     serialize_sponge,
 )
 from sponges.generators import builtin, gen_model_sponge
+
+from test_interval_homology import rp2_wedge_sponge
 
 
 def run(argv):
@@ -164,36 +167,21 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
     """Each exit-2 exception class prints ``error: <message>`` on stderr, the
     message that the JSON on stdout carries."""
     from sponges import cli
-    from sponges.enumerative import NegativeB
     from sponges.generators import simplex_lattice
-    from sponges.poset import UnknownElement
 
     model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(3)), "model.json")
     extra_vertex = write_doc(tmp_path, _lattice_document(
         simplex_lattice(2), extra_faces=[{"id": "x", "dim": 0}]), "lattice.json")
-    fvector = write_doc(tmp_path, serialize_fvector(builtin("hp2_fvector")), "fv.json")
     cases = [
         ("InputError", ["scan", "--family", "trivalent"]),
+        ("InputError", ["local-cohomology", model, "--face", "ghost"]),
         ("BadParameter", ["scan", "--family", "trivalent", "--max", "3"]),
-        ("NegativeB", ["hvector", fvector]),
         ("CorruptCheckpoint", ["scan", "--family", "trivalent", "--max", "4",
                                "--checkpoint", str(tmp_path)]),
         ("MalformedComplex", ["homology", model, "--reduced"]),
         ("NotSimple", ["gen", "polytope-skeleton", extra_vertex]),
         ("UnknownBuiltin", ["gen", "builtin", "nope"]),
-        ("UnknownElement", ["fvector", model]),
     ]
-
-    # No document reaches NegativeB or UnknownElement: the f-space scan records
-    # the one per grid point, and document parsing and --face turn the other
-    # into an InputError.  So two steps are made to raise them.
-    def raiser(err):
-        def step(*args):
-            raise err
-        return step
-
-    monkeypatch.setattr(cli, "hvector_of", raiser(NegativeB("face counts (3,) force b = -1 < 0")))
-    monkeypatch.setattr(cli, "fvector_of", raiser(UnknownElement("ghost")))
     raised = []
     for name, argv in cases:
         handler = cli._HANDLERS[argv[0]]
@@ -211,6 +199,16 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
         assert code == EXIT_INPUT_ERROR, name
         assert raised[-1] == name
         assert err == f"error: {json.loads(out)['error']}\n", name
+    assert json.loads(out)["error"] == "unknown name: 'nope'"
+
+
+def test_a_negative_b_is_a_scan_record_not_an_input_error():
+    """The f-space grid point (0, 0, 0) forces b = -1; the scan records it and goes on."""
+    code, report = run_json(["scan", "--fspace", "--n", "4", "--bound", "1"])
+    records = report["summary"]["records"]
+    assert code == EXIT_CHECK_FAILED and len(records) == 8
+    assert records[0] == {"acyclic": False, "error": "NegativeB", "f": [0, 0, 0],
+                          "identifier": "fspace-n4-0-0-0", "n": 4, "realized": False}
 
 
 def test_local_cohomology_model(tmp_path):
@@ -220,6 +218,60 @@ def test_local_cohomology_model(tmp_path):
     assert report["local_cohomology"] == [
         {"degree": 2, "free_rank": 3, "torsion": []}
     ]
+
+
+# sha256 of stdout for check-cm --coeff z, check-cm --coeff q and
+# dihomology-check, recorded before the Cohen-Macaulay test read its verdict
+# off the open intervals.  model_n3 and model_n4 are also builtins; the two
+# projective planes sharing a vertex pin a witness list over Z and over Q.
+CM_STDOUT_DIGESTS = {
+    "model_n3": ("b1236361d758dfb4271e35606bfacd2f3fce924a7ef0b14f8245aea6e99d7310",
+                 "058986d46a5cc36c3c84febea00336009f8e349cafc89878c1018f5a33e919d3",
+                 "94e89baec89d4c8c47af1b142a19f3d270b1afbd05e2274d1416747ae6cffca0"),
+    "model_n4": ("4f8d0b3b1821e30ab7459dd06b74d066f705cabf2286438c948754b19edb3ae7",
+                 "a1431e55085ac895425477a7fcafb04440837ccef97dda7e8cf040e22e848ac5",
+                 "3fdbf6076061e46f5d5e9bdafaf66a68a323eafb4442c181e3c91dccc471c4d7"),
+    "model_n5": ("fc3857c2649da999437c391bff17549631bbd31bcdd491544d857807055c0480",
+                 "7da968cfef78eba5a1b5fcf3601eb790e2260c0579c42fc0585287347f95ee2b",
+                 "6266bd9eeeff18682414c2f24151c8b28dcacebf672e08726a82e53d6874c925"),
+    "model_n6": ("b43a56507da17b68765d780baf47218eb7dcd75be2dca7061a3b56112e076286",
+                 "664e876f9743e115fd9690a2a2901a5b551dccdefd8de5e3f901a43ff03edee9",
+                 "c5faf7326e4d688c29690d4b58b9bf99b65ca09aca92e60de4fdab141e386475"),
+    "model_n7": ("8f3e7d438cf6a083f2060ed9df0dd86ccfe349bad275927ea07504ea7ba73527",
+                 "027eb58e30845d66159e669a883a2bbcaf4d6126a3a2f4754287366efedb62fb",
+                 "cb6c520a88f2a6ccdce77c99421da56c909d339b027cbb32b99a8249581fc2c3"),
+    "g42_octahedron": ("05127fe3f8a8939c04f92c1e2e1cbf8cb9d2f785456ffe0a2bbfef2de3dcfdb5",
+                       "470c6d6c6696fddddf3a1f9b63a2c4107048d7f13981acae31b3a70ff6bc6d1c",
+                       "dc624661960354424c213ee13f9d26a54946231b6c428cd8d292b663330c224e"),
+    "f3_k33": ("aff244cd19bc0180dcf347631fe4f718a8d96f3bc3daa200e9b09100c63557f1",
+               "af797e5ea6815abbe86d0c0afac69e43b8c544fd28d280cce5c80b7b37a00429",
+               "f52115744fc07ede81e120cec61a76d314dcf0089d72b00e658ae7ee2f520080"),
+    "cube_skeleton": ("810828cc5fbb3b7fae6be205bde529d7d0d9a0b6fd6d31eabbcf6c309e07f7e9",
+                      "77418121f8b94e00122e7d194a162f7c7861f4d54bb130f4ee36a676fdf7f697",
+                      "1bf8b433e671ab2b4964417d47300b597d6e2b4b3b39de3aadff0c9094c2a5e2"),
+    "rp2_wedge": ("5e815c879e8d958afe17a36494cd3749ab7262a6c025fc4cce6d3778ef726acd",
+                  "ddc2fb223ef0444240f4e179b80b3ea1d9b21b76c1bdedff983ace9cc6ce4811",
+                  "e8fb287c9b67e7b120c400aff09edb08466f06d3a416de6b83cbbe90efc67a9a"),
+}
+
+
+def cm_document(name):
+    if name == "rp2_wedge":
+        return rp2_wedge_sponge()
+    if name.startswith("model_n"):
+        return gen_model_sponge(int(name[len("model_n"):]))
+    return builtin(name)
+
+
+def test_cohen_macaulay_reports_are_pinned(tmp_path):
+    for name, digests in CM_STDOUT_DIGESTS.items():
+        path = write_doc(tmp_path, serialize_sponge(cm_document(name)), f"{name}.json")
+        outputs = [run(argv)[1] for argv in (["check-cm", path, "--coeff", "z"],
+                                              ["check-cm", path, "--coeff", "q"],
+                                              ["dihomology-check", path])]
+        assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == list(digests), name
+    report = json.loads(outputs[0])
+    assert [(w["chain"], w["torsion"]) for w in report["witnesses"]] == [([], ["2", "2"]), (["1"], [])]
 
 
 def test_check_acyclic_failure_exit_1(tmp_path):

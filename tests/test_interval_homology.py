@@ -16,7 +16,6 @@ from sponges.generators import (
     gen_model_sponge,
     gen_polytope_skeleton,
     gen_trivalent_sponges,
-    graph_sponge,
     hypercube_lattice,
     simplex_lattice,
 )
@@ -27,16 +26,39 @@ from oracles import (
     check_acyclic_via_subposets,
     cohen_macaulay_via_links,
     dihomology_check_via_order_complex,
+    interval_homology_via_order_complex,
     realization_cross_check_via_order_complex,
 )
+from test_cell_complex import interval_posets, open_intervals
 from test_cosheaf import weighted_k33_sponge
-from test_poset import projective_plane_face_poset
+from test_poset import RP2_FACETS, projective_plane_face_poset
 
 
 def rp2_sponge():
     """The minimal projective plane: Z/2 in reduced H^2, Cohen-Macaulay over Q only."""
     p = projective_plane_face_poset()
     return SpongeComplex(n=4, faces=p, incidence=sign_solver(p))
+
+
+def simplicial_sponge(facets):
+    """The face poset of a simplicial complex, with the simplicial incidence signs."""
+    faces = {f for facet in facets for k in range(1, len(facet) + 1)
+             for f in combinations(sorted(facet), k)}
+
+    def name(f):
+        return "-".join(map(str, f))
+
+    incidence = {(name(f), name(f[:k] + f[k + 1:])): -1 if k & 1 else 1
+                 for f in faces if len(f) > 1 for k in range(len(f))}
+    p = GradedPoset([(name(f), len(f) - 1) for f in faces], list(incidence))
+    return SpongeComplex(n=max(map(len, faces)) + 1, faces=p, incidence=incidence)
+
+
+def rp2_wedge_sponge():
+    """Two projective planes sharing vertex 1: Z/2 + Z/2 in reduced H_1, and the
+    link of vertex 1 is two circles."""
+    second = {1: 1, 2: 7, 3: 8, 4: 9, 5: 10, 6: 11}
+    return simplicial_sponge(RP2_FACETS + [tuple(second[v] for v in f) for f in RP2_FACETS])
 
 
 def doubled_edge_sponge():
@@ -157,7 +179,7 @@ def test_dihomology_eliminates_the_whole_poset_at_most_once(monkeypatch):
     model = gen_model_sponge(5)
     dihomology_check(model)
     whole = len(model.faces)
-    # the Cohen-Macaulay test walks chains on the poset and (0^, 1^) is a cone
+    # the Cohen-Macaulay test reads the intervals on the poset, and (0^, 1^) is a cone
     assert whole not in built and whole not in reduced
     octahedron = builtin("g42_octahedron")
     dihomology_check(octahedron)
@@ -166,10 +188,110 @@ def test_dihomology_eliminates_the_whole_poset_at_most_once(monkeypatch):
 
 
 def test_check_acyclic_eliminates_no_vertex_interval(monkeypatch):
+    z = relabelled(gen_polytope_skeleton(simplex_lattice(5)), 0)  # a poset with no cache yet
     built, reduced = count_interval_complexes(monkeypatch)
-    z = graph_sponge(4, list(combinations(range(4), 2)), name="k4")
     check_acyclic(z)
-    # each edge's (0^, e) is two points, eliminated once; a vertex's is empty
-    assert built == reduced == [2] * 6
+    # each tetrahedron's (0^, t), its 14-face boundary, is eliminated once; a
+    # vertex's is empty, and an edge's or a triangle's is a graph
+    assert built == reduced == [14] * 15
     check_acyclic(z)
-    assert built == reduced == [2] * 6
+    assert built == reduced == [14] * 15
+
+
+def random_graph_poset(rng):
+    """Two to four ranks of one to six elements, with one cover density per poset."""
+    density = rng.choice((0.15, 0.4, 0.8))
+    elements, covers, below = [], [], []
+    for rk in range(rng.randint(2, 4)):
+        level = [f"r{rk}e{i}" for i in range(rng.randint(1, 6))]
+        elements += [(e, rk) for e in level]
+        covers += [(e, b) for e in level for b in below if rng.random() < density]
+        below = level
+    return GradedPoset(elements, covers)
+
+
+def test_graph_intervals_match_order_complex_oracle(monkeypatch):
+    """Intervals of dimension 0 and 1 are read as graphs, building no complex."""
+    built, graphs = [], []
+    cell_complex, graph_homology = poset.cell_complex, poset._graph_homology
+
+    def counted_cell_complex(cells, faces):
+        built.append(cells)
+        return cell_complex(cells, faces)
+
+    def counted_graph_homology(p, inside):
+        graphs.append(inside)
+        return graph_homology(p, inside)
+
+    monkeypatch.setattr(poset, "cell_complex", counted_cell_complex)
+    monkeypatch.setattr(poset, "_graph_homology", counted_graph_homology)
+    rng = random.Random(1736)
+    posets = interval_posets() + [gen_model_sponge(n).faces for n in range(3, 8)]
+    posets += [random_graph_poset(rng) for _ in range(150)]
+    kinds = dict.fromkeys(("points", "disconnected", "tree", "cycles"), 0)
+    for p in posets:
+        for x, y in open_intervals(p):
+            before = len(built), len(graphs)
+            h, dim = interval_homology(p, x, y)
+            if dim not in (0, 1):
+                continue
+            assert len(built) == before[0], (p, x, y)
+            assert (h, dim) == interval_homology_via_order_complex(p, x, y), (p, x, y)
+            if len(graphs) == before[1]:
+                continue  # a cone
+            if dim == 0:
+                kinds["points"] += 1
+            elif h.free_rank(0):
+                kinds["disconnected"] += 1
+            elif h.free_rank(1) != 1:
+                kinds["cycles" if h.free_rank(1) else "tree"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def glued_spheres(rng):
+    """Two or three boundaries of a d-simplex glued along a k-face, d - k >= 3.
+
+    The link of that face is a disjoint union of spheres of dimension at least
+    1, so the poset is not Cohen-Macaulay; the intervals (0^, 1^) and (0^, x)
+    are all spheres and wedges of spheres, so the failure sits only above the
+    glued face.
+    """
+    d = rng.choice((3, 4))
+    k = rng.randrange(d - 2)
+    shared, facets = list(range(k + 1)), []
+    for copy in range(rng.randint(2, 3)):
+        vertices = shared + [k + 1 + copy * (d - k) + i for i in range(d - k)]
+        facets += list(combinations(vertices, d))
+    return relabelled(simplicial_sponge(facets), rng.randrange(100)).faces
+
+
+def test_cm_verdict_reads_intervals_and_walks_only_on_failure(monkeypatch):
+    """Whole reports against building and eliminating every link, over Z and Q.
+
+    Cohen-Macaulay posets are settled by their intervals with no join; the
+    others fall back to the walk, which alone finds witnesses.
+    """
+    joins = []
+    join = poset._join
+
+    def counted_join(a, b):
+        joins.append(1)
+        return join(a, b)
+
+    monkeypatch.setattr(poset, "_join", counted_join)
+    rng = random.Random(1982)
+    glued = [glued_spheres(rng) for _ in range(6)]
+    rp2 = projective_plane_face_poset()
+    cm = [gen_model_sponge(n).faces for n in (3, 4, 5)] + [builtin("g42_octahedron").faces]
+    deepest = 0
+    for p in glued + [rp2_wedge_sponge().faces, two_triangle_face_sponge().faces, rp2] + cm:
+        for coefficients in ("integers", "rationals"):
+            joins.clear()
+            report = check_cohen_macaulay(p, coefficients)
+            assert report == cohen_macaulay_via_links(p, coefficients), (p, coefficients)
+            assert bool(joins) == (not report.is_cm), (p, coefficients)
+            assert report.is_cm == (p in cm or (p is rp2 and coefficients == "rationals"))
+            if p in glued:
+                assert all(w.chain for w in report.witnesses)
+                deepest = max([deepest] + [len(w.chain) for w in report.witnesses])
+    assert deepest >= 2
