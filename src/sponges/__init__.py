@@ -34,7 +34,6 @@ from .enumerative import (
 from .exactalg import (
     IntegerMatrix,
     SmithDecomposition,
-    integer_kernel_basis,
     rank,
     smith_normal_form,
 )

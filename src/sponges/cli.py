@@ -596,8 +596,10 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     try:
         report, code = _HANDLERS[args.command](args)
     except (InputError, BadParameter, CorruptCheckpoint, MalformedComplex, NotSimple,
-            UnknownBuiltin) as err:
+            UnknownBuiltin, MemoryError, OverflowError) as err:
         message = f"unknown name: {err}" if isinstance(err, UnknownBuiltin) else str(err)
+        if isinstance(err, (MemoryError, OverflowError)):  # a size no list can take
+            message = f"input too large: {message or type(err).__name__}"
         print(canonical_json({"error": message}), file=stdout)
         print(f"error: {message}", file=stderr)
         return EXIT_INPUT_ERROR

@@ -21,18 +21,20 @@ is the quotient by it.
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
 leftmost-independent selection), so matrices of induced maps are reproducible.
-Each basis keeps the sparse columns of one forward reduction per degree,
-with their coordinates, so the coordinates of a cycle come from reducing it
-against them, not from a fresh elimination.
+One sparse column reduction per boundary gives both, with no Smith
+transform: its surviving columns span the boundaries, its vanishing ones the
+cycles above.  The coordinates of a cycle come from reducing it against the
+kept columns, not from a fresh elimination.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .exactalg import IntegerMatrix, integer_kernel_basis, smith_diagonal
+from .exactalg import IntegerMatrix, smith_diagonal
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -333,12 +335,13 @@ def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:
 class RationalHomologyBasis:
     """Deterministic homology bases over Q for one complex.
 
-    Per degree: representatives are integer cycle vectors (from the kernel
-    lattice of the boundary) extending a column basis of the boundaries from
-    above.  The boundary columns, then the kernel columns, are reduced in
-    order against the sparse columns kept so far (`_reduce`).  One that does
-    not vanish is kept with its coordinates modulo boundaries: none for a
-    boundary, while a kept kernel column is the next representative.
+    At and below each degree d, the columns of d_{d+1} are reduced in order
+    against the columns kept so far (`_reduce`), each with the combination of
+    columns it has become.  A survivor is a boundary, kept; one that vanishes
+    gives the kernel vector e_j - sum c_k e_k times the lcm of its denominators,
+    a cycle of degree d+1 (Edelsbrunner, Letscher and Zomorodian, DCG 28, 2002).
+    Then each cycle of degree d that does not vanish when reduced is the next
+    representative, kept with its coordinates modulo boundaries.
     """
 
     def __init__(self, c: IntegerChainComplex):
@@ -346,24 +349,30 @@ class RationalHomologyBasis:
         self._reps: dict[int, list[tuple[int, ...]]] = {}
         # degree -> pivot row -> (column, coordinates), scaled to pivot entry 1
         self._kept: dict[int, dict[int, tuple[dict, dict]]] = {}
-        for d in c.degrees():
-            reps, kept = self._reps.setdefault(d, []), self._kept.setdefault(d, {})
-            columns: dict[int, dict] = {}
-            for j, i, v in c.boundary(d + 1).transpose().nonzero_items():
-                columns.setdefault(j, {})[i] = v
-            pending = [(column, None) for column in columns.values()]
-            pending += [({i: x for i, x in enumerate(k) if x}, k)
-                        for k in integer_kernel_basis(c.boundary(d))]
-            for column, rep in pending:
-                coords = {} if rep is None else {len(reps): 1}
+        cycles: dict[int, list[tuple[int, ...]]] = {}  # degree -> candidates
+        for d in sorted({*c.degrees(), *(d - 1 for d in c.degrees())}):
+            reps, kept, n = self._reps.setdefault(d, []), {}, c.rank(d + 1)
+            columns: list[dict] = [{} for _ in range(n)]
+            for i, j, v in c.boundary(d + 1).nonzero_items():
+                columns[j][i] = v
+            cycles[d + 1] = []
+            for j, column in enumerate(columns):
+                combination = {j: 1}  # column == sum of combination[k] * column k of d_{d+1}
+                _reduce(kept, column, combination)
+                if column:
+                    _keep(kept, column, combination)
+                else:
+                    scale = lcm(*(Fraction(x).denominator for x in combination.values()))
+                    cycles[d + 1].append(
+                        tuple(int(combination.get(k, 0) * scale) for k in range(n)))
+            # a boundary has no coordinates modulo boundaries
+            kept = self._kept[d] = {p: (column, {}) for p, (column, _) in kept.items()}
+            for z in cycles.pop(d, []):
+                column, coords = {i: x for i, x in enumerate(z) if x}, {len(reps): 1}
                 _reduce(kept, column, coords)
                 if column:
-                    if rep is not None:
-                        reps.append(rep)
-                    pivot = max(column)
-                    scale = Fraction(column[pivot])
-                    kept[pivot] = ({i: x / scale for i, x in column.items()},
-                                   {k: x / scale for k, x in coords.items()})
+                    reps.append(z)
+                    _keep(kept, column, coords)
 
     def betti(self, degree: int) -> int:
         return len(self._reps.get(degree, []))
@@ -391,6 +400,14 @@ class RationalHomologyBasis:
                 raise ValueError("vector is not a cycle modulo boundaries")
             out.append([-coords.get(k, Fraction(0)) for k in range(betti)])
         return out
+
+
+def _keep(kept: dict[int, tuple[dict, dict]], column: dict, coords: dict) -> None:
+    """Keep a reduced column and its coordinates under its last row, scaled to 1 there."""
+    pivot = max(column)
+    scale = Fraction(column[pivot])
+    kept[pivot] = ({i: x / scale for i, x in column.items()},
+                   {k: x / scale for k, x in coords.items()})
 
 
 def _reduce(kept: Mapping[int, tuple[dict, dict]], column: dict, coords: dict) -> None:

@@ -330,8 +330,6 @@ def series_expand(s: HilbertSeries, up_to: int) -> tuple[int, ...]:
     k = s.denominator_power
     out = [0] * (up_to + 1)
     # 1/(1-t^2)^k has coefficient C(j+k-1, k-1) at t^(2j)
-    from math import comb
-
     for d, c in enumerate(s.numerator):
         if not c or d > up_to:
             continue

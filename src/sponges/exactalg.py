@@ -1,4 +1,4 @@
-"""Exact integer matrix algebra: Smith normal form, rank, integer kernels.
+"""Exact integer matrix algebra: sparse matrices, Smith normal form, rank.
 
 Everything here runs on Python's arbitrary-precision integers and exact
 rationals; no floating point is used anywhere.  Matrices are immutable and
@@ -17,11 +17,10 @@ key falls below its row's bound).  A key on top whose row is gone is
 dropped, one below its row's least entry is re-keyed to that entry, and one
 equal to it is the pivot.  So the pivots are exactly those of a full scan,
 found with heap operations and a scan of one row instead of every nonzero.
-The unimodular transforms are only computed when a caller actually needs
-them (`smith_normal_form`); rank and torsion queries go through the cheaper
-`smith_diagonal`.  Ranks of rational matrices come from Smith diagonals once
-their denominators are cleared; the one solver over Q, for coordinates in a
-homology basis, reduces sparse columns in `complexes`.
+Rank and torsion go through `smith_diagonal`; no library path asks for the
+transforms of `smith_normal_form`, which stays as API.  Ranks of rational
+matrices come from Smith diagonals once their denominators are cleared; the
+one solver over Q, for homology bases, reduces sparse columns in `complexes`.
 """
 
 from __future__ import annotations
@@ -395,15 +394,3 @@ def rank(m: IntegerMatrix) -> int:
     """Rank of m over Q (= number of nonzero Smith diagonal entries)."""
     return len(smith_diagonal(m))
 
-
-def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
-    """A lattice basis of {v : M v = 0}.
-
-    With U*M*V = D, the columns of V past the rank satisfy M v = 0 and span
-    the kernel lattice saturately (V is unimodular).
-    """
-    if m.cols == 0:
-        return []
-    snf = smith_normal_form(m)
-    r = len(snf.diagonal)
-    return [tuple(col) for col in snf.V.transpose().to_rows()[r:]]

@@ -343,13 +343,13 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 #   2014).
 # Ties are not also filtered by automorphism orbits: that saves nodes, not time.
 #
-# Most partial graphs have no output below them, and two cheap tests in
-# `_feasible` drop them before canonicity is tried (the idea of Meringer,
-# "Fast generation of regular graphs and construction of cages", J. Graph
-# Theory 30, 1999).  Both rest on one lemma: let G be connected, in its
-# maximal-code labelling, and let par(j) be the smallest neighbour of label j
-# below j.  Then (i) par(j) exists for every j >= 1, and (ii) par is
-# nondecreasing, so the labels are a breadth-first order.
+# Most partial graphs have no output below them, and two cheap rules drop
+# them before canonicity is tried (the idea of Meringer, "Fast generation of
+# regular graphs and construction of cages", J. Graph Theory 30, 1999).  Both
+# rest on one lemma: let G be connected, in its maximal-code labelling, and
+# let par(j) be the smallest neighbour of label j below j.  Then (i) par(j)
+# exists for every j >= 1, and (ii) par is nondecreasing, so the labels are a
+# breadth-first order.
 #
 # * (ii): if j < u and par(u) < par(j), give u label j and keep labels
 #   0..j-1.  Columns 1..j-1 do not change, and column j gains a 1 at bit
@@ -361,12 +361,14 @@ def builtin(name: str) -> SpongeComplex | ExtendedFVector:
 # position is (k, j0) with k > i0, or lies in a column past j0.  So no
 # maximal-code connected cubic completion exists if
 #
-# * (a) some label in 1..j0-1 has no smaller neighbour: its column is final;
+# * (a) some label in 1..j0-1 has no smaller neighbour: its column is final.
+#   `_extend` never skips a column: the first edge is (0, 1), and the next
+#   one lies in column j0 or j0+1, so every column up to j0 holds an edge.
 # * (b) some label k < p0 has degree below 3: an edge (k, u) with u > j0
-#   would give par(u) <= k < p0 = par(j0).
+#   would give par(u) <= k < p0 = par(j0).  `_feasible` tests this.
 #
-# A leaf ends in column n-1 and passed (a), so every label reaches 0 through
-# its parents: outputs need no connectivity test.
+# A leaf ends in column n-1 and skipped no column, so every label reaches 0
+# through its parents: outputs need no connectivity test.
 #
 # The position -> (i, j) pairs and, per position and vertex, the number of
 # later positions touching that vertex are tables built once per n.
@@ -444,18 +446,13 @@ class _CubicSearch:
     # -- feasibility ------------------------------------------------------
 
     def _feasible(self, last: int) -> bool:
-        if len(self.pairs) - 1 - last < self.target_edges - len(self.edges):
-            return False
+        # each vertex can reach degree 3, so enough positions are left for 3n/2 edges
         for d, a in zip(self.deg, self.available[last]):
             if d + a < 3:
                 return False
         # the BFS order of maximal codes; see the comment above _position
-        adj = self.adj
         j0 = self.pairs[last][1]
-        for u in range(1, j0):
-            if not adj[u] & ((1 << u) - 1):  # (a): u has no parent
-                return False
-        parent = (adj[j0] & -adj[j0]).bit_length() - 1
+        parent = (self.adj[j0] & -self.adj[j0]).bit_length() - 1
         for k in range(parent):
             if self.deg[k] < 3:  # (b): k can gain no edge
                 return False
@@ -469,14 +466,14 @@ class _CubicSearch:
     def _extend(self, last: int) -> None:
         if len(self.edges) == self.target_edges:
             # 3n/2 edges of degree <= 3 make the graph cubic, and every label
-            # past 0 has a parent (a), so it is connected
+            # past 0 has a parent (the column bound below), so it is connected
             code = 0
             top = len(self.pairs)
             for a, b in self.edges:
                 code |= 1 << (top - 1 - _position(a, b))
             self.found.append((code, list(self.edges)))
             return
-        # a position past column j0 + 1 leaves that column empty, which (a) refuses
+        # (a): a position past column j0 + 1 would leave that column empty
         j0 = self.pairs[last][1] if last >= 0 else 0
         for p in range(last + 1, min(_position(0, j0 + 2), len(self.pairs))):
             i, j = self.pairs[p]

@@ -14,7 +14,10 @@ the homology of every chain's link instead of joins of cached intervals,
 cosheaf homology through dense Fraction blocks and Gauss-Jordan ranks
 instead of a scaled integral chain complex and Smith diagonals, rational
 homology bases and coordinates through one dense Gauss-Jordan elimination
-beside an identity block per degree instead of sparse reduced columns, face
+beside an identity block per degree instead of sparse reduced columns, and
+their kernel vectors through the reduced row-echelon form of each boundary
+instead of the vanishing columns of that reduction (the Smith route to a
+saturated kernel basis is kept here as well), face
 acyclicity, the realization cross-check and the dihomology check through
 order complexes built and eliminated afresh instead of the open-interval
 homology cached on the face poset, simplicial boundaries assembled matrix
@@ -33,6 +36,7 @@ tied candidates.
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from sponges.complexes import (
@@ -52,7 +56,7 @@ from sponges.cosheaf import (
     build_cosheaf,
     cosheaf_homology,
 )
-from sponges.exactalg import IntegerMatrix, integer_kernel_basis, smith_diagonal
+from sponges.exactalg import IntegerMatrix, smith_diagonal, smith_normal_form
 from sponges.poset import (
     CMReport,
     CMWitness,
@@ -242,6 +246,37 @@ def rational_rref(
     return m[: len(pivots)], pivots
 
 
+def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
+    """A saturated lattice basis of {v : M v = 0}, from the Smith form.
+
+    With U*M*V = D, the columns of V past the rank satisfy M v = 0 and span
+    the kernel lattice saturately (V is unimodular).
+    """
+    if m.cols == 0:
+        return []
+    snf = smith_normal_form(m)
+    return [tuple(col) for col in snf.V.transpose().to_rows()[len(snf.diagonal):]]
+
+
+def dependency_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
+    """The kernel vectors of `RationalHomologyBasis`, by Gauss-Jordan.
+
+    Each column j of m that depends on the leftmost independent columns
+    before it is m_j = sum c_k m_k, with the c_k read off column j of the
+    reduced row-echelon form; its vector is e_j - sum c_k e_k, times the lcm
+    of its denominators.
+    """
+    reduced, pivots = rational_rref(m.to_rows())
+    out = []
+    for j in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Fraction(int(i == j)) for i in range(m.cols)]
+        for row, k in zip(reduced, pivots):
+            v[k] -= row[j]
+        scale = lcm(*(x.denominator for x in v))
+        out.append(tuple(int(x * scale) for x in v))
+    return out
+
+
 class RationalHomologyBasisDense:
     """The homology bases of `complexes.RationalHomologyBasis`, dense.
 
@@ -249,16 +284,18 @@ class RationalHomologyBasisDense:
     identity] picks the representatives and yields E with E * columns
     reduced.  The rows of E at the representatives' pivots give coordinates
     modulo boundaries; the rows past the rank vanish exactly on the cycles.
+    ``kernel`` gives the kernel vectors of each boundary; with
+    `integer_kernel_basis` the bases are those read off Smith transforms.
     """
 
-    def __init__(self, c: IntegerChainComplex):
+    def __init__(self, c: IntegerChainComplex, kernel=dependency_kernel):
         self._reps: dict[int, list[tuple[int, ...]]] = {}
         self._solve: dict[int, list[list[Fraction]]] = {}
         for d in c.degrees():
             n = c.rank(d)
-            kernel = integer_kernel_basis(c.boundary(d))
+            kernel_cols = kernel(c.boundary(d))
             boundary_cols = [tuple(col) for col in c.boundary(d + 1).transpose().to_rows()]
-            all_cols = boundary_cols + kernel
+            all_cols = boundary_cols + kernel_cols
             rows = [[col[i] for col in all_cols] + [int(i == j) for j in range(n)]
                     for i in range(n)]
             reduced, pivots = rational_rref(rows)
@@ -296,7 +333,7 @@ def dense_basis_mismatches(c: IntegerChainComplex, rng) -> list[tuple[int, str]]
         if sparse.representatives(d) != reps:
             out.append((d, "representatives"))
         boundaries = c.boundary(d + 1).transpose().to_rows()
-        vectors = [list(k) for k in integer_kernel_basis(c.boundary(d))]
+        vectors = [list(k) for k in dependency_kernel(c.boundary(d))]
         for _ in range(3):
             a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
             b = [rng.randint(-2, 2) for _ in boundaries]

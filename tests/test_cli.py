@@ -3,7 +3,7 @@ import io
 import json
 import sys
 
-from sponges import search
+from sponges import exactalg, search
 from sponges.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -13,7 +13,15 @@ from sponges.cli import (
     serialize_fvector,
     serialize_sponge,
 )
+from sponges.cosheaf import NotCohenMacaulay, build_cosheaf, dihomology_check
 from sponges.generators import builtin, gen_model_sponge
+from sponges.poset import check_cohen_macaulay
+from sponges.sponge import (
+    NonCompactSponge,
+    NotAcyclicSponge,
+    check_acyclic,
+    realization_cross_check,
+)
 
 from test_interval_homology import rp2_wedge_sponge
 
@@ -170,6 +178,7 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
     from sponges.generators import simplex_lattice
 
     model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(3)), "model.json")
+    fv = write_doc(tmp_path, serialize_fvector(builtin("hp2_fvector")), "fv.json")
     extra_vertex = write_doc(tmp_path, _lattice_document(
         simplex_lattice(2), extra_faces=[{"id": "x", "dim": 0}]), "lattice.json")
     cases = [
@@ -181,8 +190,13 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
         ("MalformedComplex", ["homology", model, "--reduced"]),
         ("NotSimple", ["gen", "polytope-skeleton", extra_vertex]),
         ("UnknownBuiltin", ["gen", "builtin", "nope"]),
+        # sizes no list can take, refused before anything is allocated
+        ("MemoryError", ["hilbert", fv, "--which", "equivariant", "--expand", str(2**62)]),
+        ("OverflowError", ["hilbert", fv, "--which", "equivariant", "--expand", str(10**19)]),
+        ("MemoryError", ["gen", "simplex-skeleton", "--m", str(2**62), "--k", "0"]),
+        ("OverflowError", ["gen", "simplex-skeleton", "--m", str(10**19), "--k", "0"]),
     ]
-    raised = []
+    raised, messages = [], []
     for name, argv in cases:
         handler = cli._HANDLERS[argv[0]]
 
@@ -199,7 +213,9 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
         assert code == EXIT_INPUT_ERROR, name
         assert raised[-1] == name
         assert err == f"error: {json.loads(out)['error']}\n", name
-    assert json.loads(out)["error"] == "unknown name: 'nope'"
+        messages.append(json.loads(out)["error"])
+    assert messages[6] == "unknown name: 'nope'"
+    assert all(m.startswith("input too large: ") for m in messages[7:])
 
 
 def test_a_negative_b_is_a_scan_record_not_an_input_error():
@@ -272,6 +288,51 @@ def test_cohen_macaulay_reports_are_pinned(tmp_path):
         assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == list(digests), name
     report = json.loads(outputs[0])
     assert [(w["chain"], w["torsion"]) for w in report["witnesses"]] == [([], ["2", "2"]), (["1"], [])]
+
+
+def test_no_library_path_computes_smith_transforms(tmp_path, monkeypatch):
+    """With Smith transforms refused, the checks, the cosheaf and every CLI
+    report command run on models n=3..6 and the sponge builtins.  A refusal
+    is recorded as well as raised, since a scan turns errors into records."""
+    refused = []
+    eliminator_init = exactalg._Eliminator.__init__
+
+    def refuse(*args):
+        refused.append(args)
+        raise RuntimeError("Smith transforms were computed")
+
+    def diagonal_only(self, m, with_transforms):
+        if with_transforms:
+            refuse(m)
+        eliminator_init(self, m, with_transforms)
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(exactalg._Eliminator, "__init__", diagonal_only)
+    fv = write_doc(tmp_path, serialize_fvector(builtin("hp2_fvector")), "fv.json")
+    simplicial = write_doc(tmp_path, run_json(["gen", "simplex-skeleton", "--m", "4",
+                                               "--k", "2"])[1], "simplicial.json")
+    commands = [["hvector", fv], ["hilbert", fv, "--which", "equivariant"],
+                ["duality-check", fv], ["homology", simplicial, "--coeff", "q"],
+                ["gen", "trivalent", "--max", "8"], ["scan", "--family", "trivalent", "--max", "8"],
+                ["scan", "--fspace", "--n", "4", "--bound", "2"]]
+    names = ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3", "model_n4")
+    for z in [*(builtin(name) for name in names), gen_model_sponge(5), gen_model_sponge(6)]:
+        for check in (check_acyclic, realization_cross_check, build_cosheaf, dihomology_check):
+            try:
+                check(z)
+            except (NonCompactSponge, NotAcyclicSponge, NotCohenMacaulay):
+                pass
+        check_cohen_macaulay(z.faces)
+        path = write_doc(tmp_path, serialize_sponge(z), f"{z.name}.json")
+        face = z.faces.elements()[0]
+        commands += [[command, path] for command in (
+            "validate", "check-acyclic", "check-cm", "check-local-model", "dihomology-check",
+            "fvector", "hvector", "hilbert", "duality-check")]
+        commands += [["homology", path, "--coeff", "q"], ["check-cm", path, "--coeff", "q"],
+                     ["local-cohomology", path, "--face", face]]
+    for argv in commands:
+        assert run(argv)[0] in (EXIT_PASS, EXIT_CHECK_FAILED), argv
+    assert not refused
 
 
 def test_check_acyclic_failure_exit_1(tmp_path):

@@ -19,8 +19,10 @@ from sponges.exactalg import IntegerMatrix
 
 from oracles import (
     NotASubcomplex,
+    RationalHomologyBasisDense,
     cohomology_via_transpose,
     dense_basis_mismatches,
+    integer_kernel_basis,
     quotient_complex,
     rational_betti_numbers,
     subcomplex,
@@ -293,12 +295,39 @@ def coordinates_corpus(rng):
     return corpus
 
 
+def random_integer_complex(rng):
+    """Degrees 0..2 with d_1 = X [I 0] E and d_2 = E^-1 [0; I] Y, where X and
+    Y have entries in -5..5 and E is two column operations on C_1."""
+    a, b, c = (rng.randint(1, 5) for _ in range(3))
+    k = rng.randint(0, b)
+    d1 = [[rng.randint(-5, 5) if j < k else 0 for j in range(b)] for _ in range(a)]
+    d2 = [[rng.randint(-5, 5) if i >= k else 0 for _ in range(c)] for i in range(b)]
+    for _ in range(2 if b > 1 else 0):
+        # basis vector e_j becomes e_j + q e_i
+        i, j = rng.sample(range(b), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in d1:
+            row[j] += q * row[i]
+        d2[i] = [x - q * y for x, y in zip(d2[i], d2[j])]
+    return IntegerChainComplex({0: a, 1: b, 2: c}, {1: mat(d1), 2: mat(d2, cols=c)})
+
+
 def test_basis_matches_dense_oracle_on_random_corpus():
     """Representatives, exact coordinates and the non-cycle error agree with
-    one dense Gauss-Jordan elimination per degree."""
+    one dense Gauss-Jordan elimination per degree, on simplicial complexes and
+    on integer complexes whose kernel vectors tell the Smith route apart."""
     rng = random.Random(5150)
     for c in coordinates_corpus(rng):
         assert not dense_basis_mismatches(c, rng), c
+    differ = 0
+    for _ in range(100):
+        c = random_integer_complex(rng)
+        assert not dense_basis_mismatches(c, rng), c
+        smith = RationalHomologyBasisDense(c, kernel=integer_kernel_basis)
+        basis = RationalHomologyBasis(c)
+        differ += sum(basis.representatives(d) != smith.representatives(d)
+                      for d in c.degrees())
+    assert differ
 
 
 def test_coordinates_recover_combinations_of_representatives():

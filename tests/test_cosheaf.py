@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from sponges import complexes
+from sponges import complexes, exactalg
 from sponges.complexes import RationalHomologyBasis, cochain_complex, cohomology, profile
 from sponges.cosheaf import (
     NotCohenMacaulay,
@@ -103,32 +103,43 @@ def test_section_bases_match_dense_oracle():
 
 
 def test_cosheaf_eliminates_once_per_section_and_degree(monkeypatch):
-    """Each section's homology basis is one reduction per degree, and the
-    cover maps read coordinates from it without reducing it again."""
-    reductions, open_coordinates, changed = [], [], []
-    kernel_basis = complexes.integer_kernel_basis
+    """Each section's homology basis reduces every boundary once, and asks
+    for no Smith transform; the cover maps read coordinates from it without
+    reducing it again."""
+    building, reads, changed, smith_calls = [], [], [], []
+    init, boundary = RationalHomologyBasis.__init__, complexes.IntegerChainComplex.boundary
     coordinates = RationalHomologyBasis.coordinates
 
-    def counted_kernel_basis(m):
-        reductions.append(bool(open_coordinates))
-        return kernel_basis(m)
+    def counted_init(self, c):
+        building.append([])
+        init(self, c)
+        reads.append((building.pop(), c.degrees()))
+
+    def counted_boundary(self, degree):
+        if building:
+            building[-1].append(degree)
+        return boundary(self, degree)
 
     def counted_coordinates(self, degree, vectors):
-        open_coordinates.append(degree)
         kept = copy.deepcopy(self._kept)
         try:
             return coordinates(self, degree, vectors)
         finally:
-            open_coordinates.pop()
             changed.append(kept != self._kept)
 
-    monkeypatch.setattr(complexes, "integer_kernel_basis", counted_kernel_basis)
+    monkeypatch.setattr(RationalHomologyBasis, "__init__", counted_init)
+    monkeypatch.setattr(complexes.IntegerChainComplex, "boundary", counted_boundary)
     monkeypatch.setattr(RationalHomologyBasis, "coordinates", counted_coordinates)
+    monkeypatch.setattr(exactalg, "smith_normal_form", lambda m: smith_calls.append(m))
     model = gen_model_sponge(6)
     c = build_cosheaf(model)
-    assert c.cover_maps and len(model.faces) == 57
-    assert len(reductions) == 57 * 5  # every section complex has degrees 0..4 here
-    assert not any(reductions)
+    assert c.cover_maps and len(model.faces) == 57 and len(reads) == 57
+    for read, degrees in reads:
+        # one pass per degree and one below the lowest: the boundaries
+        # d_{d+1}, each read once
+        assert sorted(read) == [d + 1 for d in [degrees[0] - 1, *degrees]]
+        assert len(degrees) == 5  # every section complex has 5 degrees here
+    assert not smith_calls
     assert changed and not any(changed)
 
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import random
 import re
 import time
@@ -9,7 +10,6 @@ from pathlib import Path
 import sponges
 from sponges.exactalg import (
     IntegerMatrix,
-    integer_kernel_basis,
     rank,
     smith_diagonal,
     smith_normal_form,
@@ -20,7 +20,9 @@ from oracles import (
     dense_product,
     dense_submatrix,
     dense_transpose,
+    dependency_kernel,
     determinant_bareiss,
+    integer_kernel_basis,
     rank_fraction_free,
     rational_rref,
 )
@@ -110,6 +112,25 @@ def test_kernel_saturation():
     assert gcd(basis[0][0], basis[0][1]) == 1
 
 
+def test_dependency_kernel_random_suite():
+    """300 random matrices: one integer kernel vector per column that is not
+    a pivot of the rank oracle, with entry > 0 there and 0 at later columns."""
+    rng = random.Random(1912)
+    for trial in range(300):
+        rows = [[rng.randint(-5, 5) for _ in range(rng.randint(1, 7))]]
+        rows += [[rng.randint(-5, 5) for _ in rows[0]] for _ in range(rng.randint(0, 6))]
+        m = mat(rows)
+        _, pivots = rational_rref(rows)
+        free = [j for j in range(m.cols) if j not in pivots]
+        basis = dependency_kernel(m)
+        assert len(basis) == len(free) == m.cols - rank_fraction_free(rows), trial
+        for j, v in zip(free, basis):
+            assert apply_matrix(m, v) == (0,) * m.rows, trial
+            assert v[j] > 0 and not any(v[j + 1:]), trial
+    assert dependency_kernel(IntegerMatrix.zeros(0, 2)) == [(1, 0), (0, 1)]
+    assert dependency_kernel(mat([[2, 4]])) == [(-2, 1)]
+
+
 def test_snf_postconditions_random_suite():
     """500 random matrices: U*M*V = D, unimodularity, divisibility, rank oracle."""
     rng = random.Random(20240517)
@@ -159,6 +180,24 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_benchmark_traces_names_the_library_defines():
+    """`bench/spans.py` wraps every (module, qualname) of its TRACED by name,
+    so each must resolve in `sponges.<module>`; a class attribute must be in
+    the class `__dict__`, where `Tracer.installed` looks it up."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, qualname in spans.TRACED:
+        owner = importlib.import_module(f"sponges.{module}")
+        *classes, attr = qualname.split(".")
+        for name in classes:
+            owner = vars(owner).get(name)
+            assert isinstance(owner, type), (module, qualname)
+        assert attr in vars(owner), (module, qualname)
 
 
 def test_library_modules_use_every_import():

@@ -327,7 +327,7 @@ def test_feasible_keeps_every_prefix_of_every_output():
                 assert search._feasible(p), (v, edges, (i, j))
 
 
-def test_feasible_drops_prefixes_out_of_breadth_first_order():
+def test_feasible_drops_prefixes_out_of_breadth_first_order(monkeypatch):
     def feasible(n, edges):
         search = _CubicSearch(n)
         for i, j in edges:
@@ -335,8 +335,22 @@ def test_feasible_drops_prefixes_out_of_breadth_first_order():
         return search._feasible(_position(*edges[-1]))
 
     assert feasible(6, [(0, 1), (0, 2), (0, 3), (1, 4)])  # label 1 may still grow
-    assert not feasible(6, [(0, 1), (0, 2), (0, 3), (1, 5)])  # (a): label 4 has no parent
     assert not feasible(6, [(0, 1), (0, 2), (1, 3)])  # (b): label 0 < par(3) lacks an edge
+    # (a) is the column bound of `_extend`: no prefix it hands `_feasible`
+    # has an empty column, so every label up to the last column has a parent
+    prefixes, skipped = [], []
+    original = _CubicSearch._feasible
+
+    def spy(self, last):
+        j0 = self.pairs[last][1]
+        prefixes.append(last)
+        skipped.extend(u for u in range(1, j0 + 1) if not self.adj[u] & ((1 << u) - 1))
+        return original(self, last)
+
+    monkeypatch.setattr(_CubicSearch, "_feasible", spy)
+    for v in (4, 6, 8, 10, 12):
+        assert enumerate_connected_cubic(v) == connected_cubic(v)
+    assert prefixes and not skipped
 
 
 def edge_code(n, edges):
