@@ -10,7 +10,9 @@ The two Betti-polynomial formulas are implemented independently:
     betti_polynomial      sum_i f_i t^(2n-2i) (1-t^2)^i + (1 + b t^2)(1-t^2)^(n-1)
     betti_polynomial_alt  sum_i (-1)^i f_i (1-t^2)^i + (-1)^(n-1)(b + t^2)(1-t^2)^(n-1)
 
-and are related by reversing coefficients within degree 2n (substituting 1/t
+The first applies one cached integer matrix of binomials per n to (1, f, b);
+the second multiplies polynomials with the kit below, as `HilbertSeries`
+does, so the two share no code.  They are related by reversing coefficients within degree 2n (substituting 1/t
 and multiplying by t^(2n)).  That reversal relation is in fact an
 unconditional polynomial identity in (f, b) -- it holds whether or not b is
 Euler-consistent -- so `duality_check` reports the raw identity outcome and
@@ -21,7 +23,9 @@ the two formulas compute the same thing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .sponge import NotAcyclicSponge, SpongeComplex, check_acyclic
@@ -108,6 +112,15 @@ def poly_string(p: Sequence[int], variable: str = "t") -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _face_counts(f: Sequence[int]) -> tuple[int, ...]:
+    """f as a tuple, refusing any entry that is not an int (a bool included)."""
+    f = tuple(f)
+    for x in f:
+        if type(x) is not int:
+            raise TypeError(f"face counts must be integers, not {x!r}")
+    return f
+
+
 # ---------------------------------------------------------------------------
 # data types
 
@@ -123,7 +136,9 @@ class ExtendedFVector:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
+        object.__setattr__(self, "f", _face_counts(self.f))
+        if type(self.b) is not int:
+            raise TypeError(f"b must be an integer, not {self.b!r}")
         if len(self.f) != self.n - 1:
             raise ValueError(
                 f"expected {self.n - 1} face counts for n={self.n}, got {len(self.f)}"
@@ -236,28 +251,42 @@ def b_from_euler(f: Sequence[int], n: int) -> int:
     (Only f_0 .. f_{n-2} and the conventional f_{-1} enter; there is no
     f_{n-1} for a sponge.)
     """
-    f = tuple(int(x) for x in f)
+    f = _face_counts(f)
     if n < 2:
         raise ValueError("n must be at least 2")
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} face counts for n={n}")
-    alternating = sum((-1) ** i * x for i, x in enumerate(f))
-    b = (-1) ** (n - 2) * (alternating - 1)
+    alternating = sum(f[::2]) - sum(f[1::2])
+    b = alternating - 1 if n % 2 == 0 else 1 - alternating
     if b < 0:
         raise NegativeB(f"face counts {f} force b = {b} < 0")
     return b
 
 
+@lru_cache(maxsize=None)
+def _betti_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j: the coefficient of t^(2j) in `betti_polynomial`, linear in
+    (1, f_0, ..., f_{n-2}, b).  f_i t^(2n-2i) (1-t^2)^i gives (-1)^k C(i, k) f_i
+    with k = j - n + i, and (1 + b t^2)(1-t^2)^(n-1) gives (-1)^j C(n-1, j)
+    and (-1)^(j-1) C(n-1, j-1) b; no odd power of t occurs."""
+    return tuple(
+        ((-1) ** j * comb(n - 1, j),
+         *((-1) ** (j - n + i) * comb(i, j - n + i) if j - n + i >= 0 else 0 for i in range(n - 1)),
+         (-1) ** (j - 1) * comb(n - 1, j - 1) if j else 0)
+        for j in range(n + 1))
+
+
+def _even_coefficients(fv: ExtendedFVector) -> tuple[int, ...]:
+    """Coefficients of t^0, t^2, ..., t^(2n) in `betti_polynomial`."""
+    values = (1, *fv.f, fv.b)
+    return tuple(sum(map(mul, row, values)) for row in _betti_rows(fv.n))
+
+
 def betti_polynomial(fv: ExtendedFVector) -> tuple[int, ...]:
     """sum_i f_i t^(2n-2i) (1-t^2)^i + (1 + b t^2) (1-t^2)^(n-1)."""
-    n = fv.n
-    total: tuple[int, ...] = ()
-    for i, fi in enumerate(fv.f):
-        term = _pscale(_shift(_one_minus_t2_pow(i), 2 * n - 2 * i), fi)
-        total = _padd(total, term)
-    total = _padd(total, _pmul((1, 0, fv.b), _one_minus_t2_pow(n - 1)))
-    out = list(total) + [0] * (2 * n + 1 - len(total))
-    return tuple(out[: 2 * n + 1])
+    out = [0] * (2 * fv.n + 1)
+    out[::2] = _even_coefficients(fv)
+    return tuple(out)
 
 
 def betti_polynomial_alt(fv: ExtendedFVector) -> tuple[int, ...]:
@@ -299,13 +328,8 @@ def hvector_of(fv: ExtendedFVector) -> HVector:
 
     Asymmetric or negative h-vectors are findings, not errors.
     """
-    betti = betti_polynomial(fv)
-    if any(c for d, c in enumerate(betti) if d % 2 == 1):
-        raise RuntimeError(f"Betti polynomial {betti} has odd-degree terms")
-    h = tuple(betti[2 * i] for i in range(fv.n + 1))
-    symmetric = all(h[i] == h[fv.n - i] for i in range(fv.n + 1))
-    nonnegative = all(x >= 0 for x in h)
-    return HVector(h=h, symmetric=symmetric, nonnegative=nonnegative)
+    h = _even_coefficients(fv)
+    return HVector(h=h, symmetric=h == h[::-1], nonnegative=min(h) >= 0)
 
 
 def hilbert_equivariant(fv: ExtendedFVector) -> HilbertSeries:

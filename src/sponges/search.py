@@ -9,8 +9,10 @@ labelled "no known sponge realization" rather than counterexamples, since a
 bare f-vector need not come from any sponge.
 
 Records are keyed by a canonical identifier, so summaries are independent
-of stream order and reruns are byte-identical.  A checkpoint file (JSON
-lines, one record each) makes long scans resumable: already-recorded keys
+of stream order and reruns are byte-identical.  A grid point costs one
+b_from_euler and one h-vector, a fixed integer matrix product per n.  A
+checkpoint file (JSON lines, one record each, written by one shared encoder
+and flushed per record) makes long scans resumable: already-recorded keys
 are skipped and their records merged back into the summary.  A torn final
 line (an append cut short) is dropped and truncated away; any other line
 that does not parse, or has a field of the wrong type, raises
@@ -38,6 +40,9 @@ from .sponge import InvalidSponge, SpongeComplex, check_acyclic, check_local_mod
 class CorruptCheckpoint(ValueError):
     """An unreadable or unwritable checkpoint, or a complete line that is not a scan record."""
 
+
+# one encoder for every checkpoint line (json.dumps builds one per call)
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 # the JSON types a checkpoint record's fields may have; lists hold integers
 _FIELD_TYPES = {
@@ -72,28 +77,19 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScanRecord":
-        def tup(key):
-            return tuple(data[key]) if key in data else None
-        if not isinstance(data["identifier"], str):
+        identifier = data["identifier"]
+        if not isinstance(identifier, str):
             raise TypeError("identifier must be a string")
-        for key, kinds in _FIELD_TYPES.items():  # exact types: a bool is not an int
-            value = data.get(key)
-            if key in data and (type(value) not in kinds or type(value) is list
-                                and any(type(v) is not int for v in value)):
+        fields = {}
+        for key, value in data.items():  # exact types: a bool is not an int
+            kinds = _FIELD_TYPES.get(key)
+            if kinds is None:  # a key that names no field is ignored
+                continue
+            if type(value) not in kinds or type(value) is list and any(
+                    type(v) is not int for v in value):
                 raise TypeError(f"{key} has the wrong type: {value!r}")
-        return cls(
-            identifier=data["identifier"],
-            n=data["n"],
-            f=tup("f"),
-            b=data.get("b"),
-            h=tup("h"),
-            symmetric=data.get("symmetric"),
-            nonnegative=data.get("nonnegative"),
-            acyclic=data.get("acyclic", False),
-            local_model=data.get("local_model"),
-            error=data.get("error"),
-            realized=data.get("realized", True),
-        )
+            fields[key] = tuple(value) if type(value) is list else value
+        return cls(identifier, fields.pop("n"), **fields)
 
 
 @dataclass
@@ -184,7 +180,7 @@ class _Checkpoint:
     def write(self, record: ScanRecord) -> None:
         if self._handle is not None:
             try:
-                self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+                self._handle.write(_encode(record.to_json()) + "\n")
                 self._handle.flush()
             except OSError as err:
                 raise CorruptCheckpoint(f"cannot append to checkpoint {self.path}: {err}") from err

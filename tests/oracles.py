@@ -29,9 +29,10 @@ cohomology through the order-complex pair instead of the section complex,
 and the cosheaf's section complexes as cochain subcomplexes selected from
 the full cochain complex instead of the cochain complex of
 `section_complex`, the maximal code of a labelled graph through all n!
-relabellings instead of the pruned canonicity search, and that search itself
+relabellings instead of the pruned canonicity search, that search itself
 with a list of back-edge patterns per candidate instead of one bitmask of
-tied candidates.
+tied candidates, and the Betti polynomial through products of powers of
+1 - t^2 instead of the cached closed-form matrix of binomials.
 """
 
 from fractions import Fraction
@@ -566,6 +567,17 @@ def one_minus_t2_power(k: int) -> list[int]:
     for _ in range(k):
         out = poly_multiply(out, [1, 0, -1])
     return out
+
+
+def betti_polynomial_by_products(n: int, f: Sequence[int], b: int) -> tuple[int, ...]:
+    """sum_i f_i t^(2n-2i) (1-t^2)^i + (1 + b t^2)(1-t^2)^(n-1), multiplied out."""
+    total = [0] * (2 * n + 1)
+    terms = [([0] * (2 * n - 2 * i) + [fi], one_minus_t2_power(i)) for i, fi in enumerate(f)]
+    terms.append(([1, 0, b], one_minus_t2_power(n - 1)))
+    for a, c in terms:
+        for d, x in enumerate(poly_multiply(a, c)):
+            total[d] += x
+    return tuple(total)
 
 
 def join_betti(left: dict[int, int], right: dict[int, int], max_degree: int) -> dict[int, int]:

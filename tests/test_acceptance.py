@@ -163,6 +163,8 @@ def test_criterion_7_duality_identity():
             except NegativeB:
                 continue
             assert duality_check(ExtendedFVector(n, f, b)).passed, (n, f, b)
+            report = duality_check(ExtendedFVector(n, f, b + 1 + count % 5))
+            assert not report.passed and not report.euler_consistent, (n, f, b)
             count += 1
         violating = ExtendedFVector(3, (6, 9), 5)
         report = duality_check(violating)

@@ -471,7 +471,7 @@ def test_scan_resumes_after_torn_checkpoint_line(tmp_path):
 def test_scan_corrupt_checkpoint_line_exits_2(tmp_path):
     checkpoint = tmp_path / "scan.jsonl"
     run(FSPACE + [str(checkpoint)])
-    for bad in ("{not json", "[1, 2]", '{"n": 3}'):
+    for bad in ("{not json", "[1, 2]", '{"n": 3}', '{"identifier": "fspace-n3-0-1"}'):
         lines = checkpoint.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[1] = bad + "\n"
         checkpoint.write_text("".join(lines), encoding="utf-8")
@@ -503,13 +503,44 @@ def test_scan_checkpoint_fields_must_have_their_types(tmp_path):
         return run_json(argv)
 
     for key, value in (("h", "o"), ("n", "x"), ("f", "12"), ("acyclic", "yes"), ("b", 1.5),
-                       ("n", True), ("h", [1, None]), ("realized", None), ("error", 3)):
+                       ("n", True), ("h", [1, None]), ("realized", None), ("error", 3),
+                       ("f", [1, True]), ("h", [1, 2.0]), ("f", [[1]]), ("symmetric", 1),
+                       ("local_model", "yes")):
         code, report = resume_with_second_record(**{key: value})
         assert code == EXIT_INPUT_ERROR, (key, value)
         assert "line 2" in report["error"] and f"{key} has the wrong type" in report["error"]
     # null where a field may be absent is a valid record
     code, report = resume_with_second_record(b=None, error=None, local_model=None)
     assert code == fresh_code and report["summary"]["total"] == fresh["summary"]["total"]
+    # a key no record has is ignored, not refused
+    code, report = resume_with_second_record(note="kept by hand")
+    assert (code, report) == (fresh_code, fresh)
+
+
+# sha256 of stdout and of the checkpoint file for the two scans the
+# scan_trivalent benchmark runs; the resumed fspace scan must reproduce both
+SCAN_PINS = {
+    "trivalent": (["scan", "--family", "trivalent", "--max", "12", "--checkpoint", "A.jsonl"],
+                  "16e81ea2859850e2f834719ff77cb93972e22f1c4db87bd948329c4338ba77d8",
+                  "d9630bbcedf377c8476455aeb5cb007a6aa01f5a399c74db4dc5bedd6f3ecd51"),
+    "fspace": (["scan", "--fspace", "--n", "5", "--bound", "9", "--checkpoint", "B.jsonl"],
+               "81f17c95e9a88870ee7be78c77b2fc51b6acf86b73760589c9abc1903ac83f06",
+               "e8865db9a936316d2c017f06d23c764c4518de5f0a255286370ed6b172cb8339"),
+}
+
+
+def test_scan_reports_and_checkpoints_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def digests(argv):
+        _, out, _ = run(argv)
+        return (hashlib.sha256(out.encode()).hexdigest(),
+                hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest())
+
+    for name, (argv, stdout_digest, checkpoint_digest) in SCAN_PINS.items():
+        assert digests(argv) == (stdout_digest, checkpoint_digest), name
+    argv, stdout_digest, checkpoint_digest = SCAN_PINS["fspace"]
+    assert digests(argv) == (stdout_digest, checkpoint_digest), "resumed fspace"
 
 
 def test_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch):

@@ -26,7 +26,12 @@ from sponges.generators import (
 )
 from sponges.sponge import NotAcyclicSponge
 
-from oracles import one_minus_t2_power, poly_multiply, series_quotient
+from oracles import (
+    betti_polynomial_by_products,
+    one_minus_t2_power,
+    poly_multiply,
+    series_quotient,
+)
 
 
 def fv(n, f, b):
@@ -86,6 +91,19 @@ def test_b_from_euler_negative():
         b_from_euler((3, 0), 3)
 
 
+def test_fvectors_refuse_entries_that_are_not_ints():
+    # 1.5 and True used to become the counts 1 and 1, and b = 0.5 passed as is
+    for f, b in [((1.5, True), 0.5), ((1.5, 1), 0), ((True, 1), 0), (("6", 9), 4),
+                 ((6, 9), 0.5), ((6, 9), True), ((6, 9), "4"), ((6.0, 9), 4)]:
+        with pytest.raises(TypeError, match="integer"):
+            ExtendedFVector(n=3, f=f, b=b)
+    for f in [(4.9, "6"), (True, 1), (6, 9.0), [6, None]]:
+        with pytest.raises(TypeError, match="integer"):
+            b_from_euler(f, 3)  # (4.9, "6") used to give b = 3
+    assert ExtendedFVector(n=3, f=[6, 9], b=4) == F3
+    assert b_from_euler([6, 9], 3) == 4
+
+
 def test_b_from_euler_rejects_n_below_2():
     # n = 1 used to give the float 1.0 from (-1) ** -1
     for n in (1, 0):
@@ -107,6 +125,25 @@ def test_betti_polynomial_f3():
 
 def test_betti_polynomial_hp2():
     assert betti_polynomial(HP2) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+
+def test_betti_polynomial_matches_the_product_oracle():
+    """The closed-form matrix against polynomial products, Euler relation or not."""
+    rng = random.Random(190)
+    for n in range(2, 11):
+        cases = [((0,) * (n - 1), 0), ((0,) * (n - 1), 7)]
+        for _ in range(60):
+            f = tuple(rng.randint(0, 40) for _ in range(n - 1))
+            cases.append((f, rng.randint(0, 60)))
+            try:
+                cases.append((f, b_from_euler(f, n)))
+            except NegativeB:
+                pass
+        for f, b in cases:
+            expected = betti_polynomial_by_products(n, f, b)
+            v = fv(n, f, b)
+            assert betti_polynomial(v) == expected, (n, f, b)
+            assert hvector_of(v).h == expected[::2], (n, f, b)
 
 
 def test_betti_polynomial_alt_matches_on_reference_examples():
