@@ -606,8 +606,7 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     except (InvalidSponge, NonCompactSponge, NotAcyclicSponge) as err:
         print(canonical_json({"error": str(err), "check_failed": True}), file=stdout)
         return EXIT_CHECK_FAILED
-    print(json.dumps(report, sort_keys=True, indent=None, separators=(",", ":")),
-          file=stdout)
+    print(canonical_json(report), file=stdout)
     if args.verbose:
         summary = {k: v for k, v in report.items() if not isinstance(v, (list, dict))}
         print(f"[{args.command}] {summary}", file=stderr)

@@ -312,22 +312,6 @@ def cell_complex(
     return IntegerChainComplex({d: len(cs) for d, cs in cells.items()}, boundaries)
 
 
-def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:
-    """The cochain complex, regraded so cohomological degree p sits at -p.
-
-    The differential out of chain degree -p is the transpose of d_{p+1}, so
-    H_{-p} of the result is H^p of the input.
-    """
-    ranks = {-d: c.rank(d) for d in c.degrees()}
-    boundaries = {}
-    for d in c.degrees():
-        up = c.boundary(d + 1)
-        if up.rows or up.cols:
-            # chain degree -d -> -d-1 carries C^d -> C^{d+1}
-            boundaries[-d] = up.transpose()
-    return IntegerChainComplex(ranks, boundaries)
-
-
 # ---------------------------------------------------------------------------
 # rational homology bases and induced maps
 

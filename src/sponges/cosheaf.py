@@ -1,12 +1,12 @@
 """The local-cohomology cosheaf on a face poset and the dihomology check.
 
 For a sponge (a graded poset with a sign convention) the section at a face s
-is its local cohomology `sponge.local_cohomology(z, s)`: the cohomology of
-`sponge.section_complex(z, s)`, the cellular complex on the faces above s
-(the quotient by everything outside the star of s).  For s > t
-the extension by zero of the faces above s into the faces above t is a
-cochain map between the two section complexes; its induced map on
-cohomology is the cosheaf's cover map.
+is its local cohomology `sponge.local_cohomology(z, s)`: the homology of
+`sponge.section_complex(z, s)`, the cochain subcomplex on the faces above s,
+with cohomological degree p at chain degree -p.  For s > t the faces above s
+are among those above t, and extending cochains by zero is a chain map
+between the two section complexes; its induced map on cohomology is the
+cosheaf's cover map.
 
 Chain groups of the cosheaf in homological degree i collect the sections of
 the rank-i faces, with boundary the incidence-weighted sum of cover maps;
@@ -35,19 +35,18 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import (
+    INTEGERS,
     RATIONALS,
     HomologyProfile,
     IntegerChainComplex,
     MalformedComplex,
     RationalHomologyBasis,
-    cochain_complex,
-    cohomology,
     homology,
     induced_map_on_homology,
 )
 from .exactalg import IntegerMatrix
 from .poset import check_cohen_macaulay, interval_homology
-from .sponge import SpongeComplex, ensure_valid, faces_above, section_complex
+from .sponge import SpongeComplex, _section_cohomology, ensure_valid, faces_above, section_complex
 
 
 class NotCohenMacaulay(ValueError):
@@ -94,10 +93,10 @@ class LocalCohomologyCosheaf:
 def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     """Compute every section and every cover map.
 
-    Each section is the cohomology of its `section_complex`; rational bases
-    and cover maps live on that complex's cochain complex, where
-    cohomological degree p sits at chain degree -p, and are reported at p.
-    The cover maps are induced by the inclusions of the `faces_above` lists.
+    Each face's `section_complex` is built once.  Its homology gives the
+    section over Z and over Q, its rational bases give the cover maps, which
+    are induced by the inclusions of the `faces_above` lists, and both are
+    reported at cohomological degree p, the complex's chain degree -p.
     """
     ensure_valid(z)
     generators = {s: faces_above(z, s) for s in z.faces.elements()}
@@ -106,11 +105,10 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     sections: dict[str, HomologyProfile] = {}
     sections_integral: dict[str, HomologyProfile] = {}
     for s in z.faces.elements():
-        section = section_complex(z, s)
-        sections_integral[s] = cohomology(section)
-        sections[s] = cohomology(section, RATIONALS)
-        complexes[s] = cochain_complex(section)
-        bases[s] = RationalHomologyBasis(complexes[s])
+        section = complexes[s] = section_complex(z, s)
+        sections_integral[s] = _section_cohomology(section, INTEGERS)
+        sections[s] = _section_cohomology(section, RATIONALS)
+        bases[s] = RationalHomologyBasis(section)
     cover_maps: dict[tuple[str, str], dict[int, list[list[Fraction]]]] = {}
     for upper, lower in z.faces.covers():
         inclusion = {}

@@ -112,6 +112,14 @@ def poly_string(p: Sequence[int], variable: str = "t") -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _ambient(n: int) -> None:
+    """Refuse an n that is not an int (a bool included) or is below 2."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an integer, not {n!r}")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+
+
 def _face_counts(f: Sequence[int]) -> tuple[int, ...]:
     """f as a tuple, refusing any entry that is not an int (a bool included)."""
     f = tuple(f)
@@ -134,8 +142,7 @@ class ExtendedFVector:
     b: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        _ambient(self.n)
         object.__setattr__(self, "f", _face_counts(self.f))
         if type(self.b) is not int:
             raise TypeError(f"b must be an integer, not {self.b!r}")
@@ -252,8 +259,7 @@ def b_from_euler(f: Sequence[int], n: int) -> int:
     f_{n-1} for a sponge.)
     """
     f = _face_counts(f)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _ambient(n)
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} face counts for n={n}")
     alternating = sum(f[::2]) - sum(f[1::2])

@@ -284,33 +284,23 @@ def graph_sponge(
     return z
 
 
-BUILTIN_NAMES = (
-    "g42_octahedron",
-    "f3_k33",
-    "hp2_fvector",
-    "cube_skeleton",
-    "model_n3",
-    "model_n4",
-)
+_BUILTINS = {
+    "g42_octahedron": octahedron_sponge,
+    "f3_k33": k33_sponge,
+    "hp2_fvector": lambda: ExtendedFVector(n=4, f=(3, 6, 7), b=3),
+    "cube_skeleton": lambda: gen_polytope_skeleton(hypercube_lattice(3)),
+    "model_n3": lambda: gen_model_sponge(3),
+    "model_n4": lambda: gen_model_sponge(4),
+}
 
 
 def builtin(name: str) -> SpongeComplex | ExtendedFVector:
-    """The builtin corpus.  hp2_fvector is f-vector data only: the full
-    incidence structure of that sponge is not shipped, and the Hilbert and
-    Betti checks need only the extended f-vector."""
-    if name == "g42_octahedron":
-        return octahedron_sponge()
-    if name == "f3_k33":
-        return k33_sponge()
-    if name == "hp2_fvector":
-        return ExtendedFVector(n=4, f=(3, 6, 7), b=3)
-    if name == "cube_skeleton":
-        return gen_polytope_skeleton(hypercube_lattice(3))
-    if name == "model_n3":
-        return gen_model_sponge(3)
-    if name == "model_n4":
-        return gen_model_sponge(4)
-    raise UnknownBuiltin(name)
+    """The builtin corpus entry ``name``, built afresh.  hp2_fvector is
+    f-vector data only: the full incidence structure of that sponge is not
+    shipped, and the Hilbert and Betti checks need only the extended f-vector."""
+    if name not in _BUILTINS:
+        raise UnknownBuiltin(name)
+    return _BUILTINS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,11 @@ class GradedPoset:
         for ident, rk in elements:
             if ident in self.ranks:
                 raise ValueError(f"duplicate element {ident!r}")
+            if type(rk) is not int:
+                raise TypeError(f"rank of {ident!r} must be an integer, not {rk!r}")
             if rk < 0:
                 raise ValueError(f"negative rank for {ident!r}")
-            self.ranks[ident] = int(rk)
+            self.ranks[ident] = rk
         self._covers = tuple(sorted(covers, key=self._cover_key))
         self._upper: dict = {e: [] for e in self.ranks}
         self._lower: dict = {e: [] for e in self.ranks}

@@ -11,19 +11,18 @@ complex is `complexes.cell_complex` on the faces, each face's faces being
 its lower covers with their incidences.  Each sponge keeps one cellular
 complex per ``augmented`` flag, so every homology question on it reads one
 complex, its cached residual after coreduction and that residual's Smith
-diagonals.  Local cohomology at a face F is the cohomology of
-`section_complex(z, F)`, the complex on the faces above F alone: the faces
-not above F span a subcomplex, so leaving them out is the quotient by it,
-and no whole cellular complex is built.  The cosheaf takes its sections
-from the same complex.  For compact face-acyclic sponges this agrees with
-the order-complex pair computation, which the test suite keeps as an
-independent oracle.  The two genuinely differ on the
-non-compact local models, whose faces are cones; such sponges carry the
-``non_compact`` flag and keep only the local-cohomology / poset /
-Cohen-Macaulay machinery enabled.  Order-complex homology, of (0^, F) for
-face acyclicity and of (0^, 1^) for the realization cross-check, is
-`poset.interval_homology`, cached on the face poset, so the checks eliminate
-each interval at most once per sponge.
+diagonals.  Local cohomology at a face F is the homology of
+`section_complex(z, F)`, the cochain subcomplex on the faces above F,
+built from those faces alone; the cosheaf takes its sections, bases and
+cover maps from the same complex.  For compact face-acyclic sponges
+this agrees with the order-complex pair computation, which the test suite
+keeps as an independent oracle.  The two genuinely differ on the non-compact
+local models, whose faces are cones; such sponges carry the ``non_compact``
+flag and keep only the local-cohomology / poset / Cohen-Macaulay machinery
+enabled.  Order-complex homology, of (0^, F) for face acyclicity and of
+(0^, 1^) for the realization cross-check, is `poset.interval_homology`,
+cached on the face poset, so the checks eliminate each interval at most
+once per sponge.
 
 Face identifiers are opaque strings, and the canonical generator order is
 (dimension, identifier) everywhere, so every matrix in this module is
@@ -40,6 +39,7 @@ from .complexes import (
     MalformedComplex,
     cell_complex,
     cohomology,
+    homology,
 )
 from .poset import GradedPoset, UnknownElement, interval_homology
 
@@ -98,6 +98,8 @@ class SpongeComplex:
         non_compact: bool = False,
         name: str = "",
     ):
+        if type(n) is not int:
+            raise TypeError(f"ambient parameter n must be an integer, not {n!r}")
         if n < 2:
             raise ValueError("ambient parameter n must be at least 2")
         top = faces.max_rank()
@@ -112,11 +114,14 @@ class SpongeComplex:
                 f"incidence keys must match covers exactly "
                 f"(extra: {sorted(extra)[:3]}, missing: {sorted(missing)[:3]})"
             )
-        if any(int(v) == 0 for v in incidence.values()):
-            raise ValueError("incidence numbers must be nonzero")
+        for cover, v in incidence.items():
+            if type(v) is not int:
+                raise TypeError(f"incidence of {cover} must be an integer, not {v!r}")
+            if not v:
+                raise ValueError("incidence numbers must be nonzero")
         self.n = n
         self.faces = faces
-        self.incidence = {k: int(v) for k, v in incidence.items()}
+        self.incidence = dict(incidence)
         self.non_compact = bool(non_compact)
         self.name = name
         self._validation: SpongeValidation | None = None
@@ -307,15 +312,26 @@ def faces_above(z: SpongeComplex, face: str) -> dict[int, list[str]]:
 
 
 def section_complex(z: SpongeComplex, face: str) -> IntegerChainComplex:
-    """The cellular complex on the faces above F.
+    """The cellular cochain complex on the faces above F, degree p at chain degree -p.
 
-    The faces not above F span a subcomplex, and the cellular boundary with
-    them left out is the quotient of the cellular complex by it.
+    A p-face G goes to the sum of [H:G] H over its upper covers H, which lie
+    above F when G does: these cochains span a subcomplex of the cellular
+    cochain complex, the cochain complex of the quotient by the faces not
+    above F, so its homology at -p is the local cohomology H^p at F.
     """
     ensure_valid(z)
     if face not in z.faces.ranks:
         raise UnknownElement(face)
-    return cell_complex(faces_above(z, face), lambda f: _signed_faces(z, f))
+    return cell_complex(
+        {-d: faces for d, faces in faces_above(z, face).items()},
+        lambda g: [(h, z.incidence[h, g]) for h in z.faces.upper_covers(g)],
+    )
+
+
+def _section_cohomology(section: IntegerChainComplex, coefficients: str) -> HomologyProfile:
+    """The cohomology of a `section_complex`: its homology at -p, read at degree p."""
+    h = homology(section, coefficients)
+    return HomologyProfile({-d: (h.free_rank(d), h.torsion(d)) for d in h.degrees()})
 
 
 def local_cohomology(
@@ -323,10 +339,11 @@ def local_cohomology(
 ) -> HomologyProfile:
     """Cohomology of the sponge relative to everything outside the star of F.
 
-    This is the cohomology of `section_complex`, the relative cochain
-    complex on the up-set of F, and the cosheaf's section at F.
+    This is the homology of `section_complex`, the cochain subcomplex on
+    the up-set of F, read in cohomological degrees, and the cosheaf's
+    section at F.
     """
-    return cohomology(section_complex(z, face), coefficients)
+    return _section_cohomology(section_complex(z, face), coefficients)
 
 
 @dataclass(frozen=True)

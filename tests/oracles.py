@@ -23,16 +23,16 @@ order complexes built and eliminated afresh instead of the open-interval
 homology cached on the face poset, simplicial boundaries assembled matrix
 by matrix instead of through `cell_complex`, the homology of an open
 interval through the order complex of the restricted interval (cones
-included) instead of its chains, section complexes as quotients of the
-whole cellular complex instead of complexes on the faces above F, local
-cohomology through the order-complex pair instead of the section complex,
-and the cosheaf's section complexes as cochain subcomplexes selected from
-the full cochain complex instead of the cochain complex of
-`section_complex`, the maximal code of a labelled graph through all n!
-relabellings instead of the pruned canonicity search, that search itself
-with a list of back-edge patterns per candidate instead of one bitmask of
-tied candidates, and the Betti polynomial through products of powers of
-1 - t^2 instead of the cached closed-form matrix of binomials.
+included) instead of its chains, section complexes as cochain complexes
+(transposes) of quotients of the whole cellular complex and as cochain
+subcomplexes selected from the full cochain complex instead of complexes
+built on the faces above F, local cohomology through the order-complex
+pair instead of the section complex, the maximal code of a labelled graph
+through all n! relabellings instead of the pruned canonicity search, that
+search itself with a list of back-edge patterns per candidate instead of
+one bitmask of tied candidates, and the Betti polynomial through products
+of powers of 1 - t^2 instead of the cached closed-form matrix of
+binomials.
 """
 
 from fractions import Fraction
@@ -46,7 +46,6 @@ from sponges.complexes import (
     HomologyProfile,
     IntegerChainComplex,
     RationalHomologyBasis,
-    cochain_complex,
     cohomology,
     homology,
 )
@@ -812,6 +811,22 @@ def section_complex_via_quotient(z: SpongeComplex, face: str) -> IntegerChainCom
     outside = {d: [i for i, f in enumerate(z.faces_of_dim(d)) if f not in up]
                for d in range(z.n - 1)}
     return quotient_complex(cellular_complex(z), outside)
+
+
+def cochain_complex(c: IntegerChainComplex) -> IntegerChainComplex:
+    """The cochain complex, regraded so cohomological degree p sits at -p.
+
+    The differential out of chain degree -p is the transpose of d_{p+1}, so
+    H_{-p} of the result is H^p of the input.
+    """
+    ranks = {-d: c.rank(d) for d in c.degrees()}
+    boundaries = {}
+    for d in c.degrees():
+        up = c.boundary(d + 1)
+        if up.rows or up.cols:
+            # chain degree -d -> -d-1 carries C^d -> C^{d+1}
+            boundaries[-d] = up.transpose()
+    return IntegerChainComplex(ranks, boundaries)
 
 
 def section_cochain_subcomplex(z: SpongeComplex, s: str) -> IntegerChainComplex:

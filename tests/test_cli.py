@@ -23,6 +23,7 @@ from sponges.sponge import (
     realization_cross_check,
 )
 
+from test_cosheaf import doubled_edge_sponge
 from test_interval_homology import rp2_wedge_sponge
 
 
@@ -288,6 +289,44 @@ def test_cohen_macaulay_reports_are_pinned(tmp_path):
         assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == list(digests), name
     report = json.loads(outputs[0])
     assert [(w["chain"], w["torsion"]) for w in report["witnesses"]] == [([], ["2", "2"]), (["1"], [])]
+
+
+# sha256 of the stdout of local-cohomology --coeff z, then --coeff q, at every
+# face in (rank, id) order, concatenated; recorded while each section complex
+# was the cellular complex modulo the faces not above its face.  The doubled
+# edge pins where its Z/2 lands.
+LOCAL_COHOMOLOGY_DIGESTS = {
+    "model_n3": ("088c537519dd8a667d1a201a57d59f8f7f481ef9f137ef39528c553321065ad8",
+                 "8b269473f3b1768c19f843708b70a6a59dce3a03a4b0ea55039899df7d1410ba"),
+    "model_n4": ("7b519e79b410088efb285281d7f25de866e202a07a9c4afa7bea338d5e4c6a49",
+                 "88bb281d6182c07e9a2ade2359110fcdf0180af87866936d5087d4ed0738aebc"),
+    "model_n5": ("9aff59fd87261b18166c26595709e30050dff890b67a97d902ceac62fd964254",
+                 "de222552eef62a78e6ef40e7cd90a2f716b003321199db9c1e8fca552c12f3cc"),
+    "model_n6": ("a9deded424cb3bafd6f22862c055902f203f8a0f5b184e13245a931521e2d153",
+                 "c6233b52233d407714ae66141312e124e7246135116067cb387a122074690171"),
+    "g42_octahedron": ("43d2135e96b02280ef0c8a9893f7afddd87115ad017a1c571a748b1f71ac60b3",
+                       "f3b78b4d3e87b931ba6b99365fb346f2f7444dd0aae0deb078f7fe290af4d853"),
+    "f3_k33": ("f98eeadcee4a3c031d95775876dc16a94b57e4a79bb07826dba8d586a8128d13",
+               "0ce1b9f5b830228ab4fad7aedad8e81111dc7a9eedd7a91b944d20f4cc5395dc"),
+    "cube_skeleton": ("6c23981bce4c06ae588e2d2b0199f09b593cc7d6771f7a166c83f5e0a7c5cb25",
+                      "7ed2cbd624ebd5b2950f55f4d8f8793de8904359ebea1c6f102b845b9cea25d6"),
+    "doubled_edge": ("b08074c0314b48436a400814167d36436371a78d4fcd040786d9ec6696874d41",
+                     "671d090b0bb7fddefeeb50ea6bb465b7297592bd4d59bb808c6208c2185caa14"),
+}
+
+
+def test_local_cohomology_reports_are_pinned(tmp_path):
+    for name, digests in LOCAL_COHOMOLOGY_DIGESTS.items():
+        z = doubled_edge_sponge() if name == "doubled_edge" else cm_document(name)
+        path = write_doc(tmp_path, serialize_sponge(z), f"{name}.json")
+        outputs = {coeff: [run(["local-cohomology", path, "--face", f, "--coeff", coeff])[1]
+                           for f in z.faces.elements()] for coeff in ("z", "q")}
+        assert tuple(hashlib.sha256("".join(outputs[coeff]).encode()).hexdigest()
+                     for coeff in ("z", "q")) == digests, name
+    # the doubled edge's vertex v has Z/2 in cohomological degree 1, and nothing over Q
+    assert json.loads(outputs["z"][0])["local_cohomology"] == [
+        {"degree": 1, "free_rank": 0, "torsion": ["2"]}]
+    assert json.loads(outputs["q"][0])["local_cohomology"] == []
 
 
 def test_no_library_path_computes_smith_transforms(tmp_path, monkeypatch):

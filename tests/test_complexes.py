@@ -9,7 +9,6 @@ from sponges.complexes import (
     MalformedComplex,
     NotAChainMap,
     RationalHomologyBasis,
-    cochain_complex,
     cohomology,
     homology,
     induced_map_on_homology,
@@ -20,6 +19,7 @@ from sponges.exactalg import IntegerMatrix
 from oracles import (
     NotASubcomplex,
     RationalHomologyBasisDense,
+    cochain_complex,
     cohomology_via_transpose,
     dense_basis_mismatches,
     integer_kernel_basis,

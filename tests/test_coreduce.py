@@ -22,7 +22,12 @@ from sponges.generators import builtin, gen_model_sponge, gen_polytope_skeleton,
 from sponges.poset import interval_homology, order_complex
 from sponges.sponge import cellular_complex, section_complex
 
-from oracles import cohomology_without_coreduction, homology_without_coreduction, interval_order_complex
+from oracles import (
+    cohomology_without_coreduction,
+    homology_without_coreduction,
+    interval_order_complex,
+    section_complex_via_quotient,
+)
 from test_cell_complex import interval_posets, open_intervals
 from test_complexes import coordinates_corpus, projective_plane_minimal
 from test_poset import chain_complex_of, tensor
@@ -60,7 +65,9 @@ def mixed_torsion_complexes(rng):
 
 def sponge_complexes():
     """Cellular complexes, plain and augmented, and the section complexes of
-    the builtin sponges and of models 3-6."""
+    the builtin sponges and of models 3-6, each both as the cochain
+    subcomplex on the faces above its face and as the quotient whose
+    cochain complex it is."""
     sponges = [builtin(name) for name in ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3")]
     sponges += [gen_model_sponge(n) for n in (3, 4, 5, 6)]
     for z in sponges:
@@ -71,6 +78,7 @@ def sponge_complexes():
                 pass
         for f in z.faces.elements():
             yield section_complex(z, f)
+            yield section_complex_via_quotient(z, f)
 
 
 def interval_complexes():

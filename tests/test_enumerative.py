@@ -100,6 +100,12 @@ def test_fvectors_refuse_entries_that_are_not_ints():
     for f in [(4.9, "6"), (True, 1), (6, 9.0), [6, None]]:
         with pytest.raises(TypeError, match="integer"):
             b_from_euler(f, 3)  # (4.9, "6") used to give b = 3
+    # n = 3.0 passed until hvector_of raised a raw TypeError; b_from_euler gave 4
+    for n in (3.0, True, "3"):
+        with pytest.raises(TypeError, match="integer"):
+            ExtendedFVector(n=n, f=(6, 9), b=4)
+        with pytest.raises(TypeError, match="integer"):
+            b_from_euler((6, 9), n)
     assert ExtendedFVector(n=3, f=[6, 9], b=4) == F3
     assert b_from_euler([6, 9], 3) == 4
 

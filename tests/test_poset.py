@@ -99,6 +99,14 @@ def test_duplicate_cover_is_refused():
     assert len(GradedPoset([("a", 0), ("b", 1), ("c", 1)], [("b", "a"), ("c", "a")]).covers()) == 2
 
 
+def test_ranks_must_be_ints():
+    # the rank 0.7 used to become 0
+    for rank in (0.7, 1.0, True, "1", None):
+        with pytest.raises(TypeError, match="integer"):
+            GradedPoset([("a", rank)], [])
+    assert GradedPoset([("a", 0)], []).rank("a") == 0
+
+
 def test_unknown_element():
     p = chain_poset(3)
     with pytest.raises(UnknownElement):

@@ -82,6 +82,21 @@ def test_flipping_one_incidence_breaks_the_diamonds_through_it():
     }
 
 
+def test_sponge_refuses_values_that_are_not_ints():
+    """The incidences 1.5 and -1.9 used to become 1 and -1, and then validate;
+    n = 3.0 used to fail only inside `face_counts`."""
+    faces = GradedPoset([("v", 0), ("w", 0), ("e", 1)], [("e", "v"), ("e", "w")])
+    for incidence in ({("e", "v"): 1.5, ("e", "w"): -1.9}, {("e", "v"): 1, ("e", "w"): -1.0},
+                      {("e", "v"): True, ("e", "w"): -1}, {("e", "v"): "1", ("e", "w"): -1}):
+        with pytest.raises(TypeError, match="integer"):
+            SpongeComplex(n=3, faces=faces, incidence=incidence)
+    for n in (3.0, True, "3"):
+        with pytest.raises(TypeError, match="integer"):
+            SpongeComplex(n=n, faces=faces, incidence={("e", "v"): 1, ("e", "w"): -1})
+    z = SpongeComplex(n=3, faces=faces, incidence={("e", "v"): 1, ("e", "w"): -1})
+    assert validate_sponge(z).is_valid and z.face_counts() == (2, 1)
+
+
 def test_vertexless_face_detected():
     # an edge with no vertex below it
     z = SpongeComplex(
@@ -184,9 +199,10 @@ def test_local_cohomology_builds_one_section_complex_per_face(monkeypatch):
     z = gen_model_sponge(6)
     for f in z.faces.elements():
         local_cohomology(z, f)
-    # each section complex holds exactly the faces above its face, and no
-    # cellular complex of the whole sponge is built for them
-    above = [{d: [g for g in z.faces_of_dim(d) if g in z.faces.upset(f)] for d in range(z.n - 1)}
+    # each section complex holds exactly the faces above its face, the
+    # p-faces in chain degree -p, and no cellular complex of the whole
+    # sponge is built for them
+    above = [{-d: [g for g in z.faces_of_dim(d) if g in z.faces.upset(f)] for d in range(z.n - 1)}
              for f in z.faces.elements()]
     assert builds == above and not wholes and not z._cellular
 
