@@ -17,7 +17,9 @@ prints a single JSON report object with sorted keys (identical inputs give
 byte-identical reports) embedding a sha256 digest of the canonical input.
 Torsion coefficients serialize as decimal strings.  Exit codes: 0 pass,
 1 check failed, 2 usage or input error.  ``--verbose`` adds a human summary
-on stderr.
+on stderr.  At module level this file imports only the standard library and
+the exception classes of `errors`; each command imports the layers it uses
+when it runs, so a command loads and compiles no other layer.
 """
 
 from __future__ import annotations
@@ -27,48 +29,27 @@ import functools
 import hashlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .complexes import MalformedComplex, cohomology, homology
-from .cosheaf import NotCohenMacaulay, RankMismatch, dihomology_check
-from .enumerative import (
-    ExtendedFVector,
-    NotAcyclicSponge,
-    betti_polynomial,
-    betti_polynomial_alt,
-    duality_check,
-    fvector_of,
-    hilbert_equivariant,
-    hvector_of,
-    series_expand,
-)
-from .generators import (
+from .errors import (
     BadParameter,
-    NotSimple,
-    PolytopeFaceLattice,
-    UnknownBuiltin,
-    builtin,
-    gen_model_sponge,
-    gen_polytope_skeleton,
-    gen_simplex_skeleton,
-    gen_trivalent_sponges,
-)
-from .poset import (
-    GradedPoset,
-    SimplicialComplex,
-    UnknownElement,
-    check_cohen_macaulay,
-)
-from .search import CorruptCheckpoint, scan, scan_fvector_space
-from .sponge import (
+    CorruptCheckpoint,
     InvalidSponge,
+    MalformedComplex,
     NonCompactSponge,
-    SpongeComplex,
-    cellular_complex,
-    check_acyclic,
-    check_local_model,
-    local_cohomology,
-    validate_sponge,
+    NotAcyclicSponge,
+    NotCohenMacaulay,
+    NotSimple,
+    RankMismatch,
+    UnknownBuiltin,
+    UnknownElement,
 )
+
+if TYPE_CHECKING:  # annotations only: each command imports its own layers when it runs
+    from .enumerative import ExtendedFVector
+    from .generators import PolytopeFaceLattice
+    from .poset import SimplicialComplex
+    from .sponge import SpongeComplex
 
 FORMAT_VERSION = 1
 
@@ -115,6 +96,9 @@ def _array(value, field: str) -> list:
 
 
 def parse_sponge(doc: dict, name: str = "") -> SpongeComplex:
+    from .poset import GradedPoset
+    from .sponge import SpongeComplex
+
     try:
         n = _integer(doc["n"], "n")
         face_docs, cover_docs = _array(doc["faces"], "faces"), _array(doc["covers"], "covers")
@@ -151,6 +135,8 @@ def serialize_fvector(fv: ExtendedFVector) -> dict:
 
 
 def parse_fvector(doc: dict) -> ExtendedFVector:
+    from .enumerative import ExtendedFVector
+
     try:
         n, f, b = _integer(doc["n"], "n"), _array(doc["f"], "f"), _integer(doc["b"], "b")
         return ExtendedFVector(n=n, f=tuple(_integer(x, "f") for x in f), b=b)
@@ -159,6 +145,8 @@ def parse_fvector(doc: dict) -> ExtendedFVector:
 
 
 def parse_simplicial(doc: dict) -> SimplicialComplex:
+    from .poset import SimplicialComplex
+
     try:
         return SimplicialComplex(
             [str(v) for v in _array(doc["vertices"], "vertices")],
@@ -177,6 +165,8 @@ def serialize_simplicial(k: SimplicialComplex) -> dict:
 
 
 def parse_polytope_lattice(doc: dict) -> PolytopeFaceLattice:
+    from .generators import PolytopeFaceLattice
+
     try:
         face_docs, cover_docs = _array(doc["faces"], "faces"), _array(doc["covers"], "covers")
         return PolytopeFaceLattice(
@@ -229,6 +219,8 @@ def _load_sponge(path: str) -> tuple[SpongeComplex, dict]:
 
 def _load_fvector_like(path: str) -> tuple[ExtendedFVector, dict]:
     """An f-vector, either direct or derived from a sponge document."""
+    from .enumerative import fvector_of
+
     doc = _read_document(path)
     if "f" in doc and "faces" not in doc:
         return parse_fvector(doc), doc
@@ -241,6 +233,8 @@ def _load_fvector_like(path: str) -> tuple[ExtendedFVector, dict]:
 
 
 def _cmd_validate(args) -> tuple[dict, int]:
+    from .sponge import validate_sponge
+
     z, doc = _load_sponge(args.file)
     report = validate_sponge(z)
     payload = {
@@ -257,11 +251,15 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_homology(args) -> tuple[dict, int]:
+    from .complexes import cohomology, homology
+
     doc = _read_document(args.file)
     coefficients = "integers" if args.coeff == "z" else "rationals"
     if "facets" in doc:
         c = parse_simplicial(doc).chain_complex(augmented=args.reduced)
     else:
+        from .sponge import cellular_complex
+
         c = cellular_complex(parse_sponge(doc), augmented=args.reduced)
     payload = {
         "coefficients": coefficients,
@@ -273,6 +271,8 @@ def _cmd_homology(args) -> tuple[dict, int]:
 
 
 def _cmd_check_acyclic(args) -> tuple[dict, int]:
+    from .sponge import check_acyclic
+
     z, doc = _load_sponge(args.file)
     report = check_acyclic(z)
     payload = {
@@ -289,9 +289,12 @@ def _cmd_check_acyclic(args) -> tuple[dict, int]:
 
 
 def _cmd_check_cm(args) -> tuple[dict, int]:
+    from .poset import check_cohen_macaulay
+    from .sponge import incidence_signs
+
     z, doc = _load_sponge(args.file)
     coefficients = "integers" if args.coeff == "z" else "rationals"
-    report = check_cohen_macaulay(z.faces, coefficients)
+    report = check_cohen_macaulay(z.faces, coefficients, signs=incidence_signs(z))
     payload = {
         "is_cm": report.is_cm,
         "coefficients": coefficients,
@@ -312,6 +315,8 @@ def _cmd_check_cm(args) -> tuple[dict, int]:
 
 
 def _cmd_check_local_model(args) -> tuple[dict, int]:
+    from .sponge import check_local_model
+
     z, doc = _load_sponge(args.file)
     report = check_local_model(z)
     payload = {
@@ -327,6 +332,8 @@ def _cmd_check_local_model(args) -> tuple[dict, int]:
 
 
 def _cmd_local_cohomology(args) -> tuple[dict, int]:
+    from .sponge import local_cohomology
+
     z, doc = _load_sponge(args.file)
     coefficients = "integers" if args.coeff == "z" else "rationals"
     try:
@@ -342,6 +349,8 @@ def _cmd_local_cohomology(args) -> tuple[dict, int]:
 
 
 def _cmd_dihomology(args) -> tuple[dict, int]:
+    from .cosheaf import dihomology_check
+
     z, doc = _load_sponge(args.file)
     try:
         report = dihomology_check(z)
@@ -366,6 +375,8 @@ def _cmd_dihomology(args) -> tuple[dict, int]:
 
 
 def _cmd_fvector(args) -> tuple[dict, int]:
+    from .enumerative import fvector_of
+
     z, doc = _load_sponge(args.file)
     fv = fvector_of(z)
     payload = {"n": fv.n, "f": list(fv.f), "b": fv.b}
@@ -373,6 +384,8 @@ def _cmd_fvector(args) -> tuple[dict, int]:
 
 
 def _cmd_hvector(args) -> tuple[dict, int]:
+    from .enumerative import hvector_of
+
     fv, doc = _load_fvector_like(args.file)
     hv = hvector_of(fv)
     payload = {
@@ -385,6 +398,13 @@ def _cmd_hvector(args) -> tuple[dict, int]:
 
 
 def _cmd_hilbert(args) -> tuple[dict, int]:
+    from .enumerative import (
+        betti_polynomial,
+        betti_polynomial_alt,
+        hilbert_equivariant,
+        series_expand,
+    )
+
     fv, doc = _load_fvector_like(args.file)
     if args.which == "equivariant":
         if args.expand < 0:
@@ -407,6 +427,8 @@ def _cmd_hilbert(args) -> tuple[dict, int]:
 
 
 def _cmd_duality(args) -> tuple[dict, int]:
+    from .enumerative import duality_check
+
     fv, doc = _load_fvector_like(args.file)
     report = duality_check(fv)
     payload = {
@@ -422,6 +444,15 @@ def _cmd_duality(args) -> tuple[dict, int]:
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
+    from .enumerative import ExtendedFVector
+    from .generators import (
+        builtin,
+        gen_model_sponge,
+        gen_polytope_skeleton,
+        gen_simplex_skeleton,
+        gen_trivalent_sponges,
+    )
+
     if args.kind == "model":
         return serialize_sponge(gen_model_sponge(args.n)), EXIT_PASS
     if args.kind == "simplex-skeleton":
@@ -449,6 +480,8 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
+    from .search import scan, scan_fvector_space
+
     if args.fspace:
         if args.n is None or not args.bound:
             raise InputError("--fspace needs --n and --bound")
@@ -466,6 +499,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
             raise InputError(f"unknown family {args.family!r}")
         if args.max is None:
             raise InputError("--family trivalent needs --max")
+        from .generators import gen_trivalent_sponges
+
         summary = scan(
             gen_trivalent_sponges(args.max), checkpoint_path=args.checkpoint
         )

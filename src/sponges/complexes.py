@@ -34,22 +34,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from .errors import MalformedComplex, NotAChainMap
 from .exactalg import IntegerMatrix, smith_diagonal
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
-
-
-class MalformedComplex(ValueError):
-    """The boundary data does not define a chain complex."""
-
-
-class NotAChainMap(ValueError):
-    """The given per-degree matrices do not commute with the boundaries."""
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"map fails to commute with boundaries at degree {degree}")
 
 
 class HomologyProfile:

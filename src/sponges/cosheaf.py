@@ -39,37 +39,21 @@ from .complexes import (
     RATIONALS,
     HomologyProfile,
     IntegerChainComplex,
-    MalformedComplex,
     RationalHomologyBasis,
     homology,
     induced_map_on_homology,
 )
+from .errors import MalformedComplex, NotCohenMacaulay, RankMismatch
 from .exactalg import IntegerMatrix
 from .poset import check_cohen_macaulay, interval_homology
-from .sponge import SpongeComplex, _section_cohomology, ensure_valid, faces_above, section_complex
-
-
-class NotCohenMacaulay(ValueError):
-    """The face poset fails the Cohen-Macaulay precondition."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            f"face poset is not Cohen-Macaulay ({len(report.witnesses)} witnesses)"
-        )
-
-
-class RankMismatch(ValueError):
-    """The two sides of the dihomology comparison disagree."""
-
-    def __init__(self, r: int, lhs: int, rhs: int):
-        self.r = r
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(
-            f"dihomology rank mismatch at r={r}: cosheaf side {lhs}, "
-            f"order-complex side {rhs}"
-        )
+from .sponge import (
+    SpongeComplex,
+    _section_cohomology,
+    _section_complex,
+    ensure_valid,
+    faces_above,
+    incidence_signs,
+)
 
 
 @dataclass
@@ -93,9 +77,10 @@ class LocalCohomologyCosheaf:
 def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     """Compute every section and every cover map.
 
-    Each face's `section_complex` is built once.  Its homology gives the
-    section over Z and over Q, its rational bases give the cover maps, which
-    are induced by the inclusions of the `faces_above` lists, and both are
+    Each face's `faces_above` lists are computed once, and its
+    `section_complex` is built once on them.  Its homology gives the section
+    over Z and over Q, its rational bases give the cover maps, which are
+    induced by the inclusions of the `faces_above` lists, and both are
     reported at cohomological degree p, the complex's chain degree -p.
     """
     ensure_valid(z)
@@ -105,7 +90,7 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     sections: dict[str, HomologyProfile] = {}
     sections_integral: dict[str, HomologyProfile] = {}
     for s in z.faces.elements():
-        section = complexes[s] = section_complex(z, s)
+        section = complexes[s] = _section_complex(z, generators[s])
         sections_integral[s] = _section_cohomology(section, INTEGERS)
         sections[s] = _section_cohomology(section, RATIONALS)
         bases[s] = RationalHomologyBasis(section)
@@ -199,7 +184,7 @@ def dihomology_check(z: SpongeComplex) -> DihomologyReport:
     RankMismatch.
     """
     ensure_valid(z)
-    cm = check_cohen_macaulay(z.faces)
+    cm = check_cohen_macaulay(z.faces, signs=incidence_signs(z))
     if not cm.is_cm:
         raise NotCohenMacaulay(cm)
     cosheaf = build_cosheaf(z)

@@ -28,11 +28,8 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .sponge import NotAcyclicSponge, SpongeComplex, check_acyclic
-
-
-class NegativeB(ValueError):
-    """The Euler relation forces a negative b; no acyclic sponge fits."""
+from .errors import NegativeB, NotAcyclicSponge
+from .sponge import SpongeComplex, check_acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +259,11 @@ def b_from_euler(f: Sequence[int], n: int) -> int:
     _ambient(n)
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} face counts for n={n}")
+    return _euler_b(f, n)
+
+
+def _euler_b(f: tuple[int, ...], n: int) -> int:
+    """`b_from_euler` on a tuple of n - 1 integer face counts, unchecked."""
     alternating = sum(f[::2]) - sum(f[1::2])
     b = alternating - 1 if n % 2 == 0 else 1 - alternating
     if b < 0:

@@ -25,21 +25,9 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .enumerative import ExtendedFVector
+from .errors import BadParameter, NotDiamond, NotSimple, UnknownBuiltin
 from .poset import GradedPoset, SimplicialComplex
-from .sponge import NotDiamond, SpongeComplex, check_acyclic, ensure_valid, sign_solver
-
-
-class BadParameter(ValueError):
-    """Generator parameters out of range."""
-
-
-class UnknownBuiltin(KeyError):
-    """No builtin object with that name."""
-
-
-class NotSimple(ValueError):
-    """Not a simple polytope's lattice: a rank-2 interval is not a diamond,
-    or the skeleton's b-number is not the number of facets minus one."""
+from .sponge import SpongeComplex, check_acyclic, ensure_valid, sign_solver
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,26 @@ simplicial chain complex is `complexes.cell_complex` on the faces, each
 face's faces being its vertices dropped one at a time.  Order-complex
 homology is asked of open intervals (x, y) of P^, P with a bottom 0^ and a
 top 1^ added; `interval_homology` answers over Z, in closed form for cones
-and for intervals of dimension at most 1, otherwise from the interval's
-chains, enumerated once on P with no order complex built, and caches the
-answer on the poset.  P is Cohen-Macaulay exactly when every such interval
-has homology only in its own dimension, which the Cohen-Macaulay test reads
-off the intervals first.  Only when that fails does it walk every chain of P
-depth-first (the empty one included) for the witnesses: the chains whose
-link has reduced homology below the link's own dimension.  The link of
-x_1 < ... < x_k is the join of (0^, x_1), ..., (x_k, 1^), so its homology
-follows from the cached intervals by the Kunneth formula for joins, one join
-per link and per extension; no order complex of P is built.  Building and
-eliminating each link instead is the test suite's oracle.
+and for intervals of dimension at most 1, and caches the answer on the
+poset.  Given a signing of the covers (+-1 on every cover and satisfying
+every diamond relation, on a poset whose rank-2 intervals are all diamonds:
+a validated sponge's +-1 incidences or `sponge.sign_solver`'s solution), an
+interval (x, y) from an element x of P whose lower intervals (x, z) are all
+homology spheres of dimension rank z - rank x - 2 is read from one cell per
+element, with boundaries over lower covers signed by the signing; the proof
+is in `_cell_homology`.  Intervals from 0^ never take that route: they carry
+the order-complex side of the sponge cross-checks, which must not depend on
+the incidences.  Every other interval is read from its chains, enumerated
+once on P with no order complex built.  P is Cohen-Macaulay exactly when
+every such interval has homology only in its own dimension, which the
+Cohen-Macaulay test reads off the intervals first.  Only when that fails
+does it walk every chain of P depth-first (the empty one included) for the
+witnesses: the chains whose link has reduced homology below the link's own
+dimension.  The link of x_1 < ... < x_k is the join of (0^, x_1), ..., (x_k,
+1^), so its homology follows from the cached intervals by the Kunneth
+formula for joins, one join per link and per extension; no order complex of
+P is built.  Building and eliminating each link instead is the test suite's
+oracle.
 """
 
 from __future__ import annotations
@@ -40,15 +49,8 @@ from .complexes import (
     cell_complex,
     homology,
 )
+from .errors import CyclicPoset, MalformedComplex, UnknownElement
 from .exactalg import IntegerMatrix, smith_diagonal
-
-
-class CyclicPoset(ValueError):
-    """Cover data incompatible with a grading (would create a cycle)."""
-
-
-class UnknownElement(KeyError):
-    """An element identifier not present in the poset."""
 
 
 class GradedPoset:
@@ -350,21 +352,28 @@ class CMReport:
     witnesses: tuple[CMWitness, ...] = field(default_factory=tuple)
 
 
-def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
+def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile, int]:
     """Reduced integral homology and dimension of the order complex of (x, y) in P^.
 
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
-    is the (-1)-sphere.  Two kinds of interval are answered without their
+    is the (-1)-sphere.  Three kinds of interval are answered without their
     chains being enumerated (coreduction would settle them, but only after
     building and checking every chain):
 
     * one with a unique minimal or a unique maximal element is a cone, so its
       reduced homology vanishes;
-    * one of dimension 0 or 1 is a graph, see `_graph_homology`.
+    * one of dimension 0 or 1 is a graph, see `_graph_homology`;
+    * given ``signs``, one from an element x of P whose lower intervals
+      (x, z) are all spheres is the homology of one cell per element, see
+      `_cell_homology`.
 
-    Every other interval's chains are enumerated once into the augmented
-    chain complex of its order complex, whose homology `complexes.homology`
-    reads after coreduction.  The result is cached on ``p``.
+    ``signs`` maps each cover (upper, lower) to +-1 and satisfies every
+    diamond relation, on a poset whose rank-2 intervals are all diamonds: a
+    validated sponge's +-1 incidences (`sponge.incidence_signs`) or
+    `sponge.sign_solver`'s solution.  Every other interval's chains are
+    enumerated once into the augmented chain complex of its order complex,
+    whose homology `complexes.homology` reads after coreduction.  The result
+    does not depend on the route, so it is cached on ``p`` by (x, y) alone.
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]
@@ -375,8 +384,9 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
     if not inside:
         result = HomologyProfile({-1: (1, ())}), -1
     else:
+        order = sorted(inside, key=p.sort_key)
         longest: dict = {}  # element -> most elements on a chain of inside ending there
-        for e in sorted(inside, key=p.sort_key):
+        for e in order:
             longest[e] = 1 + max((longest[b] for b in p._lower[e] if b in inside), default=0)
         dim = max(longest.values()) - 1
         minimal = sum(1 for e in inside if longest[e] == 1)
@@ -386,9 +396,76 @@ def interval_homology(p: GradedPoset, x, y) -> tuple[HomologyProfile, int]:
         elif dim <= 1:
             result = _graph_homology(p, inside), dim
         else:
-            result = homology(cell_complex(_chains(p, inside), _drop_one)), dim
+            h = None if x is None or signs is None else _cell_homology(p, x, order, signs)
+            if h is None:
+                h = homology(cell_complex(_chains(p, inside), _drop_one))
+            result = h, dim
     p._intervals[x, y] = result
     return result
+
+
+def _cell_homology(p: GradedPoset, x, order: list, signs) -> HomologyProfile | None:
+    """The reduced homology of (x, y) from C(x, y), or None for the chain route.
+
+    ``order`` is (x, y) in (rank, id) order, and r(z) is rank z - rank x.
+    C(x, y) has x as its cell in degree -1 and each z in (x, y) as a cell in
+    degree r(z) - 1; the boundary of z is the sum of signs[z, w] w over its
+    lower covers w in [x, y).  None is returned when some lower interval
+    (x, z) is not a homology sphere of dimension r(z) - 2, or when the signs
+    break d o d = 0 inside [x, y): `cell_complex` checks it, and on C(x, y)
+    it is exactly the diamond relations there.
+
+    Claim: if each (x, z) is a homology sphere over Z of dimension r(z) - 2,
+    every rank-2 interval is a diamond and the signs satisfy the diamond
+    relations in [x, y), the reduced homology of (x, y) is that of C(x, y).
+    This is the cellular homology of a CW poset (Bjorner, "Posets, regular
+    CW complexes and Bruhat order", Europ. J. Combin. 5, 1984).
+
+    Proof.  Filter the augmented chains of (x, y) by the rank of a chain's
+    top element, with the empty chain alone in filtration 0.  Quotient
+    k >= 1 is the sum, over z with r(z) = k, of the chains of the cone from
+    z over (x, z) relative to (x, z), so its homology is one Z in degree
+    k - 1.  The spectral sequence's E1 page is therefore one row: it
+    collapses at E2, with no extension problem, and the reduced homology of
+    (x, y) is that of (E1, d1), which has one generator per cell of
+    C(x, y).  The entry of d1 from z to w vanishes unless z covers w.
+
+    (a) Each entry from z to a lower cover w is +-1.  All maximal chains of
+    (x, z) have r(z) - 1 elements, and every rank-2 interval is a diamond,
+    so a chain missing one element lies in exactly two maximal chains: the
+    order complex of (x, z) is a pseudomanifold.  The facets of each of its
+    strong components sum to a top cycle over Z/2, and its top homology
+    over Z/2 is Z/2 by universal coefficients, so it is strongly connected.
+    Facets sharing a ridge carry equal coefficients up to sign in a top
+    cycle, so the generator of its top homology has every coefficient +-1.
+    d1 of z is that generator restricted to the facets through each lower
+    cover w: the cone from w over a top cycle of (x, w) whose coefficients
+    are all +-1 (each facet of (x, w) extends by w), which is +-1 times
+    the generator of (x, w) by the same argument one rank down.
+
+    (b) Two signings eps, eps' of the covers in [x, y) that both satisfy
+    the diamond relations there give isomorphic complexes; d1 is one of them
+    by (a), since d1 d1 = 0 and a diamond has two middles.  Their quotient
+    eta = eps'/eps agrees on the two paths of every diamond.  Put t(x) = 1
+    and, rank by rank, t(z) = eta(z, w) t(w) for a lower cover w of z.  Two
+    lower covers w, w' of z with a common lower cover v give the same
+    value, by the diamond [v, z] and t(w) = eta(w, v) t(v), and the lower
+    covers of z are linked by common lower covers in [x, z): for r(z) = 2
+    both cover x, and for r(z) > 2 the order complex of (x, z) is strongly
+    connected.  So eta(z, w) = t(z) t(w) on every cover, and z -> t(z) z
+    carries one complex onto the other.
+    """
+    base, cells = p.ranks[x], {-1: [x]}
+    for z in order:
+        d = p.ranks[z] - base - 1
+        h, _ = interval_homology(p, x, z, signs)
+        if h.degrees() != [d - 1] or h.free_rank(d - 1) != 1 or h.torsion(d - 1):
+            return None
+        cells.setdefault(d, []).append(z)
+    try:
+        return homology(cell_complex(cells, lambda z: [(w, signs[z, w]) for w in p._lower[z]]))
+    except MalformedComplex:
+        return None
 
 
 def _graph_homology(p: GradedPoset, inside: set) -> HomologyProfile:
@@ -470,7 +547,7 @@ def _join(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
     })
 
 
-def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMReport:
+def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers", signs=None) -> CMReport:
     """Test whether the order complex of p is Cohen-Macaulay.
 
     For every chain sigma (the empty chain included), the link of sigma in
@@ -493,7 +570,9 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
     dimensions add as (dimension + 1).  The default coefficient ring is Z, so
     torsion alone also disqualifies; witnesses flag such torsion-only
     failures separately.  Over Q only free ranks count.  The empty poset is
-    Cohen-Macaulay by convention.
+    Cohen-Macaulay by convention.  ``signs``, a signing of the covers as
+    `interval_homology` takes it, lets intervals from elements of p be read
+    from one cell per element.
     """
     _check_coefficients(coefficients)
     rational = coefficients == RATIONALS
@@ -503,7 +582,7 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
         above[x] = [y for y in p._order if y in up and y != x]
 
     def top_only(x, y) -> bool:
-        h, dim = interval_homology(p, x, y)
+        h, dim = interval_homology(p, x, y, signs)
         return all(d == dim or (rational and not h.free_rank(d)) for d in h.degrees())
 
     if all(top_only(x, y) for x in above for y in (*above[x], None)):
@@ -512,7 +591,7 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
 
     def walk(chain: tuple, head: HomologyProfile, head_dim: int) -> None:
         top = chain[-1] if chain else None
-        rest, rest_dim = interval_homology(p, top, None)
+        rest, rest_dim = interval_homology(p, top, None, signs)
         dim = head_dim + rest_dim + 1
         if dim > -1:
             h = _join(head, rest)
@@ -521,7 +600,7 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers") -> CMRe
             witnesses.extend(CMWitness(chain, d, h.free_rank(d), h.torsion(d))
                              for d in h.degrees() if d < dim)
         for y in above[top]:
-            step, step_dim = interval_homology(p, top, y)
+            step, step_dim = interval_homology(p, top, y, signs)
             walk(chain + (y,), _join(head, step), head_dim + step_dim + 1)
 
     walk((), HomologyProfile({-1: (1, ())}), -1)

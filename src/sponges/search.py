@@ -10,10 +10,11 @@ bare f-vector need not come from any sponge.
 
 Records are keyed by a canonical identifier, so summaries are independent
 of stream order and reruns are byte-identical.  A grid point costs one
-b_from_euler and one h-vector, a fixed integer matrix product per n.  A
+Euler relation and one h-vector, a fixed integer matrix product per n.  A
 checkpoint file (JSON lines, one record each, written by one shared encoder
 and flushed per record) makes long scans resumable: already-recorded keys
-are skipped and their records merged back into the summary.  A torn final
+are skipped and their records merged back into the summary.  Each record is
+turned into JSON once, for the checkpoint and the summary alike.  A torn final
 line (an append cut short) is dropped and truncated away; any other line
 that does not parse, or has a field of the wrong type, raises
 CorruptCheckpoint, as does a checkpoint that cannot be read or appended to.
@@ -28,17 +29,9 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable
 
-from .enumerative import (
-    ExtendedFVector,
-    NegativeB,
-    b_from_euler,
-    hvector_of,
-)
-from .sponge import InvalidSponge, SpongeComplex, check_acyclic, check_local_model, ensure_valid
-
-
-class CorruptCheckpoint(ValueError):
-    """An unreadable or unwritable checkpoint, or a complete line that is not a scan record."""
+from .enumerative import ExtendedFVector, _euler_b, hvector_of
+from .errors import CorruptCheckpoint, InvalidSponge, NegativeB
+from .sponge import SpongeComplex, check_acyclic, check_local_model, ensure_valid
 
 
 # one encoder for every checkpoint line (json.dumps builds one per call)
@@ -101,10 +94,13 @@ class ScanSummary:
     nonneg_failures: list = field(default_factory=list)
     errors: int = 0
     records: list = field(default_factory=list)
+    _encoded: list = field(default_factory=list, init=False, repr=False)  # to_json per record
 
-    def add(self, record: ScanRecord) -> None:
+    def add(self, record: ScanRecord, encoded: dict) -> None:
+        """Count ``record``, whose `ScanRecord.to_json` is ``encoded``."""
         self.total += 1
         self.records.append(record)
+        self._encoded.append(encoded)
         if record.error is not None:
             self.errors += 1
             return
@@ -119,7 +115,9 @@ class ScanSummary:
                 self.nonneg_failures.append(record)
 
     def finalize(self) -> None:
-        self.records.sort(key=lambda r: r.identifier)
+        pairs = sorted(zip(self.records, self._encoded), key=lambda pair: pair[0].identifier)
+        self.records = [record for record, _ in pairs]
+        self._encoded = [encoded for _, encoded in pairs]
         self.ds_failures.sort(key=lambda r: r.identifier)
         self.nonneg_failures.sort(key=lambda r: r.identifier)
 
@@ -131,7 +129,7 @@ class ScanSummary:
             "errors": self.errors,
             "ds_failures": [r.identifier for r in self.ds_failures],
             "nonneg_failures": [r.identifier for r in self.nonneg_failures],
-            "records": [r.to_json() for r in self.records],
+            "records": list(self._encoded),
         }
 
 
@@ -177,10 +175,11 @@ class _Checkpoint:
     def has(self, identifier: str) -> bool:
         return identifier in self.seen
 
-    def write(self, record: ScanRecord) -> None:
+    def write(self, encoded: dict) -> None:
+        """Append one record, given as its `ScanRecord.to_json`, and flush it."""
         if self._handle is not None:
             try:
-                self._handle.write(_encode(record.to_json()) + "\n")
+                self._handle.write(_encode(encoded) + "\n")
                 self._handle.flush()
             except OSError as err:
                 raise CorruptCheckpoint(f"cannot append to checkpoint {self.path}: {err}") from err
@@ -226,10 +225,12 @@ def _run(
         for ident, make_record in items:
             if checkpoint.has(ident):
                 record = checkpoint.seen[ident]
+                encoded = record.to_json()
             else:
                 record = make_record()
-                checkpoint.write(record)
-            summary.add(record)
+                encoded = record.to_json()
+                checkpoint.write(encoded)
+            summary.add(record, encoded)
     finally:
         checkpoint.close()
     summary.finalize()
@@ -253,8 +254,9 @@ def scan(
 
 
 def _grid_point_record(ident: str, n: int, f: tuple[int, ...]) -> ScanRecord:
+    """One grid point; f, counts from `range`, is checked once, by `ExtendedFVector`."""
     try:
-        b = b_from_euler(f, n)
+        b = _euler_b(f, n)
     except NegativeB:
         return ScanRecord(identifier=ident, n=n, f=f, error="NegativeB", realized=False)
     hv = hvector_of(ExtendedFVector(n=n, f=f, b=b))

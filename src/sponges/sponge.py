@@ -33,56 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    HomologyProfile,
-    IntegerChainComplex,
+from .complexes import HomologyProfile, IntegerChainComplex, cell_complex, cohomology, homology
+from .errors import (
+    InvalidSponge,
     MalformedComplex,
-    cell_complex,
-    cohomology,
-    homology,
+    NonCompactSponge,
+    NotAcyclicSponge,
+    NotDiamond,
+    RealizationMismatch,
+    SignUnsolvable,
+    UnknownElement,
 )
-from .poset import GradedPoset, UnknownElement, interval_homology
-
-
-class InvalidSponge(ValueError):
-    """The sponge fails structural validation; carries the report."""
-
-    def __init__(self, report: "SpongeValidation"):
-        self.report = report
-        super().__init__(f"invalid sponge: {report.summary()}")
-
-
-class NonCompactSponge(ValueError):
-    """Operation disabled for non-compact sponges (cone faces)."""
-
-
-class NotAcyclicSponge(ValueError):
-    """The sponge fails the acyclicity conditions."""
-
-
-class NotDiamond(ValueError):
-    """Some rank-2 interval does not have exactly two intermediate faces."""
-
-    def __init__(self, intervals):
-        self.intervals = tuple(intervals)
-        super().__init__(f"{len(self.intervals)} rank-2 intervals are not diamonds")
-
-
-class SignUnsolvable(ValueError):
-    """The diamond/balance sign system has no solution over +-1."""
-
-
-class RealizationMismatch(ValueError):
-    """Cellular and order-complex cohomology disagree."""
-
-    def __init__(self, degree: int, cellular, simplicial):
-        self.degree = degree
-        self.cellular = cellular
-        self.simplicial = simplicial
-        super().__init__(
-            f"cohomology mismatch in degree {degree}: "
-            f"cellular {cellular} vs order complex {simplicial}"
-        )
+from .poset import GradedPoset, interval_homology
 
 
 class SpongeComplex:
@@ -204,11 +166,29 @@ def validate_sponge(z: SpongeComplex) -> SpongeValidation:
     return report
 
 
-def ensure_valid(z: SpongeComplex) -> None:
+def _validated(z: SpongeComplex) -> SpongeValidation:
+    """The validation verdict, computed once and cached on the sponge."""
     if z._validation is None:
         z._validation = validate_sponge(z)
-    if not z._validation.is_valid:
+    return z._validation
+
+
+def ensure_valid(z: SpongeComplex) -> None:
+    if not _validated(z).is_valid:
         raise InvalidSponge(z._validation)
+
+
+def incidence_signs(z: SpongeComplex) -> dict[tuple[str, str], int] | None:
+    """The incidences as a signing for `poset.interval_homology`, or None.
+
+    A signing is +-1 on every cover and satisfies every diamond relation, on
+    a poset whose rank-2 intervals are all diamonds.  The incidences are one
+    exactly when the sponge validates and each of them is +-1; otherwise the
+    face poset's intervals take the chain route.
+    """
+    if _validated(z).is_valid and all(v in (1, -1) for v in z.incidence.values()):
+        return z.incidence
+    return None
 
 
 def _signed_faces(z: SpongeComplex, face: str) -> list[tuple[str | None, int]]:
@@ -322,8 +302,13 @@ def section_complex(z: SpongeComplex, face: str) -> IntegerChainComplex:
     ensure_valid(z)
     if face not in z.faces.ranks:
         raise UnknownElement(face)
+    return _section_complex(z, faces_above(z, face))
+
+
+def _section_complex(z: SpongeComplex, above: dict[int, list[str]]) -> IntegerChainComplex:
+    """`section_complex` on the `faces_above` lists of its face."""
     return cell_complex(
-        {-d: faces for d, faces in faces_above(z, face).items()},
+        {-d: faces for d, faces in above.items()},
         lambda g: [(h, z.incidence[h, g]) for h in z.faces.upper_covers(g)],
     )
 

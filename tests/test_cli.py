@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
-from sponges import exactalg, search
+import sponges
+
+from sponges import errors, exactalg, search
 from sponges.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -11,10 +16,11 @@ from sponges.cli import (
     cli_dispatch,
     parse_sponge,
     serialize_fvector,
+    serialize_simplicial,
     serialize_sponge,
 )
 from sponges.cosheaf import NotCohenMacaulay, build_cosheaf, dihomology_check
-from sponges.generators import builtin, gen_model_sponge
+from sponges.generators import builtin, gen_model_sponge, gen_simplex_skeleton
 from sponges.poset import check_cohen_macaulay
 from sponges.sponge import (
     NonCompactSponge,
@@ -763,3 +769,65 @@ def test_array_fields_must_be_json_arrays(tmp_path):
         code, report = run_json(["gen", "polytope-skeleton",
                                  write_doc(tmp_path, {**lattice, key: value}, "lat.json")])
         assert code == EXIT_INPUT_ERROR and f"{key} must be a list" in report["error"], key
+
+
+def imported_layers(tmp_path, *args):
+    """The ``sponges`` modules a fresh ``python <args>`` imports, by
+    ``-X importtime``, which names each module as it is first imported."""
+    src = str(Path(sponges.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode in (EXIT_PASS, EXIT_CHECK_FAILED), proc.stderr
+    names = (line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name.partition(".")[2] for name in names if name.startswith("sponges.")}
+
+
+def test_each_command_imports_only_its_own_layers(tmp_path):
+    model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(4)))
+    skeleton = write_doc(tmp_path, serialize_simplicial(gen_simplex_skeleton(3, 1)), "k.json")
+    assert imported_layers(tmp_path, "-c", "import sponges") == set()
+    assert imported_layers(tmp_path, "-m", "sponges", "check-cm", model) == {
+        "cli", "errors", "exactalg", "complexes", "poset", "sponge"}
+    assert imported_layers(tmp_path, "-m", "sponges", "homology", skeleton) == {
+        "cli", "errors", "exactalg", "complexes", "poset"}
+
+
+# the public names of the package, the eight layer modules among them
+PUBLIC_NAMES = [
+    "AcyclicityReport", "ExtendedFVector", "GradedPoset", "HVector", "HilbertSeries",
+    "HomologyProfile", "IntegerChainComplex", "IntegerMatrix", "LocalCohomologyCosheaf",
+    "PolytopeFaceLattice", "ScanRecord", "SimplicialComplex", "SmithDecomposition",
+    "SpongeComplex", "b_from_euler", "betti_polynomial", "betti_polynomial_alt",
+    "build_cosheaf", "builtin", "cellular_complex", "check_acyclic", "check_cohen_macaulay",
+    "check_local_model", "cohomology", "complexes", "cosheaf", "cosheaf_homology",
+    "dihomology_check", "duality_check", "enumerative", "exactalg", "fvector_of",
+    "gen_model_sponge", "gen_polytope_skeleton", "gen_simplex_skeleton",
+    "gen_trivalent_sponges", "generators", "hilbert_equivariant", "homology", "hvector_of",
+    "induced_map_on_homology", "local_cohomology", "order_complex", "poset", "rank",
+    "realization_cross_check", "scan", "scan_fvector_space", "search", "section_complex",
+    "series_expand", "sign_solver", "smith_normal_form", "sponge", "subposet",
+    "validate_sponge",
+]
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    """Each public name is its layer module, or the object its defining
+    module holds under that name; each exception class is the one in
+    `sponges.errors`, whichever module names it."""
+    assert sorted(sponges.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(sponges, name)
+        if obj is sys.modules.get(f"sponges.{name}"):
+            continue
+        assert obj.__module__.startswith("sponges."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    layers = ("complexes", "poset", "sponge", "cosheaf", "enumerative", "generators", "search")
+    for module in layers:
+        for name, value in vars(getattr(sponges, module)).items():
+            if isinstance(value, type) and issubclass(value, Exception):
+                assert value is getattr(errors, name), (module, name)
+    for name in ("BadParameter", "NotSimple", "UnknownBuiltin", "CorruptCheckpoint"):
+        assert getattr(sys.modules["sponges.cli"], name) is getattr(errors, name)

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from sponges import complexes, exactalg, sponge
+from sponges import complexes, cosheaf, exactalg, sponge
 from sponges.complexes import RationalHomologyBasis, cohomology, profile
 from sponges.cosheaf import (
     NotCohenMacaulay,
@@ -170,15 +170,20 @@ def test_sections_are_local_cohomology_of_the_section_complex():
 
 def test_cosheaf_builds_one_complex_per_face_and_no_transpose(monkeypatch):
     """Model 6's cosheaf builds one cell complex per face, its section
-    complex, and transposes no matrix."""
-    built, transposed = [], []
+    complex on the faces above it, found once, and transposes no matrix."""
+    built, transposed, above = [], [], []
     cell_complex, transpose = sponge.cell_complex, exactalg.IntegerMatrix.transpose
+    faces_above = sponge.faces_above
     monkeypatch.setattr(sponge, "cell_complex", lambda *args: built.append(args) or cell_complex(*args))
+    for module in (sponge, cosheaf):
+        monkeypatch.setattr(module, "faces_above",
+                            lambda z, s: above.append(s) or faces_above(z, s))
     monkeypatch.setattr(exactalg.IntegerMatrix, "transpose",
                         lambda m: transposed.append(m) or transpose(m))
     model = gen_model_sponge(6)
     build_cosheaf(model)
     assert len(model.faces) == 57 and len(built) == 57
+    assert sorted(above) == sorted(model.faces.elements())
     assert not transposed
 
 

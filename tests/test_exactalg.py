@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -219,10 +220,44 @@ def test_library_modules_use_every_import():
         assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _runs_on_import(node):
+    """The nodes under ``node`` that run when its module is imported: no
+    function body, and no ``if TYPE_CHECKING:`` body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            for stmt in child.orelse:
+                yield stmt
+                yield from _runs_on_import(stmt)
+            continue
+        yield child
+        yield from _runs_on_import(child)
+
+
+def test_cli_imports_only_the_standard_library_and_errors():
+    """`python -m sponges` imports the CLI, so what the CLI imports with it
+    is the standard library and `.errors`; each command imports its own
+    layers when it runs."""
+    tree = ast.parse((Path(sponges.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for node in _runs_on_import(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    assert any(name == ".errors" for _, name in found)
+    layers = [(line, name) for line, name in found if name != ".errors" and (
+        name.startswith(".") or name.partition(".")[0] not in sys.stdlib_module_names)]
+    assert not layers, f"cli.py imports layers at module level: {layers}"
+
+
 def test_every_library_definition_is_referenced():
     """No dead code: each top-level function or class of the package is named
     (as a name, an attribute or an import) somewhere in the package or the
-    tests, and each non-dunder method is named as an attribute."""
+    tests, and each non-dunder method is named as an attribute.  Dunders, at
+    module level (PEP 562's ``__getattr__``) or in a class, are called by
+    the interpreter by name."""
     package = Path(sponges.__file__).parent
     defined = []
     names, attributes = set(), set()
@@ -238,7 +273,8 @@ def test_every_library_definition_is_referenced():
         if path.parent != package:
             continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
                 defined.append((path.name, node.name, False))
             if isinstance(node, ast.ClassDef):
                 defined.extend(

@@ -6,6 +6,8 @@ oracles that build and eliminate each order complex afresh; then the number
 of order complexes built and eliminated is counted.
 """
 
+import io
+import json
 import random
 from itertools import combinations
 
@@ -262,7 +264,7 @@ def glued_spheres(rng):
     for copy in range(rng.randint(2, 3)):
         vertices = shared + [k + 1 + copy * (d - k) + i for i in range(d - k)]
         facets += list(combinations(vertices, d))
-    return relabelled(simplicial_sponge(facets), rng.randrange(100)).faces
+    return relabelled(simplicial_sponge(facets), rng.randrange(100))
 
 
 def test_cm_verdict_reads_intervals_and_walks_only_on_failure(monkeypatch):
@@ -280,7 +282,7 @@ def test_cm_verdict_reads_intervals_and_walks_only_on_failure(monkeypatch):
 
     monkeypatch.setattr(poset, "_join", counted_join)
     rng = random.Random(1982)
-    glued = [glued_spheres(rng) for _ in range(6)]
+    glued = [glued_spheres(rng).faces for _ in range(6)]
     rp2 = projective_plane_face_poset()
     cm = [gen_model_sponge(n).faces for n in (3, 4, 5)] + [builtin("g42_octahedron").faces]
     deepest = 0
@@ -295,3 +297,126 @@ def test_cm_verdict_reads_intervals_and_walks_only_on_failure(monkeypatch):
                 assert all(w.chain for w in report.witnesses)
                 deepest = max([deepest] + [len(w.chain) for w in report.witnesses])
     assert deepest >= 2
+
+
+def fresh(p):
+    """The same poset as a new object, with an empty interval cache."""
+    return GradedPoset(p.ranks.items(), p.covers())
+
+
+def signed_posets():
+    """(poset, signing, is a model) triples: sponge incidences where the sponge
+    supplies them, else `sign_solver`'s signing; posets with no signing are
+    left out."""
+    sponges = [gen_model_sponge(n) for n in range(3, 9)]
+    sponges += [builtin(name) for name in ("g42_octahedron", "f3_k33", "cube_skeleton")]
+    sponges += [gen_polytope_skeleton(hypercube_lattice(4)),
+                gen_polytope_skeleton(simplex_lattice(5))]
+    for k, z in enumerate(sponges):
+        yield z.faces, sponge.incidence_signs(z), k < 6
+    for p in interval_posets() + [gen_model_sponge(n).faces for n in (4, 5, 6)]:
+        try:
+            yield p, sign_solver(p), False
+        except (sponge.NotDiamond, sponge.SignUnsolvable):
+            continue
+
+
+def count_chain_routes(monkeypatch):
+    """The intervals that enumerate their chains, and those built from one cell
+    per element (their (-1)-cell is the interval's bottom, not the empty chain)."""
+    chained, celled = [], []
+    chains, cell_complex = poset._chains, poset.cell_complex
+
+    def counted_chains(p, inside):
+        chained.append(inside)
+        return chains(p, inside)
+
+    def counted_cell_complex(cells, faces):
+        if cells.get(-1) != [()]:
+            celled.append(cells)
+        return cell_complex(cells, faces)
+
+    monkeypatch.setattr(poset, "_chains", counted_chains)
+    monkeypatch.setattr(poset, "cell_complex", counted_cell_complex)
+    return chained, celled
+
+
+def test_cellular_intervals_match_chain_route_and_oracle(monkeypatch):
+    """With a signing, every interval from an element of P whose lower
+    intervals are spheres is one cell per element; its profile and dimension
+    match the chain route and the order complex built afresh."""
+    chained, celled = count_chain_routes(monkeypatch)
+    signed = 0
+    for p, signs, model in signed_posets():
+        assert signs is not None, p
+        signed += 1
+        unsigned = fresh(p)
+        for x, y in open_intervals(p):
+            before = len(chained)
+            got = interval_homology(p, x, y, signs)
+            if model and x is not None:  # a model sponge: every such interval is cellular
+                assert len(chained) == before, (p, x, y)
+            assert got == interval_homology(unsigned, x, y), (p, x, y)
+            if len(p) <= 100:
+                assert got == interval_homology_via_order_complex(p, x, y), (p, x, y)
+    assert signed >= 90 and len(celled) >= 1300
+
+
+def test_unsigned_and_unfit_intervals_take_the_chain_route(tmp_path, monkeypatch):
+    """No signing, signs off +-1, an invalid sponge, or lower intervals that
+    are not spheres: those intervals enumerate their chains, with the same
+    reports."""
+    from sponges.cli import cli_dispatch, serialize_sponge
+
+    chained, celled = count_chain_routes(monkeypatch)
+    rng = random.Random(1984)
+    for z in [glued_spheres(rng) for _ in range(4)] + [rp2_wedge_sponge()]:
+        chained.clear()
+        report = check_cohen_macaulay(z.faces, signs=sponge.incidence_signs(z))
+        assert report == cohen_macaulay_via_links(fresh(z.faces)), z
+        assert not report.is_cm and chained, z  # (0^, 1^) is no cone
+    # one edge, so every interval is a cone or a graph; a doubled model below
+    # shows the chain route for incidences off +-1
+    assert sponge.incidence_signs(doubled_edge_sponge()) is None
+    model = gen_model_sponge(6)
+    doubled = SpongeComplex(6, fresh(model.faces), {c: 2 * v for c, v in model.incidence.items()})
+    flipped = dict(model.incidence)
+    flipped[next(iter(flipped))] *= -1
+    invalid = SpongeComplex(6, fresh(model.faces), flipped)
+    assert sponge.incidence_signs(model) is model.incidence
+    assert not sponge.validate_sponge(invalid).is_valid
+    expected = {}
+    for name, z in (("model", model), ("doubled", doubled), ("invalid", invalid)):
+        assert name == "model" or sponge.incidence_signs(z) is None
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_sponge(z)))
+        chained.clear()
+        out = io.StringIO()
+        code = cli_dispatch(["check-cm", str(path)], stdout=out)
+        report = json.loads(out.getvalue())
+        report.pop("input_digest")
+        expected.setdefault("report", report)
+        assert (code, report) == (0, expected["report"]), name
+        # with the model's signing no interval enumerates its chains (its
+        # (0^, y) are cones); without one, its (o, 1^) among others does
+        assert bool(chained) == (name != "model"), name
+
+
+def test_signings_that_differ_by_flipped_cells_agree_and_a_broken_one_falls_back(monkeypatch):
+    """Flipping every sign at one element keeps d o d = 0 and every profile;
+    flipping one cover's sign breaks a diamond relation, so the intervals
+    that hold that diamond take the chain route, with the same profiles."""
+    chained, celled = count_chain_routes(monkeypatch)
+    z = gen_model_sponge(6)
+    unsigned = fresh(z.faces)
+    expected = {(x, y): interval_homology(unsigned, x, y)
+                for x, y in open_intervals(z.faces) if x is not None}
+    pivot = z.faces.elements_of_rank(2)[0]
+    gauged = {(u, l): -v if pivot in (u, l) else v for (u, l), v in z.incidence.items()}
+    broken = dict(z.incidence)
+    broken[pivot, z.faces.lower_covers(pivot)[0]] *= -1
+    for signs, falls_back in ((gauged, False), (broken, True)):
+        p = fresh(z.faces)
+        chained.clear()
+        assert {xy: interval_homology(p, *xy, signs) for xy in expected} == expected
+        assert bool(chained) == falls_back

@@ -79,6 +79,24 @@ def test_scan_validates_each_sponge_once(monkeypatch):
     assert summary.total == len(calls) == len(set(calls)) == 27
 
 
+def test_scan_encodes_each_record_once_and_checks_each_grid_point_once(tmp_path, monkeypatch):
+    """A fresh record is encoded once, for the checkpoint and the summary
+    alike; a resumed one once, for the summary.  A grid point's f is checked
+    once, by `ExtendedFVector`."""
+    from sponges import enumerative
+
+    encoded, checked = [], []
+    to_json, face_counts = ScanRecord.to_json, enumerative._face_counts
+    monkeypatch.setattr(ScanRecord, "to_json", lambda r: encoded.append(r) or to_json(r))
+    monkeypatch.setattr(enumerative, "_face_counts", lambda f: checked.append(f) or face_counts(f))
+    path = str(tmp_path / "checkpoint.jsonl")
+    first = scan_fvector_space(4, [2, 2, 2], checkpoint_path=path).to_json()
+    assert len(encoded) == 27 and len(checked) == 27 - first["errors"]
+    encoded.clear()
+    assert scan_fvector_space(4, [2, 2, 2], checkpoint_path=path).to_json() == first
+    assert len(encoded) == 27
+
+
 def test_scan_order_independent():
     family = list(gen_trivalent_sponges(6))
     forward = scan(family).to_json()
