@@ -2,21 +2,21 @@
 homology, cohomology and induced maps.
 
 A complex stores one boundary matrix per degree (from degree d down to d-1)
-and validates d o d = 0 on construction.  Homology and cohomology are both
-read off the residual complex that coreduction leaves, built once per
-complex (`_coreduce` deletes pairs of cells joined by a +-1 coefficient,
-with no elimination), and off one cached Smith diagonal per residual
-boundary: free ranks by rank-nullity, homology torsion from the invariant
-factors of the incoming boundary, and cohomology torsion from those of the
-outgoing one (the coboundary is the transposed boundary, which has the same
-invariant factors).  That is the universal-coefficient theorem; the test
-suite checks it against an oracle that runs Smith forms on the transposed
-matrices, and every profile against the Smith diagonals of the full
-boundaries.  Complexes are immutable after construction and all operations
-are pure.  Every simplicial, cellular, section and open-interval complex is
-built by `cell_complex` from cells and their signed faces.  A face that is
-not a cell counts as zero, so the complex on the cells outside a subcomplex
-is the quotient by it.
+and validates d o d = 0 on construction.  `_coreduce` deletes pairs of cells
+joined by a +-1 coefficient, with no elimination, and hands back the
+residual's ranks and boundaries as plain data.  Each complex caches those
+ranks and one Smith diagonal per nonzero residual boundary, and homology and
+cohomology both read them: free ranks by rank-nullity, homology torsion from
+the invariant factors of the incoming boundary, and cohomology torsion from
+those of the outgoing one (the coboundary is the transposed boundary, which
+has the same invariant factors).  That is the universal-coefficient theorem;
+the test suite checks it against an oracle that runs Smith forms on the
+transposed matrices, and every profile against the Smith diagonals of the
+full boundaries.  Complexes are immutable after construction and all
+operations are pure.  Every simplicial, cellular, section and open-interval
+complex is built by `cell_complex` from cells and their signed faces.  A face
+that is not a cell counts as zero, so the complex on the cells outside a
+subcomplex is the quotient by it.
 
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
@@ -46,6 +46,7 @@ class HomologyProfile:
 
     Per degree: a free rank and a list of torsion coefficients (> 1, in
     divisibility order).  Degrees with trivial homology are not stored.
+    Degrees, free ranks and torsion must be `int`s, bools refused.
     """
 
     __slots__ = ("_data",)
@@ -53,13 +54,14 @@ class HomologyProfile:
     def __init__(self, data: Mapping[int, tuple[int, Sequence[int]]]):
         cleaned = {}
         for d, (free, torsion) in data.items():
-            torsion = tuple(int(t) for t in torsion)
+            torsion = tuple(torsion)
+            _require_ints("degrees, free ranks and torsion", d, free, *torsion)
             if any(t <= 1 for t in torsion):
                 raise ValueError("torsion coefficients must exceed 1")
             if free < 0:
                 raise ValueError("free rank must be nonnegative")
             if free or torsion:
-                cleaned[int(d)] = (int(free), torsion)
+                cleaned[d] = (free, torsion)
         self._data = cleaned
 
     def free_rank(self, degree: int) -> int:
@@ -104,6 +106,11 @@ class HomologyProfile:
         return "HomologyProfile(" + ", ".join(parts) + ")"
 
 
+def _require_ints(what: str, *values) -> None:
+    if bad := [v for v in values if type(v) is not int]:
+        raise TypeError(f"{what} must be integers, not {bad[0]!r}")
+
+
 def profile(entries: Mapping[int, tuple[int, Sequence[int]]] | None = None) -> HomologyProfile:
     return HomologyProfile(entries or {})
 
@@ -114,20 +121,19 @@ class IntegerChainComplex:
     ``ranks`` maps degree -> rank of the chain group; ``boundaries`` maps
     degree d -> the matrix of d_d : C_d -> C_{d-1}, of shape
     rank(d-1) x rank(d).  Degrees outside the stored range are zero.
+    Degrees and ranks must be `int`s, bools refused; shapes and d o d = 0
+    are checked.  The one cache is ``_residual``, filled by `_profile`.
     """
 
-    __slots__ = ("_ranks", "_boundaries", "_diagonals", "_residual")
+    __slots__ = ("_ranks", "_boundaries", "_residual")
 
     def __init__(self, ranks: Mapping[int, int], boundaries: Mapping[int, IntegerMatrix]):
-        self._ranks = {int(d): int(r) for d, r in ranks.items()}
+        _require_ints("chain degrees and ranks", *ranks, *ranks.values(), *boundaries)
+        self._ranks = dict(ranks)
         if any(r < 0 for r in self._ranks.values()):
             raise MalformedComplex("chain ranks must be nonnegative")
         self._boundaries = dict(boundaries)
-        self._diagonals: dict[int, tuple[int, ...]] = {}
-        self._residual: IntegerChainComplex | None = None  # `_coreduce(self)`, once asked for
-        self._validate()
-
-    def _validate(self) -> None:
+        self._residual: tuple[dict[int, int], dict[int, tuple[int, ...]]] | None = None
         for d, m in self._boundaries.items():
             expected = (self.rank(d - 1), self.rank(d))
             if m.shape != expected:
@@ -135,11 +141,8 @@ class IntegerChainComplex:
                     f"boundary at degree {d} has shape {m.shape}, expected {expected}"
                 )
         # d o d = 0 through the sparse product; name the first bad generator
-        for d, m in sorted(self._boundaries.items()):
-            lower = self._boundaries.get(d - 1)
-            if lower is None:
-                continue
-            composite = lower.mul(m)
+        for d in sorted(self._boundaries.keys() & {e + 1 for e in self._boundaries}):
+            composite = self._boundaries[d - 1].mul(self._boundaries[d])
             if not composite.is_zero():
                 col = min(j for _, j, _ in composite.nonzero_items())
                 raise MalformedComplex(
@@ -163,12 +166,6 @@ class IntegerChainComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in self._ranks.items())
 
-    def _diagonal(self, degree: int) -> tuple[int, ...]:
-        if degree not in self._diagonals:
-            m = self.boundary(degree)
-            self._diagonals[degree] = smith_diagonal(m) if not m.is_zero() else ()
-        return self._diagonals[degree]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntegerChainComplex)
@@ -187,7 +184,7 @@ def homology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyPr
 
     free_rank(d) = rank(d) - rank(d_d) - rank(d_{d+1}); over Z the torsion in
     degree d is read off the Smith diagonal of d_{d+1}.  Ranks and diagonals
-    are those of the residual complex that coreduction leaves (`_profile`).
+    are those of the residual that coreduction leaves, cached (`_profile`).
     """
     return _profile(c, coefficients, torsion_from=1)
 
@@ -206,25 +203,26 @@ def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> Homology
 def _profile(c: IntegerChainComplex, coefficients: str, torsion_from: int) -> HomologyProfile:
     """Rank-nullity per degree d, with torsion from the diagonal of d_{d+torsion_from}.
 
-    Ranks and diagonals are those of the residual complex `_coreduce(c)`,
-    which is chain-equivalent to c over Z, built once and kept on c.
+    Ranks and diagonals are those of the residual `_coreduce(c)`, which is
+    chain-equivalent to c over Z.  The first query caches, as ``c._residual``,
+    its ranks and the Smith diagonal of each nonzero residual boundary.
     """
     _check_coefficients(coefficients)
     if c._residual is None:
-        c._residual = _coreduce(c)
-    r = c._residual
+        ranks, boundaries = _coreduce(c)
+        c._residual = ranks, {d: smith_diagonal(m) for d, m in boundaries.items()
+                              if not m.is_zero()}
+    ranks, diagonals = c._residual
     data = {}
-    for d in r.degrees():
-        free = r.rank(d) - len(r._diagonal(d + 1)) - len(r._diagonal(d))
-        torsion: tuple[int, ...] = ()
-        if coefficients == INTEGERS:
-            torsion = tuple(t for t in r._diagonal(d + torsion_from) if t > 1)
-        data[d] = (free, torsion)
+    for d, rank in ranks.items():
+        free = rank - len(diagonals.get(d + 1, ())) - len(diagonals.get(d, ()))
+        torsion = diagonals.get(d + torsion_from, ()) if coefficients == INTEGERS else ()
+        data[d] = (free, tuple(t for t in torsion if t > 1))
     return HomologyProfile(data)
 
 
-def _coreduce(c: IntegerChainComplex) -> IntegerChainComplex:
-    """The restriction of c to the cells left after deleting reduction pairs.
+def _coreduce(c: IntegerChainComplex) -> tuple[dict[int, int], dict[int, IntegerMatrix]]:
+    """The ranks and boundaries of c restricted to the cells left after deleting reduction pairs.
 
     A pair is a cell a and a face b of it with coefficient +-1 such that
     either the live boundary of a is exactly +-b (a coreduction) or the only
@@ -235,7 +233,9 @@ def _coreduce(c: IntegerChainComplex) -> IntegerChainComplex:
     an augmented complex a vertex and the empty cell are the first pair.
     The queue is first in, first out: every cell in (degree, index) order,
     then the live neighbours of each deleted cell.  That order decides which
-    pairs are found, and so how many cells are left.
+    pairs are found, and so how many cells are left.  The residual is not
+    re-checked: it restricts a checked complex to the cells left alive, and
+    deleting a pair touches no other boundary, so d o d = 0 still holds.
     """
     start, n = {}, 0  # degree -> id of its first cell
     for d in c.degrees():
@@ -267,10 +267,8 @@ def _coreduce(c: IntegerChainComplex) -> IntegerChainComplex:
             queue.extend(faces[y])
             queue.extend(cofaces[y])
     keep = {d: [i for i in range(c.rank(d)) if alive[start[d] + i]] for d in c.degrees()}
-    return IntegerChainComplex(
-        {d: len(cells) for d, cells in keep.items()},
-        {d: m.submatrix(keep.get(d - 1, []), keep.get(d, [])) for d, m in c._boundaries.items()},
-    )
+    return {d: len(cells) for d, cells in keep.items()}, {
+        d: m.submatrix(keep.get(d - 1, []), keep.get(d, [])) for d, m in c._boundaries.items()}
 
 
 def _check_coefficients(coefficients: str) -> None:

@@ -51,7 +51,7 @@ class IntegerMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
             if type(v) is not int:
-                if v != int(v):
+                if v != v or v in (float("inf"), -float("inf")) or v != int(v):
                     raise ValueError(f"entry {v!r} at ({i}, {j}) is not an integer")
                 v = int(v)
             if v:

@@ -10,8 +10,8 @@ Cellular (co)homology is read straight off the incidence numbers: a cellular
 complex is `complexes.cell_complex` on the faces, each face's faces being
 its lower covers with their incidences.  Each sponge keeps one cellular
 complex per ``augmented`` flag, so every homology question on it reads one
-complex, its cached residual after coreduction and that residual's Smith
-diagonals.  Local cohomology at a face F is the homology of
+complex and the ranks and Smith diagonals of its coreduced residual, cached
+on it.  Local cohomology at a face F is the homology of
 `section_complex(z, F)`, the cochain subcomplex on the faces above F,
 built from those faces alone; the cosheaf takes its sections, bases and
 cover maps from the same complex.  For compact face-acyclic sponges

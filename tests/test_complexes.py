@@ -90,6 +90,18 @@ def test_malformed_complex_rejected():
     d2 = mat([[1], [0]])
     with pytest.raises(MalformedComplex):
         IntegerChainComplex({0: 2, 1: 2, 2: 1}, {1: d1, 2: d2})
+    with pytest.raises(MalformedComplex, match="nonnegative"):
+        IntegerChainComplex({0: -1}, {})
+    # ranks 2.7 and True used to read 2 and 1, and the profile below [0]=Z
+    for ranks, boundaries in [({0: 2.7, 1: True}, {}), ({0.0: 1}, {}), ({0: 1, 1: 1.0}, {}),
+                              ({0: 1, 1: 1}, {1.0: mat([[1]])}), ({"0": 1}, {})]:
+        with pytest.raises(TypeError, match="integer"):
+            IntegerChainComplex(ranks, boundaries)
+    for data in [{0.5: (1.9, ())}, {0: (1.0, ())}, {True: (1, ())}, {0: (True, ())},
+                 {0: (0, (2.0,))}, {0: (0, (True, 2))}, {"0": (1, ())}]:
+        with pytest.raises(TypeError, match="integer"):
+            profile(data)
+    assert profile({0: (1, (2, 4))}).torsion(0) == (2, 4)
 
 
 def test_quotient_disk_by_circle():

@@ -1,13 +1,15 @@
-"""Homology read off the residual complex that coreduction leaves.
+"""Homology read off the residual that coreduction leaves.
 
 `complexes.homology` and `cohomology` take their ranks and Smith diagonals
-from `complexes._coreduce(c)`; the oracles take them from the full
-boundaries.  Whole profiles must agree over Z and Q, torsion included.
+from the ranks and boundaries `complexes._coreduce(c)` returns; the oracles
+take them from the full boundaries.  Whole profiles must agree over Z and
+Q, torsion included.  Every residual the corpus's checks derive is rebuilt
+as a complex, so its d o d = 0 is checked rather than assumed.
 """
 
 import random
 
-from sponges import complexes
+from sponges import complexes, cosheaf, poset, sponge
 from sponges.complexes import (
     INTEGERS,
     RATIONALS,
@@ -18,9 +20,17 @@ from sponges.complexes import (
     profile,
 )
 from sponges.exactalg import IntegerMatrix
+from sponges.cosheaf import dihomology_check
+from sponges.errors import NotAcyclicSponge, NotCohenMacaulay
 from sponges.generators import builtin, gen_model_sponge, gen_polytope_skeleton, hypercube_lattice
-from sponges.poset import interval_homology, order_complex
-from sponges.sponge import cellular_complex, section_complex
+from sponges.poset import check_cohen_macaulay, interval_homology, order_complex
+from sponges.sponge import (
+    cellular_complex,
+    check_acyclic,
+    incidence_signs,
+    realization_cross_check,
+    section_complex,
+)
 
 from oracles import (
     cohomology_without_coreduction,
@@ -103,12 +113,11 @@ def test_profiles_match_the_full_smith_forms():
     assert {2, 3, 4, 6, 12} <= torsion
     # a +-2 pair is never deleted: H_0 = Z/2 survives on both cells
     assert homology(doubled) == profile({0: (0, (2,))})
-    assert complexes._coreduce(doubled) == doubled
+    assert IntegerChainComplex(*complexes._coreduce(doubled)) == doubled
 
 
-def test_residuals_keep_only_the_betti_cells(monkeypatch):
-    """The 5-cube 3-skeleton's order complex keeps b_3 = 9 of its 7,513
-    augmented cells, and model 6's interval (o, 1^) b_3 = 5 of 1,437."""
+def _record_coreductions(monkeypatch):
+    """The (source, residual) pair of every later `_coreduce` call."""
     residuals = []
     coreduce = complexes._coreduce
 
@@ -116,14 +125,88 @@ def test_residuals_keep_only_the_betti_cells(monkeypatch):
         residuals.append((c, coreduce(c)))
         return residuals[-1][1]
 
-    def cells(c):
-        return sum(c.rank(d) for d in c.degrees())
+    monkeypatch.setattr(complexes, "_coreduce", recording)
+    return residuals
+
+
+def test_residuals_keep_only_the_betti_cells(monkeypatch):
+    """The 5-cube 3-skeleton's order complex keeps b_3 = 9 of its 7,513
+    augmented cells, and model 6's interval (o, 1^) b_3 = 5 of 1,437."""
+
+    def cells(c, residual):
+        ranks, _ = residual
+        return sum(c.rank(d) for d in c.degrees()), sum(ranks.values())
 
     skeleton = gen_polytope_skeleton(hypercube_lattice(5))
-    monkeypatch.setattr(complexes, "_coreduce", recording)
+    residuals = _record_coreductions(monkeypatch)
     assert homology(order_complex(skeleton.faces).chain_complex(augmented=True)) == profile(
         {3: (9, ())})
-    assert [(cells(c), cells(r)) for c, r in residuals] == [(7513, 9)]
+    assert [cells(c, r) for c, r in residuals] == [(7513, 9)]
     residuals.clear()
     assert interval_homology(gen_model_sponge(6).faces, "o", None)[0] == profile({3: (5, ())})
-    assert [(cells(c), cells(r)) for c, r in residuals] == [(1437, 5)]
+    assert [cells(c, r) for c, r in residuals] == [(1437, 5)]
+
+
+def test_homology_and_cohomology_build_no_second_complex(monkeypatch):
+    """The residual is cached on the complex as ranks and Smith diagonals,
+    so reading both profiles constructs no complex beside the one asked."""
+    c = projective_plane_minimal()
+    built = []
+    init = IntegerChainComplex.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(IntegerChainComplex, "__init__", counted)
+    assert homology(c) == profile({0: (1, ()), 1: (0, (2,))})
+    assert cohomology(c) == profile({0: (1, ()), 2: (0, (2,))})
+    assert built == []
+    ranks, diagonals = c._residual
+    assert sum(ranks.values()) == 3 and diagonals == {2: (2,)}
+
+
+def test_every_derived_residual_is_a_complex_with_its_source_homology(monkeypatch):
+    """Residuals are not re-checked when coreduction derives them.  Here every
+    residual that the CM test with a sponge's signs, the dihomology check,
+    the acyclicity check and the realization cross-check derive on the
+    builtin sponges and models 3-6 is rebuilt as a complex, which checks d o
+    d = 0, and keeps the homology of its source, read by the oracle.  The
+    recording covers each route: chain-route intervals, cellular-route
+    intervals C(x, y) and section complexes."""
+    routes = {}  # id -> (complex, route); holding the complex keeps its id unique
+
+    def label(module, name, route):
+        build = getattr(module, name)
+
+        def labelled(*args):
+            c = build(*args)
+            routes[id(c)] = c, route(*args)
+            return c
+
+        monkeypatch.setattr(module, name, labelled)
+
+    residuals = _record_coreductions(monkeypatch)
+    label(poset, "cell_complex",
+          lambda cells, faces: "chains" if faces is poset._drop_one else "cellular interval")
+    label(sponge, "_section_complex", lambda *args: "section")
+    label(cosheaf, "_section_complex", lambda *args: "section")
+    corpus = [builtin(name) for name in ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3")]
+    corpus += [gen_model_sponge(n) for n in (3, 4, 5, 6)]
+    for z in corpus:
+        check_cohen_macaulay(z.faces, signs=incidence_signs(z))
+        try:
+            dihomology_check(z)
+        except NotCohenMacaulay:
+            pass
+        if not z.non_compact:
+            try:
+                realization_cross_check(z)
+            except NotAcyclicSponge:
+                check_acyclic(z)
+    monkeypatch.undo()
+    recorded = {routes[id(c)][1] for c, _ in residuals if id(c) in routes}
+    assert {"chains", "cellular interval", "section"} <= recorded
+    for source, residual in residuals:
+        rebuilt = IntegerChainComplex(*residual)
+        assert homology(rebuilt) == homology_without_coreduction(source), source

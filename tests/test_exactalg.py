@@ -220,6 +220,30 @@ def test_library_modules_use_every_import():
         assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_library_builds_complexes_only_from_cells_and_the_cosheaf():
+    """`IntegerChainComplex(...)` is called only where a complex is built
+    from data that can break d o d = 0: `complexes.cell_complex` and
+    `cosheaf.assemble_chain_complex`.  A complex derived from a checked one,
+    such as a coreduction residual, stays plain data and is not rebuilt."""
+    found = set()
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "IntegerChainComplex"
+                    or getattr(child.func, "attr", None) == "IntegerChainComplex"):
+                found.add((path.stem, owner, child.lineno))
+            visit(child, path, inner)
+
+    for path in sorted(Path(sponges.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    allowed = {("complexes", "cell_complex"), ("cosheaf", "assemble_chain_complex")}
+    assert {(module, owner) for module, owner, _ in found} == allowed, sorted(found)
+
+
 def _runs_on_import(node):
     """The nodes under ``node`` that run when its module is imported: no
     function body, and no ``if TYPE_CHECKING:`` body."""
@@ -345,7 +369,11 @@ def test_sparse_matrix_rejects_non_integer_entries():
     """A non-integer value is refused with its index, never truncated."""
     for bad, index in [({(0, 0): Fraction(1, 2), (0, 1): 2}, "(0, 0)"),
                        ({(0, 0): 0, (0, 1): 2.7}, "(0, 1)"),
-                       ({(0, 1): Fraction(-7, 3)}, "(0, 1)")]:
+                       ({(0, 1): Fraction(-7, 3)}, "(0, 1)"),
+                       # infinities raised OverflowError, NaN an unindexed ValueError
+                       ({(0, 0): float("inf")}, "(0, 0)"),
+                       ({(0, 0): float("-inf")}, "(0, 0)"),
+                       ({(0, 0): float("nan")}, "(0, 0)")]:
         with pytest.raises(ValueError, match=re.escape(f"at {index} is not an integer")):
             IntegerMatrix(1, 2, bad)
     m = IntegerMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(0)})
