@@ -28,6 +28,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -649,7 +650,14 @@ def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    """Run one command, flush stdout and stderr, and end the process with
+    `os._exit`, which skips the interpreter's teardown of its heap.  The
+    package registers no exit hook or finalizer; the scanner closes its
+    checkpoint file itself."""
+    code = cli_dispatch(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -30,12 +30,14 @@ kept columns, not from a fresh elimination.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from math import lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import MalformedComplex, NotAChainMap
 from .exactalg import IntegerMatrix, smith_diagonal
+
+if TYPE_CHECKING:  # the rational-basis path imports it when it runs
+    from fractions import Fraction
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -44,9 +46,10 @@ RATIONALS = "rationals"
 class HomologyProfile:
     """Graded summary of a (co)homology computation.
 
-    Per degree: a free rank and a list of torsion coefficients (> 1, in
-    divisibility order).  Degrees with trivial homology are not stored.
-    Degrees, free ranks and torsion must be `int`s, bools refused.
+    Per degree: a free rank and a list of torsion coefficients t_1 | t_2 | ...,
+    each > 1, so equal profiles are isomorphic groups.  Degrees with trivial
+    homology are not stored.  Degrees, free ranks and torsion must be `int`s,
+    bools refused; torsion out of divisibility order is refused.
     """
 
     __slots__ = ("_data",)
@@ -58,6 +61,8 @@ class HomologyProfile:
             _require_ints("degrees, free ranks and torsion", d, free, *torsion)
             if any(t <= 1 for t in torsion):
                 raise ValueError("torsion coefficients must exceed 1")
+            if any(b % a for a, b in zip(torsion, torsion[1:])):
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
             if free < 0:
                 raise ValueError("free rank must be nonnegative")
             if free or torsion:
@@ -316,6 +321,8 @@ class RationalHomologyBasis:
     """
 
     def __init__(self, c: IntegerChainComplex):
+        from fractions import Fraction
+
         self.complex = c
         self._reps: dict[int, list[tuple[int, ...]]] = {}
         # degree -> pivot row -> (column, coordinates), scaled to pivot entry 1
@@ -331,9 +338,9 @@ class RationalHomologyBasis:
                 combination = {j: 1}  # column == sum of combination[k] * column k of d_{d+1}
                 _reduce(kept, column, combination)
                 if column:
-                    _keep(kept, column, combination)
+                    _keep(kept, column, combination, Fraction)
                 else:
-                    scale = lcm(*(Fraction(x).denominator for x in combination.values()))
+                    scale = lcm(*(x.denominator for x in combination.values()))
                     cycles[d + 1].append(
                         tuple(int(combination.get(k, 0) * scale) for k in range(n)))
             # a boundary has no coordinates modulo boundaries
@@ -343,7 +350,7 @@ class RationalHomologyBasis:
                 _reduce(kept, column, coords)
                 if column:
                     reps.append(z)
-                    _keep(kept, column, coords)
+                    _keep(kept, column, coords, Fraction)
 
     def betti(self, degree: int) -> int:
         return len(self._reps.get(degree, []))
@@ -360,6 +367,8 @@ class RationalHomologyBasis:
         subtracted alongside are minus its own, unique since the basis is
         independent.  A vector that leaves a remainder is no cycle.
         """
+        from fractions import Fraction
+
         n = self.complex.rank(degree)
         if any(len(v) != n for v in vectors):
             raise ValueError(f"vectors in degree {degree} must have length {n}")
@@ -373,10 +382,12 @@ class RationalHomologyBasis:
         return out
 
 
-def _keep(kept: dict[int, tuple[dict, dict]], column: dict, coords: dict) -> None:
-    """Keep a reduced column and its coordinates under its last row, scaled to 1 there."""
+def _keep(kept: dict[int, tuple[dict, dict]], column: dict, coords: dict,
+          fraction: type[Fraction]) -> None:
+    """Keep a reduced column and its coordinates under its last row, scaled to 1 there;
+    ``fraction`` is `Fraction`, which the caller imports once."""
     pivot = max(column)
-    scale = Fraction(column[pivot])
+    scale = fraction(column[pivot])
     kept[pivot] = ({i: x / scale for i, x in column.items()},
                    {k: x / scale for k, x in coords.items()})
 

@@ -30,9 +30,8 @@ themselves, without integral functoriality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .complexes import (
     INTEGERS,
@@ -55,15 +54,28 @@ from .sponge import (
     incidence_signs,
 )
 
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
 
-@dataclass
+
 class LocalCohomologyCosheaf:
     """Sections and cover maps of the local-cohomology cosheaf over Q."""
 
-    base: SpongeComplex
-    sections: dict = field(default_factory=dict)        # s -> HomologyProfile (Q)
-    sections_integral: dict = field(default_factory=dict)  # s -> HomologyProfile (Z)
-    cover_maps: dict = field(default_factory=dict)      # (s, t) -> {p: matrix}
+    def __init__(self, base: SpongeComplex, sections: dict | None = None,
+                 sections_integral: dict | None = None, cover_maps: dict | None = None):
+        self.base = base
+        # s -> HomologyProfile over Q, s -> HomologyProfile over Z, (s, t) -> {p: matrix}
+        self.sections = {} if sections is None else sections
+        self.sections_integral = {} if sections_integral is None else sections_integral
+        self.cover_maps = {} if cover_maps is None else cover_maps
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LocalCohomologyCosheaf:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"LocalCohomologyCosheaf({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def section_rank(self, s: str, p: int) -> int:
         return self.sections[s].free_rank(p)
@@ -159,15 +171,25 @@ def cosheaf_homology(c: LocalCohomologyCosheaf, p: int) -> HomologyProfile:
     return homology(assemble_chain_complex(c, p), RATIONALS)
 
 
-@dataclass
 class DihomologyReport:
-    n: int
-    cosheaf_ranks: tuple        # rank H_r(S; H^{n-2}) for r = 0..n-2
-    order_complex_ranks: tuple  # rank H^{n-2-r}(|S|)   for r = 0..n-2
-    concentrated: bool
-    stray_sections: tuple       # (face, degree, rank) off the top degree
-    section_torsion: tuple      # (face, degree, coefficient)
-    order_complex_torsion: tuple
+    def __init__(self, n: int, cosheaf_ranks: tuple, order_complex_ranks: tuple,
+                 concentrated: bool, stray_sections: tuple, section_torsion: tuple,
+                 order_complex_torsion: tuple):
+        self.n = n
+        self.cosheaf_ranks = cosheaf_ranks  # rank H_r(S; H^{n-2}) for r = 0..n-2
+        self.order_complex_ranks = order_complex_ranks  # rank H^{n-2-r}(|S|) for r = 0..n-2
+        self.concentrated = concentrated
+        self.stray_sections = stray_sections  # (face, degree, rank) off the top degree
+        self.section_torsion = section_torsion  # (face, degree, coefficient)
+        self.order_complex_torsion = order_complex_torsion
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DihomologyReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"DihomologyReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:

@@ -22,14 +22,15 @@ the two formulas compute the same thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import NegativeB, NotAcyclicSponge
-from .sponge import SpongeComplex, check_acyclic
+
+if TYPE_CHECKING:  # annotations only: `fvector_of` imports the sponge layer when it runs
+    from .sponge import SpongeComplex
 
 
 # ---------------------------------------------------------------------------
@@ -130,27 +131,33 @@ def _face_counts(f: Sequence[int]) -> tuple[int, ...]:
 # data types
 
 
-@dataclass(frozen=True)
-class ExtendedFVector:
-    """Face counts (f_0, ..., f_{n-2}) plus the top Betti number b."""
-
+class _FVectorFields(NamedTuple):
     n: int
     f: tuple[int, ...]
     b: int
 
-    def __post_init__(self):
-        _ambient(self.n)
-        object.__setattr__(self, "f", _face_counts(self.f))
-        if type(self.b) is not int:
-            raise TypeError(f"b must be an integer, not {self.b!r}")
-        if len(self.f) != self.n - 1:
-            raise ValueError(
-                f"expected {self.n - 1} face counts for n={self.n}, got {len(self.f)}"
-            )
-        if any(x < 0 for x in self.f):
+
+class ExtendedFVector(_FVectorFields):
+    """Face counts (f_0, ..., f_{n-2}) plus the top Betti number b."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, f: Sequence[int], b: int) -> ExtendedFVector:
+        _ambient(n)
+        f = _face_counts(f)
+        if type(b) is not int:
+            raise TypeError(f"b must be an integer, not {b!r}")
+        if len(f) != n - 1:
+            raise ValueError(f"expected {n - 1} face counts for n={n}, got {len(f)}")
+        if any(x < 0 for x in f):
             raise ValueError("face counts must be nonnegative")
-        if self.b < 0:
+        if b < 0:
             raise ValueError("b must be nonnegative")
+        return super().__new__(cls, n, f, b)
+
+    @classmethod
+    def _make(cls, iterable) -> ExtendedFVector:
+        return cls(*iterable)  # checked, and so is `_replace`, which calls it
 
     def euler_defect(self) -> int:
         """alternating face sum minus (1 + (-1)^(n-2) b); zero iff consistent."""
@@ -162,8 +169,7 @@ class ExtendedFVector:
         return self.euler_defect() == 0
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(NamedTuple):
     h: tuple[int, ...]
     symmetric: bool
     nonnegative: bool
@@ -217,8 +223,7 @@ class HilbertSeries:
         return f"HilbertSeries(({num}) / (1-t^2)^{self.denominator_power})"
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     passed: bool
     identity_holds: bool
     euler_consistent: bool
@@ -232,6 +237,8 @@ class DualityReport:
 
 def fvector_of(z: SpongeComplex) -> ExtendedFVector:
     """Extended f-vector of an acyclic sponge; checks the Euler relation."""
+    from .sponge import check_acyclic
+
     report = check_acyclic(z)
     if not report.is_acyclic:
         raise NotAcyclicSponge(

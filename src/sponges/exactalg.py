@@ -26,9 +26,8 @@ one solver over Q, for homology bases, reduces sparse columns in `complexes`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class IntegerMatrix:
@@ -51,7 +50,11 @@ class IntegerMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
             if type(v) is not int:
-                if v != v or v in (float("inf"), -float("inf")) or v != int(v):
+                try:  # int() refuses NaN, infinities, strings and None
+                    whole = type(v) is not bool and v == int(v)
+                except (TypeError, ValueError, OverflowError):
+                    whole = False
+                if not whole:
                     raise ValueError(f"entry {v!r} at ({i}, {j}) is not an integer")
                 v = int(v)
             if v:
@@ -160,8 +163,7 @@ class IntegerMatrix:
         return f"IntegerMatrix(<{self.rows}x{self.cols}>)"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * M * V = D with U, V unimodular and D diagonal.
 
     ``diagonal`` lists the positive invariant factors d_1 | d_2 | ... | d_r;

@@ -20,9 +20,8 @@ Contents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .enumerative import ExtendedFVector
 from .errors import BadParameter, NotDiamond, NotSimple, UnknownBuiltin
@@ -85,21 +84,31 @@ def gen_simplex_skeleton(m: int, k: int) -> SimplicialComplex:
 # polytope lattices and their skeleta
 
 
-@dataclass(frozen=True)
-class PolytopeFaceLattice:
-    """Face lattice of a polytope: faces of dims 0..n, the top face included."""
-
+class _LatticeFields(NamedTuple):
     dimension: int
     faces: tuple[tuple[str, int], ...]
     covers: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        tops = [f for f, d in self.faces if d == self.dimension]
+
+class PolytopeFaceLattice(_LatticeFields):
+    """Face lattice of a polytope: faces of dims 0..n, the top face included."""
+
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, faces: tuple[tuple[str, int], ...],
+                covers: tuple[tuple[str, str], ...]) -> PolytopeFaceLattice:
+        self = super().__new__(cls, dimension, faces, covers)
+        tops = [f for f, d in faces if d == dimension]
         if len(tops) != 1:
             raise ValueError("lattice must have exactly one top face")
-        if any(d < 0 or d > self.dimension for _, d in self.faces):
+        if any(d < 0 or d > dimension for _, d in faces):
             raise ValueError("face dimensions out of range")
         self.poset()  # raises on duplicate faces or covers, unknown faces and cycles
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> PolytopeFaceLattice:
+        return cls(*iterable)  # checked, and so is `_replace`, which calls it
 
     def poset(self) -> GradedPoset:
         return GradedPoset(self.faces, self.covers)

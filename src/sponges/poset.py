@@ -36,10 +36,9 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     HomologyProfile,
@@ -331,8 +330,7 @@ def order_complex(p: GradedPoset) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
-@dataclass(frozen=True)
-class CMWitness:
+class CMWitness(NamedTuple):
     """One failure of the Cohen-Macaulay condition."""
 
     chain: tuple
@@ -345,11 +343,10 @@ class CMWitness:
         return self.free_rank == 0 and bool(self.torsion)
 
 
-@dataclass(frozen=True)
-class CMReport:
+class CMReport(NamedTuple):
     is_cm: bool
     coefficients: str
-    witnesses: tuple[CMWitness, ...] = field(default_factory=tuple)
+    witnesses: tuple[CMWitness, ...] = ()
 
 
 def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile, int]:

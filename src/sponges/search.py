@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .enumerative import ExtendedFVector, _euler_b, hvector_of
 from .errors import CorruptCheckpoint, InvalidSponge, NegativeB
-from .sponge import SpongeComplex, check_acyclic, check_local_model, ensure_valid
+
+if TYPE_CHECKING:  # annotations only: `classify_sponge` imports the sponge layer when it runs
+    from .sponge import SpongeComplex
 
 
 # one encoder for every checkpoint line (json.dumps builds one per call)
@@ -45,8 +46,7 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     identifier: str
     n: int
     f: tuple[int, ...] | None = None
@@ -85,16 +85,27 @@ class ScanRecord:
         return cls(identifier, fields.pop("n"), **fields)
 
 
-@dataclass
 class ScanSummary:
-    total: int = 0
-    acyclic_count: int = 0
-    unrealized_count: int = 0  # raw f-vector grid points, never sponges
-    ds_failures: list = field(default_factory=list)      # symmetry failures
-    nonneg_failures: list = field(default_factory=list)
-    errors: int = 0
-    records: list = field(default_factory=list)
-    _encoded: list = field(default_factory=list, init=False, repr=False)  # to_json per record
+    def __init__(self, total: int = 0, acyclic_count: int = 0, unrealized_count: int = 0,
+                 ds_failures: list | None = None, nonneg_failures: list | None = None,
+                 errors: int = 0, records: list | None = None):
+        self.total = total
+        self.acyclic_count = acyclic_count
+        self.unrealized_count = unrealized_count  # raw f-vector grid points, never sponges
+        self.ds_failures = [] if ds_failures is None else ds_failures  # symmetry failures
+        self.nonneg_failures = [] if nonneg_failures is None else nonneg_failures
+        self.errors = errors
+        self.records = [] if records is None else records
+        self._encoded: list = []  # to_json per record
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ScanSummary:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k != "_encoded")
+        return f"ScanSummary({shown})"
 
     def add(self, record: ScanRecord, encoded: dict) -> None:
         """Count ``record``, whose `ScanRecord.to_json` is ``encoded``."""
@@ -192,6 +203,8 @@ class _Checkpoint:
 
 def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanRecord:
     """One sponge -> one record; failures land in the record, never raise."""
+    from .sponge import check_acyclic, check_local_model, ensure_valid
+
     ident = identifier or z.name or "unnamed"
     try:
         ensure_valid(z)  # reads the verdict cached on the sponge

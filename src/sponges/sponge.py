@@ -31,7 +31,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .complexes import HomologyProfile, IntegerChainComplex, cell_complex, cohomology, homology
 from .errors import (
@@ -104,8 +104,7 @@ class SpongeComplex:
         return f"SpongeComplex(n={self.n}, f={self.face_counts()}{label})"
 
 
-@dataclass(frozen=True)
-class SpongeValidation:
+class SpongeValidation(NamedTuple):
     """Structured result of validate_sponge; never raised from there."""
 
     non_diamond_intervals: tuple = ()
@@ -223,8 +222,7 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
     return z._cellular[augmented]
 
 
-@dataclass(frozen=True)
-class AcyclicityReport:
+class AcyclicityReport(NamedTuple):
     n: int
     faces_ok: bool
     lower_interval_failures: tuple
@@ -331,8 +329,7 @@ def local_cohomology(
     return _section_cohomology(section_complex(z, face), coefficients)
 
 
-@dataclass(frozen=True)
-class LocalModelReport:
+class LocalModelReport(NamedTuple):
     violations: tuple
 
     @property
@@ -430,11 +427,20 @@ def sign_solver(faces: GradedPoset) -> dict[tuple[str, str], int]:
     return assignment
 
 
-@dataclass
 class RealizationReport:
-    degrees_checked: tuple
-    cellular: dict = field(default_factory=dict)
-    simplicial: dict = field(default_factory=dict)
+    def __init__(self, degrees_checked: tuple, cellular: dict | None = None,
+                 simplicial: dict | None = None):
+        self.degrees_checked = degrees_checked
+        self.cellular = {} if cellular is None else cellular
+        self.simplicial = {} if simplicial is None else simplicial
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RealizationReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"RealizationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def realization_cross_check(z: SpongeComplex) -> RealizationReport:

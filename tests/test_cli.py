@@ -771,28 +771,83 @@ def test_array_fields_must_be_json_arrays(tmp_path):
         assert code == EXIT_INPUT_ERROR and f"{key} must be a list" in report["error"], key
 
 
-def imported_layers(tmp_path, *args):
-    """The ``sponges`` modules a fresh ``python <args>`` imports, by
-    ``-X importtime``, which names each module as it is first imported."""
+def run_python(cwd, *args):
+    """A fresh ``python <args>`` in ``cwd`` with this package on its path and
+    its stdout block-buffered, as on any pipe; stdout and stderr are bytes."""
     src = str(Path(sponges.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          text=True, timeout=120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, env=env,
+                          timeout=120)
+
+
+def imported_modules(tmp_path, *args):
+    """The modules a fresh ``python <args>`` imports, by ``-X importtime``,
+    which names each module as it is first imported."""
+    proc = run_python(tmp_path, "-X", "importtime", *args)
     assert proc.returncode in (EXIT_PASS, EXIT_CHECK_FAILED), proc.stderr
-    names = (line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:"))
-    return {name.partition(".")[2] for name in names if name.startswith("sponges.")}
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")}
+
+
+def layers(modules):
+    """The ``sponges`` layers among ``modules``."""
+    return {name.partition(".")[2] for name in modules if name.startswith("sponges.")}
 
 
 def test_each_command_imports_only_its_own_layers(tmp_path):
+    """Each command loads only the layers it uses; none loads `dataclasses`,
+    and the integer-only commands load no `fractions`."""
     model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(4)))
     skeleton = write_doc(tmp_path, serialize_simplicial(gen_simplex_skeleton(3, 1)), "k.json")
-    assert imported_layers(tmp_path, "-c", "import sponges") == set()
-    assert imported_layers(tmp_path, "-m", "sponges", "check-cm", model) == {
-        "cli", "errors", "exactalg", "complexes", "poset", "sponge"}
-    assert imported_layers(tmp_path, "-m", "sponges", "homology", skeleton) == {
-        "cli", "errors", "exactalg", "complexes", "poset"}
+    runs = {
+        "import": imported_modules(tmp_path, "-c", "import sponges"),
+        "check-cm": imported_modules(tmp_path, "-m", "sponges", "check-cm", model),
+        "homology": imported_modules(tmp_path, "-m", "sponges", "homology", skeleton),
+        "scan": imported_modules(tmp_path, "-m", "sponges", "scan", "--fspace", "--n", "3",
+                                 "--bound", "1", "1"),
+        "dihomology-check": imported_modules(tmp_path, "-m", "sponges", "dihomology-check",
+                                             model),
+    }
+    assert layers(runs["import"]) == set()
+    assert layers(runs["check-cm"]) == {"cli", "errors", "exactalg", "complexes", "poset",
+                                        "sponge"}
+    assert layers(runs["homology"]) == {"cli", "errors", "exactalg", "complexes", "poset"}
+    assert layers(runs["scan"]) == {"cli", "errors", "enumerative", "search"}
+    for command, modules in runs.items():
+        assert "dataclasses" not in modules, command
+    assert "fractions" not in runs["check-cm"] | runs["homology"]
+    assert "fractions" in runs["dihomology-check"]  # the rational bases of the cosheaf
+
+
+def test_main_exits_like_cli_dispatch(tmp_path, monkeypatch):
+    """`main` ends the process without tearing the interpreter down; a
+    ``python -m sponges`` child still gives the exit code, stdout bytes and
+    checkpoint bytes of `cli_dispatch` in process, and an input error its
+    line on stderr too."""
+    model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(4)))
+    cases = [
+        (["check-cm", model], EXIT_PASS),
+        (["scan", "--fspace", "--n", "4", "--bound", "3", "--checkpoint", "scan.jsonl"],
+         EXIT_CHECK_FAILED),
+        (["local-cohomology", model, "--face", "nowhere"], EXIT_INPUT_ERROR),
+    ]
+    for k, (argv, expected) in enumerate(cases):
+        child_dir, local_dir = tmp_path / f"child{k}", tmp_path / f"local{k}"
+        child_dir.mkdir()
+        local_dir.mkdir()
+        child = run_python(child_dir, "-m", "sponges", *argv)
+        monkeypatch.chdir(local_dir)
+        code, out, err = run(argv)
+        assert child.returncode == code == expected, (argv, child.stderr)
+        assert child.stdout == out.encode() and out.endswith("\n"), argv
+        assert sorted(p.name for p in child_dir.iterdir()) == sorted(
+            p.name for p in local_dir.iterdir()), argv
+        for path in child_dir.iterdir():
+            assert path.read_bytes() == (local_dir / path.name).read_bytes(), path.name
+        if expected == EXIT_INPUT_ERROR:
+            assert child.stderr == err.encode() and err.startswith("error: "), argv
+    assert (tmp_path / "child1" / "scan.jsonl").stat().st_size > 0
 
 
 # the public names of the package, the eight layer modules among them

@@ -102,6 +102,11 @@ def test_malformed_complex_rejected():
         with pytest.raises(TypeError, match="integer"):
             profile(data)
     assert profile({0: (1, (2, 4))}).torsion(0) == (2, 4)
+    # torsion out of divisibility order: (2, 3) compared unequal to the isomorphic (6,)
+    for torsion in [(2, 3), (4, 2), (2, 4, 6), (3, 3, 2)]:
+        with pytest.raises(ValueError, match="divisibility chain"):
+            profile({1: (0, torsion)})
+    assert profile({0: (0, (2, 2, 6, 12))}).torsion(0) == (2, 2, 6, 12)
 
 
 def test_quotient_disk_by_circle():

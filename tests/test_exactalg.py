@@ -220,6 +220,16 @@ def test_library_modules_use_every_import():
         assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_library_does_not_import_dataclasses():
+    """Records are named tuples or plain classes: importing `dataclasses`
+    costs every CLI process the `inspect` module and its imports."""
+    for path in sorted(Path(sponges.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, f"{path.name} line {node.lineno}"
+
+
 def test_library_builds_complexes_only_from_cells_and_the_cosheaf():
     """`IntegerChainComplex(...)` is called only where a complex is built
     from data that can break d o d = 0: `complexes.cell_complex` and
@@ -373,7 +383,11 @@ def test_sparse_matrix_rejects_non_integer_entries():
                        # infinities raised OverflowError, NaN an unindexed ValueError
                        ({(0, 0): float("inf")}, "(0, 0)"),
                        ({(0, 0): float("-inf")}, "(0, 0)"),
-                       ({(0, 0): float("nan")}, "(0, 0)")]:
+                       ({(0, 0): float("nan")}, "(0, 0)"),
+                       # True read as 1; 'x' and None raised unindexed errors from int()
+                       ({(0, 1): True}, "(0, 1)"),
+                       ({(0, 0): "x"}, "(0, 0)"),
+                       ({(0, 1): None}, "(0, 1)")]:
         with pytest.raises(ValueError, match=re.escape(f"at {index} is not an integer")):
             IntegerMatrix(1, 2, bad)
     m = IntegerMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(0)})
