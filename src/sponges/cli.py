@@ -252,21 +252,23 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_homology(args) -> tuple[dict, int]:
-    from .complexes import cohomology, homology
+    from .complexes import cohomology, homology, simplicial_homology
 
     doc = _read_document(args.file)
     coefficients = "integers" if args.coeff == "z" else "rationals"
     if "facets" in doc:
-        c = parse_simplicial(doc).chain_complex(augmented=args.reduced)
+        simplices = parse_simplicial(doc).simplices(augmented=args.reduced)
+        h, co = simplicial_homology(simplices, coefficients)
     else:
         from .sponge import cellular_complex
 
         c = cellular_complex(parse_sponge(doc), augmented=args.reduced)
+        h, co = homology(c, coefficients), cohomology(c, coefficients)
     payload = {
         "coefficients": coefficients,
         "reduced": bool(args.reduced),
-        "homology": homology(c, coefficients).to_entries(),
-        "cohomology": cohomology(c, coefficients).to_entries(),
+        "homology": h.to_entries(),
+        "cohomology": co.to_entries(),
     }
     return _report("homology", doc, payload), EXIT_PASS
 

@@ -13,10 +13,16 @@ has the same invariant factors).  That is the universal-coefficient theorem;
 the test suite checks it against an oracle that runs Smith forms on the
 transposed matrices, and every profile against the Smith diagonals of the
 full boundaries.  Complexes are immutable after construction and all
-operations are pure.  Every simplicial, cellular, section and open-interval
-complex is built by `cell_complex` from cells and their signed faces.  A face
-that is not a cell counts as zero, so the complex on the cells outside a
-subcomplex is the quotient by it.
+operations are pure.  Every cellular, section and cellular-interval complex
+is built, and checked, by `cell_complex` from cells and their signed faces.
+A face that is not a cell counts as zero, so the complex on the cells outside
+a subcomplex is the quotient by it.
+
+The simplicial complexes the package enumerates itself, a document's faces
+and an open interval's chains, build no complex: `simplicial_homology`
+hands the simplices to the same `_coreduce`, which reads each simplex's
+faces by dropping one vertex.  Their d o d = 0 is the simplicial identity,
+so nothing is checked, and only the residual becomes matrices.
 
 Induced maps on homology are supported over Q: bases of homology are chosen
 deterministically (boundary columns first, then integer kernel vectors, with
@@ -127,7 +133,7 @@ class IntegerChainComplex:
     degree d -> the matrix of d_d : C_d -> C_{d-1}, of shape
     rank(d-1) x rank(d).  Degrees outside the stored range are zero.
     Degrees and ranks must be `int`s, bools refused; shapes and d o d = 0
-    are checked.  The one cache is ``_residual``, filled by `_profile`.
+    are checked.  The one cache is ``_residual``, filled by `_residual`.
     """
 
     __slots__ = ("_ranks", "_boundaries", "_residual")
@@ -189,9 +195,10 @@ def homology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyPr
 
     free_rank(d) = rank(d) - rank(d_d) - rank(d_{d+1}); over Z the torsion in
     degree d is read off the Smith diagonal of d_{d+1}.  Ranks and diagonals
-    are those of the residual that coreduction leaves, cached (`_profile`).
+    are those of the residual that coreduction leaves, cached (`_residual`).
     """
-    return _profile(c, coefficients, torsion_from=1)
+    _check_coefficients(coefficients)
+    return _profile(_residual(c), coefficients, torsion_from=1)
 
 
 def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> HomologyProfile:
@@ -202,22 +209,52 @@ def cohomology(c: IntegerChainComplex, coefficients: str = INTEGERS) -> Homology
     rank(d_d) = free H_d, and over Z the torsion in degree d is read off the
     Smith diagonal of d_d, i.e. torsion H^d = torsion H_{d-1}.
     """
-    return _profile(c, coefficients, torsion_from=0)
+    _check_coefficients(coefficients)
+    return _profile(_residual(c), coefficients, torsion_from=0)
 
 
-def _profile(c: IntegerChainComplex, coefficients: str, torsion_from: int) -> HomologyProfile:
-    """Rank-nullity per degree d, with torsion from the diagonal of d_{d+torsion_from}.
+def simplicial_homology(
+    simplices: Mapping[int, Sequence[tuple]], coefficients: str = INTEGERS
+) -> tuple[HomologyProfile, HomologyProfile]:
+    """Homology and cohomology of the simplicial chain complex on ``simplices``.
 
-    Ranks and diagonals are those of the residual `_coreduce(c)`, which is
-    chain-equivalent to c over Z.  The first query caches, as ``c._residual``,
-    its ranks and the Smith diagonal of each nonzero residual boundary.
+    ``simplices`` maps each dimension d to its simplices, each a tuple of
+    d + 1 vertices in increasing order, closed under taking faces; the empty
+    simplex in degree -1 is optional and makes the homology reduced.  The
+    result is that of `homology` and `cohomology` on
+    `cell_complex(simplices, poset._drop_one)`, but no matrix of the whole
+    complex is built and d o d = 0 is not checked: it is the simplicial
+    identity.  Coreduction reads each simplex's faces from the simplex
+    itself, and only its residual becomes matrices and Smith diagonals.
     """
     _check_coefficients(coefficients)
+    residual = _smith_residual(simplices)
+    return (_profile(residual, coefficients, torsion_from=1),
+            _profile(residual, coefficients, torsion_from=0))
+
+
+def _residual(c: IntegerChainComplex) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The ranks and Smith diagonals of `_coreduce(c)`, cached as ``c._residual``."""
     if c._residual is None:
-        ranks, boundaries = _coreduce(c)
-        c._residual = ranks, {d: smith_diagonal(m) for d, m in boundaries.items()
-                              if not m.is_zero()}
-    ranks, diagonals = c._residual
+        c._residual = _smith_residual(c)
+    return c._residual
+
+
+def _smith_residual(source: IntegerChainComplex | Mapping[int, Sequence[tuple]]
+                    ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The ranks of `_coreduce(source)` and the Smith diagonal of each nonzero boundary."""
+    ranks, boundaries = _coreduce(source)
+    return ranks, {d: smith_diagonal(m) for d, m in boundaries.items() if not m.is_zero()}
+
+
+def _profile(residual: tuple[dict[int, int], dict[int, tuple[int, ...]]], coefficients: str,
+             torsion_from: int) -> HomologyProfile:
+    """Rank-nullity per degree d, with torsion from the diagonal of d_{d+torsion_from}.
+
+    ``residual`` is the ranks and Smith diagonals of a residual of
+    `_coreduce`, which is chain-equivalent to its source over Z.
+    """
+    ranks, diagonals = residual
     data = {}
     for d, rank in ranks.items():
         free = rank - len(diagonals.get(d + 1, ())) - len(diagonals.get(d, ()))
@@ -226,31 +263,42 @@ def _profile(c: IntegerChainComplex, coefficients: str, torsion_from: int) -> Ho
     return HomologyProfile(data)
 
 
-def _coreduce(c: IntegerChainComplex) -> tuple[dict[int, int], dict[int, IntegerMatrix]]:
-    """The ranks and boundaries of c restricted to the cells left after deleting reduction pairs.
+def _coreduce(
+    source: IntegerChainComplex | Mapping[int, Sequence[tuple]],
+) -> tuple[dict[int, int], dict[int, IntegerMatrix]]:
+    """The ranks and boundaries of a complex on the cells left after deleting reduction pairs.
+
+    ``source`` is a complex, whose cells' faces are read from its boundary
+    matrices, or simplices as `simplicial_homology` takes them, whose faces
+    are the simplex with one vertex dropped.  Either way the cells are
+    numbered degree by degree and each cell lists its faces in ascending
+    order, as the boundary matrices of `cell_complex(simplices,
+    poset._drop_one)` would, so both sources give the same pairs and the same
+    residual.
 
     A pair is a cell a and a face b of it with coefficient +-1 such that
     either the live boundary of a is exactly +-b (a coreduction) or the only
     live coboundary entry of b is +-a (a free face).  Deleting such a pair
     needs no update of any other boundary beyond dropping the two cells, so
-    the residual is chain-equivalent to c over Z (Mrozek and Batko,
+    the residual is chain-equivalent to the source over Z (Mrozek and Batko,
     "Coreduction homology algorithm", Discrete Comput. Geom. 41, 2009).  In
     an augmented complex a vertex and the empty cell are the first pair.
     The queue is first in, first out: every cell in (degree, index) order,
     then the live neighbours of each deleted cell.  That order decides which
-    pairs are found, and so how many cells are left.  The residual is not
-    re-checked: it restricts a checked complex to the cells left alive, and
-    deleting a pair touches no other boundary, so d o d = 0 still holds.
+    pairs are found, and so how many cells are left.  The residual's
+    boundaries are the live faces of the cells left, i.e. the source's
+    boundaries restricted to those cells.  They are not re-checked: deleting
+    a pair touches no other boundary, so d o d = 0 still holds.
     """
-    start, n = {}, 0  # degree -> id of its first cell
-    for d in c.degrees():
-        start[d], n = n, n + c.rank(d)
-    faces: list[dict[int, int]] = [{} for _ in range(n)]  # cell -> live face -> coefficient
+    if isinstance(source, IntegerChainComplex):
+        ranks, bounded, faces = _matrix_faces(source)
+    else:
+        ranks, bounded, faces = _simplex_faces(source)
+    n = len(faces)
     cofaces: list[dict[int, int]] = [{} for _ in range(n)]
-    for d, m in c._boundaries.items():
-        for i, j, v in m.nonzero_items():
-            a, b = start[d] + j, start[d - 1] + i
-            faces[a][b] = cofaces[b][a] = v
+    for a, boundary in enumerate(faces):
+        for b, v in boundary.items():
+            cofaces[b][a] = v
     alive = [True] * n
     queue = deque(range(n))
     while queue:
@@ -271,9 +319,51 @@ def _coreduce(c: IntegerChainComplex) -> tuple[dict[int, int], dict[int, Integer
                 del faces[g][y]
             queue.extend(faces[y])
             queue.extend(cofaces[y])
-    keep = {d: [i for i in range(c.rank(d)) if alive[start[d] + i]] for d in c.degrees()}
-    return {d: len(cells) for d, cells in keep.items()}, {
-        d: m.submatrix(keep.get(d - 1, []), keep.get(d, [])) for d, m in c._boundaries.items()}
+    keep, first = {}, 0  # degree -> the ids of its cells left
+    for d in sorted(ranks):
+        keep[d] = [x for x in range(first, first + ranks[d]) if alive[x]]
+        first += ranks[d]
+    position = {x: i for cells in keep.values() for i, x in enumerate(cells)}
+    boundaries = {}
+    for d in bounded:
+        below, here = keep.get(d - 1, ()), keep.get(d, ())
+        boundaries[d] = IntegerMatrix(len(below), len(here), {
+            (position[b], j): v for j, a in enumerate(here) for b, v in faces[a].items()})
+    return {d: len(cells) for d, cells in keep.items()}, boundaries
+
+
+def _matrix_faces(c: IntegerChainComplex) -> tuple[dict[int, int], Iterable[int], list[dict]]:
+    """Ranks, degrees with a boundary, and each cell's faces read from c's boundary matrices."""
+    start, n = {}, 0  # degree -> id of its first cell
+    for d in c.degrees():
+        start[d], n = n, n + c.rank(d)
+    faces: list[dict[int, int]] = [{} for _ in range(n)]  # cell -> face -> coefficient
+    for d, m in c._boundaries.items():
+        for i, j, v in m.nonzero_items():  # row-major, so each cell's faces ascend
+            faces[start[d] + j][start[d - 1] + i] = v
+    return c._ranks, c._boundaries, faces
+
+
+def _simplex_faces(simplices: Mapping[int, Sequence[tuple]]
+                   ) -> tuple[dict[int, int], Iterable[int], list[dict]]:
+    """Ranks, degrees with a boundary, and each simplex's faces.
+
+    A d-simplex's faces are its d + 1 vertices dropped one at a time, vertex
+    k with sign (-1)^k, as `poset._drop_one` gives them.  A face that is not
+    among the simplices, such as the empty one of an unaugmented complex,
+    counts as zero, as in `cell_complex`.
+    """
+    ranks = {d: len(simplices[d]) for d in sorted(simplices)}
+    faces: list[dict[int, int]] = []  # cell -> face -> coefficient
+    ids: dict[int, dict[tuple, int]] = {}  # degree -> simplex -> id
+    for d in ranks:
+        below, here = ids.get(d - 1, {}), ids.setdefault(d, {})
+        drops = [(k, -1 if k & 1 else 1) for k in range(d + 1)]
+        for s in simplices[d]:
+            here[s] = len(faces)
+            faces.append(dict(sorted([(x, sign) for k, sign in drops
+                                      if (x := below.get(s[:k] + s[k + 1:])) is not None])))
+    return ranks, [d for d in ranks if d - 1 in ranks], faces
 
 
 def _check_coefficients(coefficients: str) -> None:

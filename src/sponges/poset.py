@@ -9,29 +9,30 @@ restriction of the original one.
 The order complex realizes the poset as a simplicial complex whose simplices
 are the chains, with a deterministic vertex order by (rank, identifier).  A
 simplicial chain complex is `complexes.cell_complex` on the faces, each
-face's faces being its vertices dropped one at a time.  Order-complex
-homology is asked of open intervals (x, y) of P^, P with a bottom 0^ and a
-top 1^ added; `interval_homology` answers over Z, in closed form for cones
-and for intervals of dimension at most 1, and caches the answer on the
-poset.  Given a signing of the covers (+-1 on every cover and satisfying
-every diamond relation, on a poset whose rank-2 intervals are all diamonds:
-a validated sponge's +-1 incidences or `sponge.sign_solver`'s solution), an
-interval (x, y) from an element x of P whose lower intervals (x, z) are all
-homology spheres of dimension rank z - rank x - 2 is read from one cell per
-element, with boundaries over lower covers signed by the signing; the proof
-is in `_cell_homology`.  Intervals from 0^ never take that route: they carry
-the order-complex side of the sponge cross-checks, which must not depend on
-the incidences.  Every other interval is read from its chains, enumerated
-once on P with no order complex built.  P is Cohen-Macaulay exactly when
-every such interval has homology only in its own dimension, which the
-Cohen-Macaulay test reads off the intervals first.  Only when that fails
-does it walk every chain of P depth-first (the empty one included) for the
-witnesses: the chains whose link has reduced homology below the link's own
-dimension.  The link of x_1 < ... < x_k is the join of (0^, x_1), ..., (x_k,
-1^), so its homology follows from the cached intervals by the Kunneth
-formula for joins, one join per link and per extension; no order complex of
-P is built.  Building and eliminating each link instead is the test suite's
-oracle.
+face's faces being its vertices dropped one at a time, and
+`complexes.simplicial_homology` reads its homology off the faces alone, with
+no complex built.  Order-complex homology is asked of open intervals (x, y)
+of P^, P with a bottom 0^ and a top 1^ added; `interval_homology` answers
+over Z, in closed form for cones and for intervals of dimension at most 1,
+and caches the answer on the poset.  Given a signing of the covers (+-1 on
+every cover and satisfying every diamond relation, on a poset whose rank-2
+intervals are all diamonds: a validated sponge's +-1 incidences or
+`sponge.sign_solver`'s solution), an interval (x, y) from an element x of P
+whose lower intervals (x, z) are all homology spheres of dimension rank z -
+rank x - 2 is read from one cell per element, with boundaries over lower
+covers signed by the signing; the proof is in `_cell_homology`.  Intervals
+from 0^ never take that route: they carry the order-complex side of the
+sponge cross-checks, which must not depend on the incidences.  Every other
+interval is read from its chains, enumerated once on P with no order complex
+built.  P is Cohen-Macaulay exactly when every such interval has homology
+only in its own dimension, which the Cohen-Macaulay test reads off the
+intervals first.  Only when that fails does it walk every chain of P
+depth-first (the empty one included) for the witnesses: the chains whose
+link has reduced homology below the link's own dimension.  The link of
+x_1 < ... < x_k is the join of (0^, x_1), ..., (x_k, 1^), so its homology
+follows from the cached intervals by the Kunneth formula for joins, one join
+per link and per extension; no order complex of P is built.  Building and
+eliminating each link instead is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .complexes import (
     _check_coefficients,
     cell_complex,
     homology,
+    simplicial_homology,
 )
 from .errors import CyclicPoset, MalformedComplex, UnknownElement
 from .exactalg import IntegerMatrix, smith_diagonal
@@ -248,8 +250,14 @@ class SimplicialComplex:
         if len(index) != len(self.vertices):
             raise ValueError("duplicate vertices")
         raw = set()
-        for f in facets:
-            tup = tuple(sorted(index[v] for v in set(f)))
+        for k, f in enumerate(facets):
+            f = tuple(f)
+            try:
+                tup = tuple(sorted({index[v] for v in f}))
+            except KeyError:
+                v = next(v for v in f if v not in index)
+                raise ValueError(
+                    f"facet {k} names vertex {v!r}, which is not among the vertices") from None
             if tup:  # the empty simplex is implicit, never stored
                 raw.add(tup)
         self.facets = tuple(sorted(_maximal(raw), key=lambda f: (len(f), f)))
@@ -285,16 +293,21 @@ class SimplicialComplex:
             [self.vertices[i] for i in used], [[self.vertices[i] for i in c] for c in rests]
         )
 
+    def simplices(self, augmented: bool = False) -> dict[int, list[tuple[int, ...]]]:
+        """The faces by dimension, with the empty simplex in degree -1 if ``augmented``."""
+        cells = dict(self.faces_by_dim())
+        if augmented:
+            cells[-1] = [()]
+        return cells
+
     def chain_complex(self, augmented: bool = False) -> IntegerChainComplex:
         """Oriented simplicial chain complex (lexicographic orientation).
 
         With ``augmented`` the empty simplex is a generator in degree -1, so
-        homology is reduced homology.
+        homology is reduced homology.  `complexes.simplicial_homology` on
+        `simplices` gives its homology without building it.
         """
-        cells = dict(self.faces_by_dim())
-        if augmented:
-            cells[-1] = [()]
-        return cell_complex(cells, _drop_one)
+        return cell_complex(self.simplices(augmented), _drop_one)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim().items())
@@ -355,7 +368,7 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
     ``None`` stands for 0^ as ``x`` and for 1^ as ``y``.  The empty interval
     is the (-1)-sphere.  Three kinds of interval are answered without their
     chains being enumerated (coreduction would settle them, but only after
-    building and checking every chain):
+    enumerating every chain):
 
     * one with a unique minimal or a unique maximal element is a cone, so its
       reduced homology vanishes;
@@ -368,9 +381,11 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
     diamond relation, on a poset whose rank-2 intervals are all diamonds: a
     validated sponge's +-1 incidences (`sponge.incidence_signs`) or
     `sponge.sign_solver`'s solution.  Every other interval's chains are
-    enumerated once into the augmented chain complex of its order complex,
-    whose homology `complexes.homology` reads after coreduction.  The result
-    does not depend on the route, so it is cached on ``p`` by (x, y) alone.
+    enumerated once, the empty one included, and `complexes.simplicial_homology`
+    coreduces them straight from their faces: no boundary matrix of the
+    interval is built and no d o d product runs, since the chains are closed
+    under dropping an element.  The result does not depend on the route, so
+    it is cached on ``p`` by (x, y) alone.
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]
@@ -395,7 +410,7 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
         else:
             h = None if x is None or signs is None else _cell_homology(p, x, order, signs)
             if h is None:
-                h = homology(cell_complex(_chains(p, inside), _drop_one))
+                h, _ = simplicial_homology(_chains(p, inside))
             result = h, dim
     p._intervals[x, y] = result
     return result

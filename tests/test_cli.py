@@ -170,6 +170,14 @@ def test_semantically_malformed_documents_exit_2(tmp_path):
     bad_fv = {"format_version": 1, "n": 4, "f": [6, 9], "b": 4}
     code, out, _ = run(["hvector", write_doc(tmp_path, bad_fv, "fv.json")])
     assert code == EXIT_INPUT_ERROR
+    # a facet naming a vertex the document does not list
+    for reduced in ([], ["--reduced"]):
+        stray = {"format_version": 1, "vertices": ["a", "b"], "facets": [["a", "b"], ["b", "z"]]}
+        code, out, err = run(["homology", write_doc(tmp_path, stray, "k.json"), *reduced])
+        message = ("malformed simplicial-complex document: facet 1 names vertex 'z', "
+                   "which is not among the vertices")
+        assert (code, json.loads(out)["error"], err) == (EXIT_INPUT_ERROR, message,
+                                                         f"error: {message}\n")
 
 
 def test_unknown_face_exit_2(tmp_path):
@@ -333,6 +341,99 @@ def test_local_cohomology_reports_are_pinned(tmp_path):
     assert json.loads(outputs["z"][0])["local_cohomology"] == [
         {"degree": 1, "free_rank": 0, "torsion": ["2"]}]
     assert json.loads(outputs["q"][0])["local_cohomology"] == []
+
+
+# sha256 of the stdout of homology with --coeff z, --coeff z --reduced,
+# --coeff q and --coeff q --reduced, recorded while every simplicial document
+# was read through the boundary matrices of its whole chain complex.
+HOMOLOGY_STDOUT_DIGESTS = {
+    "rp2": ("67763115d30dec26f6d17ae7eeaffa73f8bc1d6844eedf858c750b8bd797ec83",
+           "e8e4e6e3136c5e1503b80117f4e9ea6d3a9debcd3394fe9078dad607d70d5dc9",
+           "256ab40e0d031ee29f55fae1b9ffadcfb5bfcd06c6701fd5ba8e6c7150775841",
+           "9d6019f36a4460d323386de9c04ccd2b385018c9f91db21b12c7a806761d558d"),
+    "simplex_3_1": ("bab505a0b2b0ced9d8fbcb2bc16f0ba55d00604a078690e4d29ee459beaec589",
+                   "a7c1e8148659fcabeb51b22e80bcf0bf49ef0dbad064008612caccc526c288a5",
+                   "fe6d6c643c2d3d2aea783e54ba7004c480f3ad0f6f36df254bba75315e37fb93",
+                   "8da5c345c1ac7dbbd776d8705f49f73ed77d3c000bafa9df97f3acc2dd7018ac"),
+    "simplex_4_2": ("c6ea68da04b0d5a83e100409e474f6d3442478745f9d3c513baa98766ed3b543",
+                   "dbed66dad7cf8b1a709df885e0eec6a8f470f242f4b312d158bf85b9cdf100cb",
+                   "c293ddb0533078789c361339f233d94d34070cb4ed7ff35acd2bb959dff2dd58",
+                   "aa8c2c47bec94c0343e78542bd3419e5c6675a50b92c94a9086e09d177493c68"),
+    "simplex_5_3": ("2531405d0209b86ee12d0ad148fac9ebb22564109ae58e92b57f9c7e8f53e242",
+                   "cdfa3f9d653d059be24300fde56f6ec1dadee08931fe24091436470c98009d50",
+                   "88c76be141d545e9c6371ecbc24628cc3be80517ed8bbd1a2ad32f0e06009729",
+                   "742d7316473f8b6872ec37acb316d9c182de77618a6c6c32d8974eca934415f4"),
+    "simplex_6_2": ("33c0a80ff1ba7f4bc16262e4cd8d28c3599863c585a4788d4da062fbe9b60f8a",
+                   "cbcb18872ea6b1a648fb54de8202ab9b7d0331a35b69e4c89591ddca5ae2dc42",
+                   "5409e2077ce6529f4a12ddb94309f742dfe44a28df38c0c297019b8ae213857f",
+                   "340c72718f3a5022107a313f4c1330bab63d4cc343ddeba6e3807adb68ad4246"),
+    "cube5_order_complex": ("5d7b4fa7c8a468854d19c52efe74783cc53ca59b3f2a2460bd5663a49258c3cc",
+                           "3a6adc664f831ffeee057d812b2e531e49f92dba639103e956e504ce2b43c269",
+                           "dfbd51f7795afee7c23f4e78fca14f48d0f1618614b2e309935a2497bd7decb8",
+                           "19814d1b427e8dec6cdf87468bbc50c84c134c43f34792cf79007786e1ad63ee"),
+}
+
+
+def simplicial_document(name):
+    """RP^2, a ``gen simplex-skeleton`` output, or the order complex of the
+    5-cube's 3-skeleton, as a simplicial-complex document."""
+    from sponges.generators import gen_polytope_skeleton, hypercube_lattice
+    from sponges.poset import SimplicialComplex, order_complex
+
+    from test_poset import RP2_FACETS
+
+    if name == "rp2":
+        return serialize_simplicial(SimplicialComplex(range(1, 7), RP2_FACETS))
+    if name == "cube5_order_complex":
+        skeleton = gen_polytope_skeleton(hypercube_lattice(5))
+        return serialize_simplicial(order_complex(skeleton.faces))
+    m, k = name.split("_")[1:]
+    code, doc = run_json(["gen", "simplex-skeleton", "--m", m, "--k", k])
+    assert code == EXIT_PASS
+    return doc
+
+
+def test_simplicial_homology_reports_are_pinned(tmp_path):
+    for name, digests in HOMOLOGY_STDOUT_DIGESTS.items():
+        path = write_doc(tmp_path, simplicial_document(name), f"{name}.json")
+        outputs = [run(["homology", path, "--coeff", coeff, *reduced])[1]
+                   for coeff in ("z", "q") for reduced in ([], ["--reduced"])]
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs) == digests, name
+    assert json.loads(outputs[1])["homology"] == [{"degree": 3, "free_rank": 9, "torsion": []}]
+
+
+# sha256 of the stdout of check-acyclic, recorded while each face's interval
+# (0^, F) was read through the boundary matrices of its chains.  cube_skeleton
+# is the 3-cube's; cube5_skeleton is the oc_cube5 benchmark input.
+CHECK_ACYCLIC_DIGESTS = {
+    "cube4_skeleton": "ac5d8aa6fc26a4e587c3ca54ee281e76d6cf63c8f03f309f1ec290a14305299e",
+    "cube5_skeleton": "078ab15c6ccb2197d17d02cc7e0183fc8ac513e701636c7362811d03532d68b3",
+    "simplex4_skeleton": "bdd6f969b1254a14dce921db5b8705cc5cab2733750f92470d6ecb553c1e6932",
+    "simplex5_skeleton": "0bad09445ba2873df8d5d5d3a4062f6d6113d866a70b89b7c376da8eb6268e6a",
+    "g42_octahedron": "c1d9545bfb238191496e04d6bc4c55b82984180e0263f9515c0bff1651d94900",
+    "f3_k33": "1382078776e45ddf7c2da3e765cb2ecbac4b7685839527b626aca9562619c207",
+    "cube_skeleton": "42f37e64f4ae3dd29246d971557e806b932d868bed89a5adf645d9c99bbb2ee2",
+}
+
+
+def acyclic_document(name):
+    """A builtin sponge, or the skeleton ``gen polytope-skeleton`` gives of a
+    cube or simplex lattice, as a sponge document."""
+    from sponges.generators import gen_polytope_skeleton, hypercube_lattice, simplex_lattice
+
+    lattices = {"cube4_skeleton": lambda: hypercube_lattice(4),
+                "cube5_skeleton": lambda: hypercube_lattice(5),
+                "simplex4_skeleton": lambda: simplex_lattice(4),
+                "simplex5_skeleton": lambda: simplex_lattice(5)}
+    if name in lattices:
+        return serialize_sponge(gen_polytope_skeleton(lattices[name]()))
+    return serialize_sponge(builtin(name))
+
+
+def test_check_acyclic_reports_are_pinned(tmp_path):
+    for name, digest in CHECK_ACYCLIC_DIGESTS.items():
+        out = run(["check-acyclic", write_doc(tmp_path, acyclic_document(name), f"{name}.json")])[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_no_library_path_computes_smith_transforms(tmp_path, monkeypatch):
@@ -800,6 +901,7 @@ def test_each_command_imports_only_its_own_layers(tmp_path):
     and the integer-only commands load no `fractions`."""
     model = write_doc(tmp_path, serialize_sponge(gen_model_sponge(4)))
     skeleton = write_doc(tmp_path, serialize_simplicial(gen_simplex_skeleton(3, 1)), "k.json")
+    cube = write_doc(tmp_path, serialize_sponge(builtin("cube_skeleton")), "cube.json")
     runs = {
         "import": imported_modules(tmp_path, "-c", "import sponges"),
         "check-cm": imported_modules(tmp_path, "-m", "sponges", "check-cm", model),
@@ -808,15 +910,18 @@ def test_each_command_imports_only_its_own_layers(tmp_path):
                                  "--bound", "1", "1"),
         "dihomology-check": imported_modules(tmp_path, "-m", "sponges", "dihomology-check",
                                              model),
+        "check-acyclic": imported_modules(tmp_path, "-m", "sponges", "check-acyclic", cube),
     }
     assert layers(runs["import"]) == set()
     assert layers(runs["check-cm"]) == {"cli", "errors", "exactalg", "complexes", "poset",
                                         "sponge"}
     assert layers(runs["homology"]) == {"cli", "errors", "exactalg", "complexes", "poset"}
+    assert layers(runs["check-acyclic"]) == {"cli", "errors", "exactalg", "complexes", "poset",
+                                             "sponge"}
     assert layers(runs["scan"]) == {"cli", "errors", "enumerative", "search"}
     for command, modules in runs.items():
         assert "dataclasses" not in modules, command
-    assert "fractions" not in runs["check-cm"] | runs["homology"]
+    assert "fractions" not in runs["check-cm"] | runs["homology"] | runs["check-acyclic"]
     assert "fractions" in runs["dihomology-check"]  # the rational bases of the cosheaf
 
 

@@ -1,10 +1,12 @@
 """Homology read off the residual that coreduction leaves.
 
 `complexes.homology` and `cohomology` take their ranks and Smith diagonals
-from the ranks and boundaries `complexes._coreduce(c)` returns; the oracles
-take them from the full boundaries.  Whole profiles must agree over Z and
-Q, torsion included.  Every residual the corpus's checks derive is rebuilt
-as a complex, so its d o d = 0 is checked rather than assumed.
+from the ranks and boundaries `complexes._coreduce(c)` returns, and
+`simplicial_homology` from those it returns on simplices; the oracles take
+them from the full boundaries.  Whole profiles must agree over Z and Q,
+torsion included, and the two sources must leave the same residual.  Every
+residual the corpus's checks derive is rebuilt as a complex, so its d o d =
+0 is checked rather than assumed.
 """
 
 import random
@@ -15,15 +17,17 @@ from sponges.complexes import (
     RATIONALS,
     IntegerChainComplex,
     MalformedComplex,
+    cell_complex,
     cohomology,
     homology,
     profile,
+    simplicial_homology,
 )
 from sponges.exactalg import IntegerMatrix
 from sponges.cosheaf import dihomology_check
 from sponges.errors import NotAcyclicSponge, NotCohenMacaulay
 from sponges.generators import builtin, gen_model_sponge, gen_polytope_skeleton, hypercube_lattice
-from sponges.poset import check_cohen_macaulay, interval_homology, order_complex
+from sponges.poset import GradedPoset, check_cohen_macaulay, interval_homology, order_complex
 from sponges.sponge import (
     cellular_complex,
     check_acyclic,
@@ -129,22 +133,35 @@ def _record_coreductions(monkeypatch):
     return residuals
 
 
+def source_cells(source):
+    """The number of cells of a `_coreduce` source: a complex, or simplices by dimension."""
+    if isinstance(source, IntegerChainComplex):
+        return sum(source.rank(d) for d in source.degrees())
+    return sum(map(len, source.values()))
+
+
 def test_residuals_keep_only_the_betti_cells(monkeypatch):
     """The 5-cube 3-skeleton's order complex keeps b_3 = 9 of its 7,513
-    augmented cells, and model 6's interval (o, 1^) b_3 = 5 of 1,437."""
+    augmented simplices, and model 6's interval (o, 1^) b_3 = 5 of its 1,437
+    chains; both are coreduced from their simplices, with no complex built."""
 
-    def cells(c, residual):
+    def cells(source, residual):
         ranks, _ = residual
-        return sum(c.rank(d) for d in c.degrees()), sum(ranks.values())
+        return source_cells(source), sum(ranks.values())
 
     skeleton = gen_polytope_skeleton(hypercube_lattice(5))
     residuals = _record_coreductions(monkeypatch)
-    assert homology(order_complex(skeleton.faces).chain_complex(augmented=True)) == profile(
-        {3: (9, ())})
+    built = []
+    init = IntegerChainComplex.__init__
+    monkeypatch.setattr(IntegerChainComplex, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    simplices = order_complex(skeleton.faces).simplices(augmented=True)
+    assert simplicial_homology(simplices) == (profile({3: (9, ())}),) * 2
     assert [cells(c, r) for c, r in residuals] == [(7513, 9)]
     residuals.clear()
     assert interval_homology(gen_model_sponge(6).faces, "o", None)[0] == profile({3: (5, ())})
     assert [cells(c, r) for c, r in residuals] == [(1437, 5)]
+    assert built == []
 
 
 def test_homology_and_cohomology_build_no_second_complex(monkeypatch):
@@ -171,10 +188,12 @@ def test_every_derived_residual_is_a_complex_with_its_source_homology(monkeypatc
     residual that the CM test with a sponge's signs, the dihomology check,
     the acyclicity check and the realization cross-check derive on the
     builtin sponges and models 3-6 is rebuilt as a complex, which checks d o
-    d = 0, and keeps the homology of its source, read by the oracle.  The
-    recording covers each route: chain-route intervals, cellular-route
-    intervals C(x, y) and section complexes."""
-    routes = {}  # id -> (complex, route); holding the complex keeps its id unique
+    d = 0, and keeps the homology of its source, read by the oracle.  A
+    chain-route interval is coreduced from its chains, with no complex
+    built, so the oracle reads the complex `cell_complex` builds and checks
+    on those chains.  The recording covers each route: chain-route
+    intervals, cellular-route intervals C(x, y) and section complexes."""
+    routes = {}  # id -> (source, route); holding the source keeps its id unique
 
     def label(module, name, route):
         build = getattr(module, name)
@@ -187,8 +206,9 @@ def test_every_derived_residual_is_a_complex_with_its_source_homology(monkeypatc
         monkeypatch.setattr(module, name, labelled)
 
     residuals = _record_coreductions(monkeypatch)
+    label(poset, "_chains", lambda *args: "chains")
     label(poset, "cell_complex",
-          lambda cells, faces: "chains" if faces is poset._drop_one else "cellular interval")
+          lambda cells, faces: "simplicial" if faces is poset._drop_one else "cellular interval")
     label(sponge, "_section_complex", lambda *args: "section")
     label(cosheaf, "_section_complex", lambda *args: "section")
     corpus = [builtin(name) for name in ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3")]
@@ -207,6 +227,85 @@ def test_every_derived_residual_is_a_complex_with_its_source_homology(monkeypatc
     monkeypatch.undo()
     recorded = {routes[id(c)][1] for c, _ in residuals if id(c) in routes}
     assert {"chains", "cellular interval", "section"} <= recorded
+    chains = 0
     for source, residual in residuals:
         rebuilt = IntegerChainComplex(*residual)
+        if not isinstance(source, IntegerChainComplex):
+            chains += 1
+            source = cell_complex(source, poset._drop_one)
         assert homology(rebuilt) == homology_without_coreduction(source), source
+    assert chains == sum(route == "chains" for _, route in routes.values()) > 0
+
+
+def interval_chains(p, x, y):
+    """The chains of the open interval (x, y) of P^, the empty one included."""
+    inside = set(p.ranks) if x is None else set(p.upset(x))
+    if y is not None:
+        inside &= p.downset(y)
+    return poset._chains(p, inside - {x, y})
+
+
+def chain_route_intervals(monkeypatch):
+    """The chains of every interval of the builtin and model n=3..6 sponges
+    that `interval_homology` reads from its chains, given the sponge's signs
+    and given none."""
+    sponges = [builtin(name) for name in ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3")]
+    sponges += [gen_model_sponge(n) for n in (3, 4, 5, 6)]
+    chains = poset._chains
+    recorded = []
+    monkeypatch.setattr(poset, "_chains", lambda p, inside: recorded.append(chains(p, inside))
+                        or recorded[-1])
+    for z in sponges:
+        unsigned = GradedPoset(z.faces.ranks.items(), z.faces.covers())
+        for x, y in open_intervals(z.faces):
+            interval_homology(z.faces, x, y, incidence_signs(z))
+            interval_homology(unsigned, x, y)
+    monkeypatch.undo()
+    return recorded
+
+
+def simplicial_corpus(monkeypatch):
+    """Augmented simplices by dimension: the intervals of `interval_posets()`,
+    the sponges' chain-route intervals, RP^2, the order complexes of cube and
+    simplex skeletons, and seeded random complexes."""
+    from sponges.generators import simplex_lattice
+    from sponges.poset import SimplicialComplex
+
+    from test_poset import RP2_FACETS
+
+    yield from chain_route_intervals(monkeypatch)
+    for p in interval_posets():
+        for x, y in open_intervals(p):
+            yield interval_chains(p, x, y)
+    yield SimplicialComplex(range(1, 7), RP2_FACETS).simplices(augmented=True)
+    for lattice in (hypercube_lattice(3), hypercube_lattice(4), hypercube_lattice(5),
+                    simplex_lattice(4), simplex_lattice(5)):
+        yield order_complex(gen_polytope_skeleton(lattice).faces).simplices(augmented=True)
+    rng = random.Random(2009)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 5)))
+                  for _ in range(rng.randint(0, 8) if n else 0)]
+        yield SimplicialComplex(range(n), facets).simplices(augmented=True)
+
+
+def test_simplicial_route_matches_the_matrix_route_and_the_oracles(monkeypatch):
+    """Coreducing simplices straight from their faces leaves exactly the
+    residual, ranks and boundary matrices, that coreducing the checked
+    complex `cell_complex` builds on them leaves, augmented and not; and the
+    homology and cohomology over Z and Q are the oracles' on that complex."""
+    seen, torsion = 0, set()
+    for augmented in simplicial_corpus(monkeypatch):
+        plain = {d: cells for d, cells in augmented.items() if d != -1}
+        for simplices in (augmented, plain):
+            c = cell_complex(simplices, poset._drop_one)
+            assert complexes._coreduce(simplices) == complexes._coreduce(c), simplices
+            if sum(map(len, simplices.values())) > 5000:
+                continue  # the 5-cube's order complex: no full Smith forms here
+            for coefficients in (INTEGERS, RATIONALS):
+                expected = (homology_without_coreduction(c, coefficients),
+                            cohomology_without_coreduction(c, coefficients))
+                assert simplicial_homology(simplices, coefficients) == expected, simplices
+                torsion.update(t for _, t in expected[0].total_torsion())
+            seen += 1
+    assert seen > 3000 and torsion == {2}

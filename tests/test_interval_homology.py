@@ -147,13 +147,16 @@ def test_rp2_torsion_moves_up_one_degree():
 
 
 def count_interval_complexes(monkeypatch):
-    """Vertex counts of the interval complexes built and eliminated.
+    """Vertex counts of the interval complexes built and eliminated: C(x, y)
+    built by `cell_complex` and read by `homology`, or chains enumerated by
+    `_chains` and coreduced by `simplicial_homology`.
 
     No order complex, restricted poset or simplicial complex may be built on
     the way: each of those raises.
     """
     built, reduced = [], []
     cell_complex, homology = poset.cell_complex, poset.homology
+    chains, simplicial_homology = poset._chains, poset.simplicial_homology
 
     def counted_cell_complex(cells, faces):
         built.append(len(cells.get(0, ())))
@@ -163,11 +166,22 @@ def count_interval_complexes(monkeypatch):
         reduced.append(c.rank(0))
         return homology(c, coefficients)
 
+    def counted_chains(p, inside):
+        cells = chains(p, inside)
+        built.append(len(cells.get(0, ())))
+        return cells
+
+    def counted_simplicial_homology(simplices, coefficients="integers"):
+        reduced.append(len(simplices.get(0, ())))
+        return simplicial_homology(simplices, coefficients)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("an interval went through an order complex")
 
     monkeypatch.setattr(poset, "cell_complex", counted_cell_complex)
     monkeypatch.setattr(poset, "homology", counted_homology)
+    monkeypatch.setattr(poset, "_chains", counted_chains)
+    monkeypatch.setattr(poset, "simplicial_homology", counted_simplicial_homology)
     for module in (poset, sponge, cosheaf):
         if hasattr(module, "order_complex"):
             monkeypatch.setattr(module, "order_complex", forbidden)
@@ -213,19 +227,25 @@ def random_graph_poset(rng):
 
 
 def test_graph_intervals_match_order_complex_oracle(monkeypatch):
-    """Intervals of dimension 0 and 1 are read as graphs, building no complex."""
+    """Intervals of dimension 0 and 1 are read as graphs, building no complex
+    and enumerating no chains."""
     built, graphs = [], []
-    cell_complex, graph_homology = poset.cell_complex, poset._graph_homology
+    cell_complex, chains, graph_homology = poset.cell_complex, poset._chains, poset._graph_homology
 
     def counted_cell_complex(cells, faces):
         built.append(cells)
         return cell_complex(cells, faces)
+
+    def counted_chains(p, inside):
+        built.append(inside)
+        return chains(p, inside)
 
     def counted_graph_homology(p, inside):
         graphs.append(inside)
         return graph_homology(p, inside)
 
     monkeypatch.setattr(poset, "cell_complex", counted_cell_complex)
+    monkeypatch.setattr(poset, "_chains", counted_chains)
     monkeypatch.setattr(poset, "_graph_homology", counted_graph_homology)
     rng = random.Random(1736)
     posets = interval_posets() + [gen_model_sponge(n).faces for n in range(3, 8)]

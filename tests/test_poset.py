@@ -107,6 +107,18 @@ def test_ranks_must_be_ints():
     assert GradedPoset([("a", 0)], []).rank("a") == 0
 
 
+def test_facet_with_an_unknown_vertex_is_refused():
+    """A facet naming a vertex outside the vertex list is a ValueError that
+    names the facet's position and the first such vertex, not a KeyError."""
+    with pytest.raises(ValueError,
+                       match=r"^facet 0 names vertex 'z', which is not among the vertices$"):
+        SimplicialComplex(["a"], [["a", "z"]])
+    with pytest.raises(ValueError, match=r"^facet 2 names vertex 4, "):
+        SimplicialComplex(range(3), [[0, 1], [1, 2], (v for v in (2, 4, 5))])
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        SimplicialComplex(["a", "a"], [])
+
+
 def test_unknown_element():
     p = chain_poset(3)
     with pytest.raises(UnknownElement):
