@@ -19,7 +19,10 @@ Torsion coefficients serialize as decimal strings.  Exit codes: 0 pass,
 1 check failed, 2 usage or input error.  ``--verbose`` adds a human summary
 on stderr.  At module level this file imports only the standard library and
 the exception classes of `errors`; each command imports the layers it uses
-when it runs, so a command loads and compiles no other layer.
+when it runs, so a command loads and compiles no other layer.  Each command
+is declared once, as a row of `_COMMANDS` naming its handler, help and
+arguments; the parser and dispatch both read that table, and a run builds the
+parser of the one command its argv names.
 """
 
 from __future__ import annotations
@@ -184,7 +187,11 @@ def canonical_json(obj) -> str:
 
 
 def digest(obj) -> str:
-    return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    try:
+        text = canonical_json(obj)
+    except RecursionError as err:  # a document decoded just below the stack's limit
+        raise InputError(f"document nests too deeply: {err}") from err
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +213,8 @@ def _read_document(path: str) -> dict:
         raise InputError(
             f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:  # nested deeper than the interpreter's stack
+        raise InputError(f"document nests too deeply: {err}") from err
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     return doc
@@ -232,6 +241,15 @@ def _load_fvector_like(path: str) -> tuple[ExtendedFVector, dict]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+_COEFFICIENTS = {"z": "integers", "q": "rationals"}
+
+
+def _report(args, input_obj, payload: dict, passed: bool = True) -> tuple[dict, int]:
+    """The report of ``args.command`` on ``input_obj``, and its exit code."""
+    report = {"format_version": FORMAT_VERSION, "command": args.command,
+              "input_digest": digest(input_obj), **payload}
+    return report, EXIT_PASS if passed else EXIT_CHECK_FAILED
+
 
 def _cmd_validate(args) -> tuple[dict, int]:
     from .sponge import validate_sponge
@@ -246,16 +264,14 @@ def _cmd_validate(args) -> tuple[dict, int]:
         ],
         "vertex_free_faces": list(report.vertex_free_faces),
     }
-    return _report("validate", doc, payload), (
-        EXIT_PASS if report.is_valid else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.is_valid)
 
 
 def _cmd_homology(args) -> tuple[dict, int]:
     from .complexes import cohomology, homology, simplicial_homology
 
     doc = _read_document(args.file)
-    coefficients = "integers" if args.coeff == "z" else "rationals"
+    coefficients = _COEFFICIENTS[args.coeff]
     if "facets" in doc:
         simplices = parse_simplicial(doc).simplices(augmented=args.reduced)
         h, co = simplicial_homology(simplices, coefficients)
@@ -270,7 +286,7 @@ def _cmd_homology(args) -> tuple[dict, int]:
         "homology": h.to_entries(),
         "cohomology": co.to_entries(),
     }
-    return _report("homology", doc, payload), EXIT_PASS
+    return _report(args, doc, payload)
 
 
 def _cmd_check_acyclic(args) -> tuple[dict, int]:
@@ -286,9 +302,7 @@ def _cmd_check_acyclic(args) -> tuple[dict, int]:
         "b_number": report.b_number,
         "torsion_found": [[d, str(t)] for d, t in report.torsion_found],
     }
-    return _report("check-acyclic", doc, payload), (
-        EXIT_PASS if report.is_acyclic else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.is_acyclic)
 
 
 def _cmd_check_cm(args) -> tuple[dict, int]:
@@ -296,7 +310,7 @@ def _cmd_check_cm(args) -> tuple[dict, int]:
     from .sponge import incidence_signs
 
     z, doc = _load_sponge(args.file)
-    coefficients = "integers" if args.coeff == "z" else "rationals"
+    coefficients = _COEFFICIENTS[args.coeff]
     report = check_cohen_macaulay(z.faces, coefficients, signs=incidence_signs(z))
     payload = {
         "is_cm": report.is_cm,
@@ -312,9 +326,7 @@ def _cmd_check_cm(args) -> tuple[dict, int]:
             for w in report.witnesses
         ],
     }
-    return _report("check-cm", doc, payload), (
-        EXIT_PASS if report.is_cm else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.is_cm)
 
 
 def _cmd_check_local_model(args) -> tuple[dict, int]:
@@ -329,16 +341,14 @@ def _cmd_check_local_model(args) -> tuple[dict, int]:
             for f, k, found, expected in report.violations
         ],
     }
-    return _report("check-local-model", doc, payload), (
-        EXIT_PASS if report.passed else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.passed)
 
 
 def _cmd_local_cohomology(args) -> tuple[dict, int]:
     from .sponge import local_cohomology
 
     z, doc = _load_sponge(args.file)
-    coefficients = "integers" if args.coeff == "z" else "rationals"
+    coefficients = _COEFFICIENTS[args.coeff]
     try:
         prof = local_cohomology(z, args.face, coefficients)
     except UnknownElement as err:
@@ -348,7 +358,7 @@ def _cmd_local_cohomology(args) -> tuple[dict, int]:
         "coefficients": coefficients,
         "local_cohomology": prof.to_entries(),
     }
-    return _report("local-cohomology", doc, payload), EXIT_PASS
+    return _report(args, doc, payload)
 
 
 def _cmd_dihomology(args) -> tuple[dict, int]:
@@ -360,11 +370,11 @@ def _cmd_dihomology(args) -> tuple[dict, int]:
     except NotCohenMacaulay as err:
         payload = {"passed": False, "reason": "NotCohenMacaulay",
                    "witnesses": len(err.report.witnesses)}
-        return _report("dihomology-check", doc, payload), EXIT_CHECK_FAILED
+        return _report(args, doc, payload, False)
     except RankMismatch as err:
         payload = {"passed": False, "reason": "RankMismatch", "r": err.r,
                    "cosheaf_rank": err.lhs, "order_complex_rank": err.rhs}
-        return _report("dihomology-check", doc, payload), EXIT_CHECK_FAILED
+        return _report(args, doc, payload, False)
     payload = {
         "passed": report.passed,
         "cosheaf_ranks": list(report.cosheaf_ranks),
@@ -372,9 +382,7 @@ def _cmd_dihomology(args) -> tuple[dict, int]:
         "concentrated": report.concentrated,
         "section_torsion": [[s, d, str(t)] for s, d, t in report.section_torsion],
     }
-    return _report("dihomology-check", doc, payload), (
-        EXIT_PASS if report.passed else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.passed)
 
 
 def _cmd_fvector(args) -> tuple[dict, int]:
@@ -382,8 +390,7 @@ def _cmd_fvector(args) -> tuple[dict, int]:
 
     z, doc = _load_sponge(args.file)
     fv = fvector_of(z)
-    payload = {"n": fv.n, "f": list(fv.f), "b": fv.b}
-    return _report("fvector", doc, payload), EXIT_PASS
+    return _report(args, doc, {"n": fv.n, "f": list(fv.f), "b": fv.b})
 
 
 def _cmd_hvector(args) -> tuple[dict, int]:
@@ -397,7 +404,7 @@ def _cmd_hvector(args) -> tuple[dict, int]:
         "symmetric": hv.symmetric,
         "nonnegative": hv.nonnegative,
     }
-    return _report("hvector", doc, payload), EXIT_PASS
+    return _report(args, doc, payload)
 
 
 def _cmd_hilbert(args) -> tuple[dict, int]:
@@ -426,7 +433,7 @@ def _cmd_hilbert(args) -> tuple[dict, int]:
             betti_polynomial(fv) if args.which == "betti" else betti_polynomial_alt(fv)
         )
         payload = {"which": args.which, "coefficients": list(poly)}
-    return _report("hilbert", doc, payload), EXIT_PASS
+    return _report(args, doc, payload)
 
 
 def _cmd_duality(args) -> tuple[dict, int]:
@@ -441,45 +448,46 @@ def _cmd_duality(args) -> tuple[dict, int]:
         "betti": list(report.betti),
         "betti_alt": list(report.betti_alt),
     }
-    return _report("duality-check", doc, payload), (
-        EXIT_PASS if report.passed else EXIT_CHECK_FAILED
-    )
+    return _report(args, doc, payload, report.passed)
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
-    from .enumerative import ExtendedFVector
-    from .generators import (
-        builtin,
-        gen_model_sponge,
-        gen_polytope_skeleton,
-        gen_simplex_skeleton,
-        gen_trivalent_sponges,
-    )
+    return _GEN_KINDS[args.kind][0](args), EXIT_PASS
 
-    if args.kind == "model":
-        return serialize_sponge(gen_model_sponge(args.n)), EXIT_PASS
-    if args.kind == "simplex-skeleton":
-        return serialize_simplicial(gen_simplex_skeleton(args.m, args.k)), EXIT_PASS
-    if args.kind == "polytope-skeleton":
-        lattice = parse_polytope_lattice(_read_document(args.file))
-        return serialize_sponge(gen_polytope_skeleton(lattice)), EXIT_PASS
-    if args.kind == "trivalent":
-        docs = [serialize_sponge(z) for z in gen_trivalent_sponges(args.max)]
-        return (
-            {
-                "format_version": FORMAT_VERSION,
-                "family": "trivalent",
-                "max_vertices": args.max,
-                "sponges": docs,
-            },
-            EXIT_PASS,
-        )
-    if args.kind == "builtin":
-        obj = builtin(args.name)
-        if isinstance(obj, ExtendedFVector):
-            return serialize_fvector(obj), EXIT_PASS
-        return serialize_sponge(obj), EXIT_PASS
-    raise InputError(f"unknown generator {args.kind!r}")
+
+def _gen_model(args) -> dict:
+    from .generators import gen_model_sponge
+
+    return serialize_sponge(gen_model_sponge(args.n))
+
+
+def _gen_simplex_skeleton(args) -> dict:
+    from .generators import gen_simplex_skeleton
+
+    return serialize_simplicial(gen_simplex_skeleton(args.m, args.k))
+
+
+def _gen_polytope_skeleton(args) -> dict:
+    from .generators import gen_polytope_skeleton
+
+    lattice = parse_polytope_lattice(_read_document(args.file))
+    return serialize_sponge(gen_polytope_skeleton(lattice))
+
+
+def _gen_trivalent(args) -> dict:
+    from .generators import gen_trivalent_sponges
+
+    docs = [serialize_sponge(z) for z in gen_trivalent_sponges(args.max)]
+    return {"format_version": FORMAT_VERSION, "family": "trivalent", "max_vertices": args.max,
+            "sponges": docs}
+
+
+def _gen_builtin(args) -> dict:
+    from .enumerative import ExtendedFVector
+    from .generators import builtin
+
+    obj = builtin(args.name)
+    return serialize_fvector(obj) if isinstance(obj, ExtendedFVector) else serialize_sponge(obj)
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
@@ -504,9 +512,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
             raise InputError("--family trivalent needs --max")
         from .generators import gen_trivalent_sponges
 
-        summary = scan(
-            gen_trivalent_sponges(args.max), checkpoint_path=args.checkpoint
-        )
+        summary = scan(gen_trivalent_sponges(args.max), checkpoint_path=args.checkpoint)
         parameters = {"mode": "family", "family": "trivalent", "max": args.max}
     payload = {
         "parameters": parameters,
@@ -517,122 +523,110 @@ def _cmd_scan(args) -> tuple[dict, int]:
         "summary": summary.to_json(),
     }
     clean = not summary.ds_failures and not summary.nonneg_failures
-    return _report("scan", parameters, payload), (
-        EXIT_PASS if clean else EXIT_CHECK_FAILED
-    )
-
-
-def _report(command: str, input_obj, payload: dict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "input_digest": digest(input_obj),
-        **payload,
-    }
+    return _report(args, parameters, payload, clean)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table, the parser and dispatch
+
+# Each row is (handler, help, arguments): the arguments are (name, options)
+# pairs for `add_argument`, or a nested table of kinds, each its own parser.
+_FILE = ("file", {"help": "input document path, or - for stdin"})
+_COEFF = ("--coeff", {"choices": list(_COEFFICIENTS), "default": "z"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+_GEN_KINDS = {
+    "model": (_gen_model, None, [("--n", _REQUIRED_INT)]),
+    "simplex-skeleton": (_gen_simplex_skeleton, None,
+                         [("--m", _REQUIRED_INT), ("--k", _REQUIRED_INT)]),
+    "polytope-skeleton": (_gen_polytope_skeleton, None, [("file", {})]),
+    "trivalent": (_gen_trivalent, None, [("--max", _REQUIRED_INT)]),
+    "builtin": (_gen_builtin, None, [("name", {})]),
+}
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the sponge axioms", [_FILE]),
+    "homology": (_cmd_homology, "(co)homology of a sponge or simplicial complex",
+                 [_FILE, _COEFF, ("--reduced", {"action": "store_true"})]),
+    "check-acyclic": (_cmd_check_acyclic, "acyclic-sponge verification", [_FILE]),
+    "check-cm": (_cmd_check_cm, "Cohen-Macaulay test of the face poset", [_FILE, _COEFF]),
+    "check-local-model": (_cmd_check_local_model, "cover-count regularity", [_FILE]),
+    "local-cohomology": (_cmd_local_cohomology, "local cohomology at a face",
+                         [_FILE, ("--face", {"required": True}), _COEFF]),
+    "dihomology-check": (_cmd_dihomology, "cosheaf vs order-complex ranks", [_FILE]),
+    "fvector": (_cmd_fvector, "extended f-vector of an acyclic sponge", [_FILE]),
+    "hvector": (_cmd_hvector, "h-vector with symmetry/nonnegativity flags", [_FILE]),
+    "hilbert": (_cmd_hilbert, "Hilbert series / Betti polynomials", [
+        _FILE,
+        ("--which", {"choices": ["equivariant", "betti", "betti-alt"], "default": "betti"}),
+        ("--expand", {"type": int, "default": 10, "help": "expansion degree (equivariant)"}),
+    ]),
+    "duality-check": (_cmd_duality, "Betti-polynomial duality", [_FILE]),
+    "gen": (_cmd_gen, "generate documents", _GEN_KINDS),
+    "scan": (_cmd_scan, "conjecture scan over a family or f-vector grid", [
+        ("--family", {"default": "trivalent"}),
+        ("--max", {"type": int}),
+        ("--fspace", {"action": "store_true"}),
+        ("--n", {"type": int}),
+        ("--bound", {"type": int, "nargs": "+"}),
+        ("--checkpoint", {}),
+    ]),
+}
+
+
+class _SilentParser(argparse.ArgumentParser):
+    """Prints nothing: raises `argparse.ArgumentError` where argparse prints and exits."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _add_commands(parser, dest: str, table: dict, full: bool) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (_, summary, arguments) in table.items():
+        p = sub.add_parser(name, add_help=full, **({"help": summary} if summary else {}))
+        if isinstance(arguments, dict):
+            _add_commands(p, "kind", arguments, full)
+            continue
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="sponges",
-        description="exact homological and enumerative checks for sponge face structures",
-    )
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``command``, a `_SilentParser`
+    of that command alone and without ``-h``.  Each is built on first use and
+    shared: parsing leaves it unchanged."""
+    full = command is None
+    parser = (argparse.ArgumentParser if full else _SilentParser)(
+        prog="sponges", add_help=full,
+        description="exact homological and enumerative checks for sponge face structures")
     parser.add_argument("--verbose", action="store_true", help="human summary on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_file(p):
-        p.add_argument("file", help="input document path, or - for stdin")
-
-    add_file(sub.add_parser("validate", help="check the sponge axioms"))
-
-    p = sub.add_parser("homology", help="(co)homology of a sponge or simplicial complex")
-    add_file(p)
-    p.add_argument("--coeff", choices=["z", "q"], default="z")
-    p.add_argument("--reduced", action="store_true")
-
-    add_file(sub.add_parser("check-acyclic", help="acyclic-sponge verification"))
-
-    p = sub.add_parser("check-cm", help="Cohen-Macaulay test of the face poset")
-    add_file(p)
-    p.add_argument("--coeff", choices=["z", "q"], default="z")
-
-    add_file(sub.add_parser("check-local-model", help="cover-count regularity"))
-
-    p = sub.add_parser("local-cohomology", help="local cohomology at a face")
-    add_file(p)
-    p.add_argument("--face", required=True)
-    p.add_argument("--coeff", choices=["z", "q"], default="z")
-
-    add_file(sub.add_parser("dihomology-check", help="cosheaf vs order-complex ranks"))
-    add_file(sub.add_parser("fvector", help="extended f-vector of an acyclic sponge"))
-    add_file(sub.add_parser("hvector", help="h-vector with symmetry/nonnegativity flags"))
-
-    p = sub.add_parser("hilbert", help="Hilbert series / Betti polynomials")
-    add_file(p)
-    p.add_argument(
-        "--which", choices=["equivariant", "betti", "betti-alt"], default="betti"
-    )
-    p.add_argument("--expand", type=int, default=10, help="expansion degree (equivariant)")
-
-    add_file(sub.add_parser("duality-check", help="Betti-polynomial duality"))
-
-    p = sub.add_parser("gen", help="generate documents")
-    gensub = p.add_subparsers(dest="kind", required=True)
-    g = gensub.add_parser("model")
-    g.add_argument("--n", type=int, required=True)
-    g = gensub.add_parser("simplex-skeleton")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g = gensub.add_parser("polytope-skeleton")
-    g.add_argument("file")
-    g = gensub.add_parser("trivalent")
-    g.add_argument("--max", type=int, required=True)
-    g = gensub.add_parser("builtin")
-    g.add_argument("name")
-
-    p = sub.add_parser("scan", help="conjecture scan over a family or f-vector grid")
-    p.add_argument("--family", default="trivalent")
-    p.add_argument("--max", type=int)
-    p.add_argument("--fspace", action="store_true")
-    p.add_argument("--n", type=int)
-    p.add_argument("--bound", type=int, nargs="+")
-    p.add_argument("--checkpoint")
-
+    _add_commands(parser, "command", _COMMANDS if full else {command: _COMMANDS[command]}, full)
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "homology": _cmd_homology,
-    "check-acyclic": _cmd_check_acyclic,
-    "check-cm": _cmd_check_cm,
-    "check-local-model": _cmd_check_local_model,
-    "local-cohomology": _cmd_local_cohomology,
-    "dihomology-check": _cmd_dihomology,
-    "fvector": _cmd_fvector,
-    "hvector": _cmd_hvector,
-    "hilbert": _cmd_hilbert,
-    "duality-check": _cmd_duality,
-    "gen": _cmd_gen,
-    "scan": _cmd_scan,
-}
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the first command it names alone; as
+    it lacks only ``-h`` and the other commands, what it accepts parses alike
+    in full.  Help, an argv naming no command and whatever it refuses go to
+    the parser of every command, which prints what it always has and exits."""
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    try:
+        return build_parser(command).parse_args(argv)
+    except argparse.ArgumentError:  # only a one-command parser raises
+        return build_parser().parse_args(argv)
 
 
 def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code not in (0, None) else EXIT_PASS
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, code = _COMMANDS[args.command][0](args)
     except (InputError, BadParameter, CorruptCheckpoint, MalformedComplex, NotSimple,
             UnknownBuiltin, MemoryError, OverflowError) as err:
         message = f"unknown name: {err}" if isinstance(err, UnknownBuiltin) else str(err)

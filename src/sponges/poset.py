@@ -579,8 +579,11 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers", signs=N
     witnesses.  Otherwise the chains are walked depth-first on p for the
     witnesses, each carrying the join of its intervals up to x_k (from the
     unit, the (-1)-sphere), so a link is one `_join` with (x_k, 1^);
-    dimensions add as (dimension + 1).  The default coefficient ring is Z, so
-    torsion alone also disqualifies; witnesses flag such torsion-only
+    dimensions add as (dimension + 1).  A chain whose join has no homology
+    (over Q, no free rank) ends the walk: a join with an acyclic factor is
+    acyclic (Kunneth), so no chain through it is a witness, and the walk skips
+    the exponentially many chains above it.  The default coefficient ring is
+    Z, so torsion alone also disqualifies; witnesses flag such torsion-only
     failures separately.  Over Q only free ranks count.  The empty poset is
     Cohen-Macaulay by convention.  ``signs``, a signing of the covers as
     `interval_homology` takes it, lets intervals from elements of p be read
@@ -602,6 +605,8 @@ def check_cohen_macaulay(p: GradedPoset, coefficients: str = "integers", signs=N
     witnesses: list[CMWitness] = []
 
     def walk(chain: tuple, head: HomologyProfile, head_dim: int) -> None:
+        if head.is_trivial() or rational and not any(map(head.free_rank, head.degrees())):
+            return
         top = chain[-1] if chain else None
         rest, rest_dim = interval_homology(p, top, None, signs)
         dim = head_dim + rest_dim + 1

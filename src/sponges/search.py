@@ -166,7 +166,7 @@ class _Checkpoint:
                         continue
                     try:
                         record = ScanRecord.from_json(json.loads(line))
-                    except (ValueError, KeyError, TypeError) as err:
+                    except (ValueError, KeyError, TypeError, RecursionError) as err:
                         raise CorruptCheckpoint(
                             f"checkpoint {path} line {lineno} is not a scan record: {err}"
                         ) from err

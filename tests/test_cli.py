@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import sponges
@@ -150,6 +151,35 @@ def test_stdin_document_is_strict_utf8(tmp_path, monkeypatch):
         assert code == EXIT_INPUT_ERROR and "utf-8" in json.loads(out)["error"], out
 
 
+def test_deeply_nested_json_exits_2(tmp_path, monkeypatch):
+    """JSON nested deeper than the interpreter's stack is an input error, by path
+    and on stdin, never a traceback.  So is each depth on the way there that
+    is refused, including one that decodes but is too deep to digest."""
+    message = "document nests too deeply: maximum recursion depth exceeded"
+    nested = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    for command in ("validate", "check-cm", "homology", "fvector"):
+        for text in (nested, '{"faces": ' + nested + "}"):
+            path.write_text(text)
+            stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            for source in (str(path), "-"):
+                code, out, err = run([command, source])
+                assert code == EXIT_INPUT_ERROR, (command, text[:10], source)
+                assert json.loads(out)["error"].startswith(message), (command, source)
+                assert err.startswith(f"error: {message}"), (command, source)
+    point = json.dumps({"n": 3, "faces": [{"id": "v", "dim": 0}], "covers": []})
+    codes = set()
+    for depth in range(1, 1200):
+        path.write_text(point[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(["validate", str(path)])
+        codes.add(code)
+        assert code in (EXIT_PASS, EXIT_INPUT_ERROR), depth
+        if code == EXIT_INPUT_ERROR:
+            assert json.loads(out)["error"].startswith(message), depth
+    assert codes == {EXIT_PASS, EXIT_INPUT_ERROR}
+
+
 def test_unknown_builtin_exit_2():
     code, out, _ = run(["gen", "builtin", "nope"])
     assert code == EXIT_INPUT_ERROR
@@ -213,7 +243,8 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
     ]
     raised, messages = [], []
     for name, argv in cases:
-        handler = cli._HANDLERS[argv[0]]
+        row = cli._COMMANDS[argv[0]]
+        handler = row[0]
 
         def spy(args, handler=handler):
             try:
@@ -222,9 +253,9 @@ def test_every_input_error_is_named_on_stderr(tmp_path, monkeypatch):
                 raised.append(type(err).__name__)
                 raise
 
-        monkeypatch.setitem(cli._HANDLERS, argv[0], spy)
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (spy, *row[1:]))
         code, out, err = run(argv)
-        monkeypatch.setitem(cli._HANDLERS, argv[0], handler)
+        monkeypatch.setitem(cli._COMMANDS, argv[0], row)
         assert code == EXIT_INPUT_ERROR, name
         assert raised[-1] == name
         assert err == f"error: {json.loads(out)['error']}\n", name
@@ -600,6 +631,102 @@ def test_verbose_writes_stderr(tmp_path):
     assert err.strip()
 
 
+# exit code and the first 16 hex digits of the sha256 of stdout and of stderr
+# for help and usage errors, which argparse prints; recorded with Python 3.11's
+# argparse at 80 columns while every run built the parser of all commands
+PARSER_PINS = {
+    (): (2, "e3b0c44298fc1c14", "4e5d577d63282ea3"),
+    ("-h",): (0, "7412a43e4526256b", "e3b0c44298fc1c14"),
+    ("--help",): (0, "7412a43e4526256b", "e3b0c44298fc1c14"),
+    ("--he",): (0, "7412a43e4526256b", "e3b0c44298fc1c14"),
+    ("--verbose",): (2, "e3b0c44298fc1c14", "4e5d577d63282ea3"),
+    ("--",): (2, "e3b0c44298fc1c14", "4e5d577d63282ea3"),
+    ("validate", "-h"): (0, "10dd92377fe4e38d", "e3b0c44298fc1c14"),
+    ("homology", "-h"): (0, "a1db427884186588", "e3b0c44298fc1c14"),
+    ("check-acyclic", "-h"): (0, "9102084e0eafc1cc", "e3b0c44298fc1c14"),
+    ("check-cm", "-h"): (0, "7bd1e792b843029e", "e3b0c44298fc1c14"),
+    ("check-local-model", "-h"): (0, "b8c79d1063aedd4b", "e3b0c44298fc1c14"),
+    ("local-cohomology", "-h"): (0, "f522d9f0a267b3b1", "e3b0c44298fc1c14"),
+    ("dihomology-check", "-h"): (0, "65cc67d46cf0ec4e", "e3b0c44298fc1c14"),
+    ("fvector", "-h"): (0, "4657f6f233a75353", "e3b0c44298fc1c14"),
+    ("hvector", "-h"): (0, "387838e0dfb0a588", "e3b0c44298fc1c14"),
+    ("hilbert", "-h"): (0, "6da218db2c031a38", "e3b0c44298fc1c14"),
+    ("duality-check", "-h"): (0, "42a05000f03009e7", "e3b0c44298fc1c14"),
+    ("gen", "-h"): (0, "dc866a51156249cb", "e3b0c44298fc1c14"),
+    ("scan", "-h"): (0, "ae9a83052f26c895", "e3b0c44298fc1c14"),
+    ("gen", "model", "-h"): (0, "139e1ffff4ff07c9", "e3b0c44298fc1c14"),
+    ("gen", "simplex-skeleton", "-h"): (0, "c837d653def32f03", "e3b0c44298fc1c14"),
+    ("gen", "polytope-skeleton", "-h"): (0, "cc14e8b7380a4b44", "e3b0c44298fc1c14"),
+    ("gen", "trivalent", "-h"): (0, "245a6e3eaafe01cd", "e3b0c44298fc1c14"),
+    ("gen", "builtin", "-h"): (0, "18c4820d27dd2208", "e3b0c44298fc1c14"),
+    ("check-cm",): (2, "e3b0c44298fc1c14", "611ffd02e6c6ecae"),
+    ("gen",): (2, "e3b0c44298fc1c14", "94d5b1511777486f"),
+    ("gen", "model"): (2, "e3b0c44298fc1c14", "2789837736ac892d"),
+    ("local-cohomology", "x.json"): (2, "e3b0c44298fc1c14", "f19e9117ba675f02"),
+    ("scan", "--bound"): (2, "e3b0c44298fc1c14", "74d002ae4aa078a9"),
+    ("check-cm", "x.json", "--coeff", "w"): (2, "e3b0c44298fc1c14", "3e40c8012f4d105c"),
+    ("hilbert", "x.json", "--which", "all"): (2, "e3b0c44298fc1c14", "58016bdf269599e0"),
+    ("gen", "model", "--n", "x"): (2, "e3b0c44298fc1c14", "86a01deb70ee81ee"),
+    ("hilbert", "x.json", "--expand", "1.5"): (2, "e3b0c44298fc1c14", "720eab2018b55fd8"),
+    ("scan", "--fspace", "--n", "3", "--bound", "1", "z"): (2, "e3b0c44298fc1c14",
+                                                            "7d763737b0414c8a"),
+    ("validate", "x.json", "--bogus"): (2, "e3b0c44298fc1c14", "0a57f819be18ac4c"),
+    ("--bogus", "validate", "x.json"): (2, "e3b0c44298fc1c14", "0a57f819be18ac4c"),
+    ("gen", "builtin", "f3_k33", "--verbose"): (2, "e3b0c44298fc1c14", "259eeca7150b4c80"),
+    ("check-cm", "x.json", "y.json"): (2, "e3b0c44298fc1c14", "03dfefec50dd8fd8"),
+    ("frobnicate",): (2, "e3b0c44298fc1c14", "c99f036a594d810d"),
+    ("frobnicate", "check-cm", "x.json"): (2, "e3b0c44298fc1c14", "c99f036a594d810d"),
+    ("Check-cm", "x.json"): (2, "e3b0c44298fc1c14", "0c2ed327f8574e62"),
+    ("gen", "nope"): (2, "e3b0c44298fc1c14", "a1435cec98dd7451"),
+    ("gen", "model", "--n", "3", "--he"): (0, "139e1ffff4ff07c9", "e3b0c44298fc1c14"),
+    ("--verb", "check-cm", "x.json", "--co", "q"): (2, "2cec6755639b583d", "291525c13782e048"),
+    ("--", "check-cm", "x.json"): (2, "e3b0c44298fc1c14", "896f65d5b63c5744"),
+    ("check-cm", "--", "x.json"): (2, "2cec6755639b583d", "291525c13782e048"),
+}
+
+
+def test_help_and_usage_errors_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    for argv, pin in PARSER_PINS.items():
+        code = cli_dispatch(list(argv))
+        out, err = capsys.readouterr()
+        digests = tuple(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
+        assert (code, *digests) == pin, argv
+
+
+def test_the_command_table_is_the_only_registry(capsys):
+    """Every handler in `cli` is a row of the command table or of its nested
+    table of `gen` kinds, and each row's ``-h`` prints its own help and exits 0."""
+    from sponges import cli
+
+    rows = {}
+    for name, (handler, _, arguments) in cli._COMMANDS.items():
+        rows[(name,)] = handler
+        if isinstance(arguments, dict):
+            rows.update({(name, kind): row[0] for kind, row in arguments.items()})
+    assert (len(cli._COMMANDS), len(rows)) == (13, 18)
+    assert sorted(h.__name__ for h in rows.values()) == sorted(
+        name for name in vars(cli) if name.startswith(("_cmd_", "_gen_")))
+    for argv in rows:
+        assert cli_dispatch([*argv, "-h"]) == EXIT_PASS, argv
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: sponges {' '.join(argv)} ") and err == "", argv
+
+
+def test_a_run_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
+    """An argv the parser of its one command accepts builds no other parser;
+    one it refuses builds the parser of every command, which reports it."""
+    from sponges import cli
+
+    monkeypatch.chdir(tmp_path)
+    cli.build_parser.cache_clear()
+    assert run(["gen", "builtin", "f3_k33"])[0] == EXIT_PASS
+    assert run(["--verbose", "check-cm", "missing.json"])[0] == EXIT_INPUT_ERROR
+    assert cli.build_parser.cache_info().currsize == 2
+    assert run(["check-cm", "missing.json", "--coeff", "r"])[0] == EXIT_INPUT_ERROR
+    assert cli.build_parser.cache_info().currsize == 3
+
 FSPACE = ["scan", "--fspace", "--n", "3", "--bound", "2", "2", "--checkpoint"]
 
 
@@ -624,6 +751,57 @@ def test_scan_corrupt_checkpoint_line_exits_2(tmp_path):
         code, report = run_json(FSPACE + [str(checkpoint)])
         assert code == EXIT_INPUT_ERROR
         assert "line 2" in report["error"]
+
+
+def test_scan_deeply_nested_checkpoint_line_exits_2(tmp_path):
+    """A complete checkpoint line nested deeper than the stack is a corrupt line."""
+    checkpoint = tmp_path / "scan.jsonl"
+    checkpoint.write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+    code, out, err = run(["scan", "--fspace", "--n", "3", "--bound", "1", "1",
+                          "--checkpoint", str(checkpoint)])
+    assert code == EXIT_INPUT_ERROR
+    assert "line 1 is not a scan record: maximum recursion depth" in json.loads(out)["error"]
+    assert err.startswith("error: checkpoint ")
+
+
+# sha256 of the stdout of check-cm --coeff z and --coeff q on a chain of
+# length L under two disjoint edges, recorded while the witness walk still
+# visited every chain above an acyclic head
+CHAIN_CM_DIGESTS = {
+    14: ("c4053c3a90fbd6b4f379c96236cd0f881826b437f55b389a554e2d094d7de810",
+         "9df6a2527734d530fd0f3e4b63314f84f04538d3fa8de6b96b20aca7a2ca4c98"),
+    18: ("386e4500d265521aaae5b54f235f4bcf71b193794340c0754a975c52578b5c4c",
+         "073153fc8e5e11182f502d47be274a3e8b7177cb82b212412c1cf461fdf6f780"),
+}
+
+
+def chain_under_two_edges(length):
+    """Faces c0 < ... < c(L-1), one per dimension, and two disjoint edges
+    a_k < b_k above c(L-1); every incidence is 1.  Its one witness is the
+    whole chain, and every shorter chain has an acyclic join."""
+    faces = [{"id": f"c{i}", "dim": i} for i in range(length)]
+    covers = [{"upper": f"c{i + 1}", "lower": f"c{i}", "incidence": 1}
+              for i in range(length - 1)]
+    for k in (1, 2):
+        faces += [{"id": f"a{k}", "dim": length}, {"id": f"b{k}", "dim": length + 1}]
+        covers += [{"upper": f"a{k}", "lower": f"c{length - 1}", "incidence": 1},
+                   {"upper": f"b{k}", "lower": f"a{k}", "incidence": 1}]
+    return {"format_version": 1, "n": length + 3, "faces": faces, "covers": covers}
+
+
+def test_witness_walk_stops_at_acyclic_heads(tmp_path):
+    """The walk no longer visits each of the 2^L chains of the chain: L = 22
+    took over 20 s while it did, and its reports stay byte-identical."""
+    for length, digests in CHAIN_CM_DIGESTS.items():
+        path = write_doc(tmp_path, chain_under_two_edges(length))
+        outputs = [run(["check-cm", path, "--coeff", c])[1] for c in ("z", "q")]
+        assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == list(digests)
+    path = write_doc(tmp_path, chain_under_two_edges(22))
+    start = time.perf_counter()
+    code, report = run_json(["check-cm", path])
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_CHECK_FAILED
+    assert [w["chain"] for w in report["witnesses"]] == [[f"c{i}" for i in range(22)]]
 
 
 def test_scan_checkpoint_identifier_must_be_a_string(tmp_path):
