@@ -21,8 +21,7 @@ on stderr.  At module level this file imports only the standard library and
 the exception classes of `errors`; each command imports the layers it uses
 when it runs, so a command loads and compiles no other layer.  Each command
 is declared once, as a row of `_COMMANDS` naming its handler, help and
-arguments; the parser and dispatch both read that table, and a run builds the
-parser of the one command its argv names.
+arguments; the parser and dispatch both read that table.
 """
 
 from __future__ import annotations
@@ -246,8 +245,12 @@ _COEFFICIENTS = {"z": "integers", "q": "rationals"}
 
 def _report(args, input_obj, payload: dict, passed: bool = True) -> tuple[dict, int]:
     """The report of ``args.command`` on ``input_obj``, and its exit code."""
-    report = {"format_version": FORMAT_VERSION, "command": args.command,
-              "input_digest": digest(input_obj), **payload}
+    report = {
+        "format_version": FORMAT_VERSION,
+        "command": args.command,
+        "input_digest": digest(input_obj),
+        **payload,
+    }
     return report, EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
@@ -390,7 +393,8 @@ def _cmd_fvector(args) -> tuple[dict, int]:
 
     z, doc = _load_sponge(args.file)
     fv = fvector_of(z)
-    return _report(args, doc, {"n": fv.n, "f": list(fv.f), "b": fv.b})
+    payload = {"n": fv.n, "f": list(fv.f), "b": fv.b}
+    return _report(args, doc, payload)
 
 
 def _cmd_hvector(args) -> tuple[dict, int]:
@@ -478,8 +482,12 @@ def _gen_trivalent(args) -> dict:
     from .generators import gen_trivalent_sponges
 
     docs = [serialize_sponge(z) for z in gen_trivalent_sponges(args.max)]
-    return {"format_version": FORMAT_VERSION, "family": "trivalent", "max_vertices": args.max,
-            "sponges": docs}
+    return {
+        "format_version": FORMAT_VERSION,
+        "family": "trivalent",
+        "max_vertices": args.max,
+        "sponges": docs,
+    }
 
 
 def _gen_builtin(args) -> dict:
@@ -487,7 +495,9 @@ def _gen_builtin(args) -> dict:
     from .generators import builtin
 
     obj = builtin(args.name)
-    return serialize_fvector(obj) if isinstance(obj, ExtendedFVector) else serialize_sponge(obj)
+    if isinstance(obj, ExtendedFVector):
+        return serialize_fvector(obj)
+    return serialize_sponge(obj)
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
@@ -512,7 +522,9 @@ def _cmd_scan(args) -> tuple[dict, int]:
             raise InputError("--family trivalent needs --max")
         from .generators import gen_trivalent_sponges
 
-        summary = scan(gen_trivalent_sponges(args.max), checkpoint_path=args.checkpoint)
+        summary = scan(
+            gen_trivalent_sponges(args.max), checkpoint_path=args.checkpoint
+        )
         parameters = {"mode": "family", "family": "trivalent", "max": args.max}
     payload = {
         "parameters": parameters,
@@ -574,55 +586,34 @@ _COMMANDS = {
 }
 
 
-class _SilentParser(argparse.ArgumentParser):
-    """Prints nothing: raises `argparse.ArgumentError` where argparse prints and exits."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _add_commands(parser, dest: str, table: dict, full: bool) -> None:
+def _add_commands(parser, dest: str, table: dict) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (_, summary, arguments) in table.items():
-        p = sub.add_parser(name, add_help=full, **({"help": summary} if summary else {}))
+        p = sub.add_parser(name, **({"help": summary} if summary else {}))
         if isinstance(arguments, dict):
-            _add_commands(p, "kind", arguments, full)
+            _add_commands(p, "kind", arguments)
             continue
         for argument, options in arguments:
             p.add_argument(argument, **options)
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given ``command``, a `_SilentParser`
-    of that command alone and without ``-h``.  Each is built on first use and
-    shared: parsing leaves it unchanged."""
-    full = command is None
-    parser = (argparse.ArgumentParser if full else _SilentParser)(
-        prog="sponges", add_help=full,
-        description="exact homological and enumerative checks for sponge face structures")
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared: parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="sponges",
+        description="exact homological and enumerative checks for sponge face structures",
+    )
     parser.add_argument("--verbose", action="store_true", help="human summary on stderr")
-    _add_commands(parser, "command", _COMMANDS if full else {command: _COMMANDS[command]}, full)
+    _add_commands(parser, "command", _COMMANDS)
     return parser
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the parser of the first command it names alone; as
-    it lacks only ``-h`` and the other commands, what it accepts parses alike
-    in full.  Help, an argv naming no command and whatever it refuses go to
-    the parser of every command, which prints what it always has and exits."""
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    try:
-        return build_parser(command).parse_args(argv)
-    except argparse.ArgumentError:  # only a one-command parser raises
-        return build_parser().parse_args(argv)
 
 
 def cli_dispatch(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code not in (0, None) else EXIT_PASS
     try:
