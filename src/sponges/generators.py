@@ -172,7 +172,6 @@ def gen_polytope_skeleton(p: PolytopeFaceLattice) -> SpongeComplex:
     except NotDiamond as err:
         raise NotSimple(str(err)) from err
     z = SpongeComplex(n=n, faces=poset, incidence=signs, name=f"polytope-skeleton-{n}d")
-    ensure_valid(z)
     expected_b = p.face_count(n - 1) - 1
     report = check_acyclic(z)
     if report.b_number != expected_b:

@@ -17,11 +17,12 @@ over Z, in closed form for cones and for intervals of dimension at most 1,
 and caches the answer on the poset.  Given a signing of the covers (+-1 on
 every cover and satisfying every diamond relation, on a poset whose rank-2
 intervals are all diamonds: a validated sponge's +-1 incidences or
-`sponge.sign_solver`'s solution), an interval (x, y) from an element x of P
-whose lower intervals (x, z) are all homology spheres of dimension rank z -
-rank x - 2 is read from one cell per element, with boundaries over lower
-covers signed by the signing; the proof is in `_cell_homology`.  Intervals
-from 0^ never take that route: they carry the order-complex side of the
+`sponge.sign_solver`'s solution), an interval (x, y) whose lower intervals
+(x, z) are all homology spheres of dimension rank z - rank x - 2, with
+rank 0^ = -1, is read from one cell per element, with the boundary rule
+`cellular_faces`: lower covers signed by the signing, and 0^ below every
+element with no lower covers; the proof is in `_cell_homology`.  Only
+(0^, 1^) never takes that route: it carries the order-complex side of the
 sponge cross-checks, which must not depend on the incidences.  Every other
 interval is read from its chains, enumerated once on P with no order complex
 built.  P is Cohen-Macaulay exactly when every such interval has homology
@@ -343,6 +344,9 @@ def order_complex(p: GradedPoset) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
+_ACYCLIC = HomologyProfile({})  # every cone's profile, shared: profiles are never changed
+
+
 class CMWitness(NamedTuple):
     """One failure of the Cohen-Macaulay condition."""
 
@@ -371,17 +375,18 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
     enumerating every chain):
 
     * one with a unique minimal or a unique maximal element is a cone, so its
-      reduced homology vanishes;
+      reduced homology vanishes; with x and y in P, covers and ranks tell it;
     * one of dimension 0 or 1 is a graph, see `_graph_homology`;
-    * given ``signs``, one from an element x of P whose lower intervals
-      (x, z) are all spheres is the homology of one cell per element, see
-      `_cell_homology`.
+    * given ``signs``, one but (0^, 1^) whose lower intervals (x, z) are all
+      spheres is the homology of one cell per element, see `_cell_homology`.
 
     ``signs`` maps each cover (upper, lower) to +-1 and satisfies every
     diamond relation, on a poset whose rank-2 intervals are all diamonds: a
     validated sponge's +-1 incidences (`sponge.incidence_signs`) or
-    `sponge.sign_solver`'s solution.  Every other interval's chains are
-    enumerated once, the empty one included, and `complexes.simplicial_homology`
+    `sponge.sign_solver`'s solution.  (0^, 1^) keeps its chains: it is the
+    order-complex side of the sponge cross-checks, which must not read the
+    incidences.  Every other interval's chains are enumerated once, the
+    empty one included, and `complexes.simplicial_homology`
     coreduces them straight from their faces: no boundary matrix of the
     interval is built and no d o d product runs, since the chains are closed
     under dropping an element.  The result does not depend on the route, so
@@ -389,26 +394,37 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
     """
     if (x, y) in p._intervals:
         return p._intervals[x, y]
-    inside = set(p.ranks) if x is None else set(p.upset(x))
-    if y is not None:
-        inside &= p.downset(y)
-    inside -= {x, y}
-    if not inside:
-        result = HomologyProfile({-1: (1, ())}), -1
-    else:
+    if x is None or y is None:
+        inside = set(p.ranks) if x is None else set(p.upset(x))
+        if y is not None:
+            inside &= p.downset(y)
+        inside -= {x, y}
         order = sorted(inside, key=p.sort_key)
         longest: dict = {}  # element -> most elements on a chain of inside ending there
         for e in order:
             longest[e] = 1 + max((longest[b] for b in p._lower[e] if b in inside), default=0)
-        dim = max(longest.values()) - 1
+        dim = max(longest.values(), default=0) - 1
         minimal = sum(1 for e in inside if longest[e] == 1)
         maximal = sum(1 for e in inside if not any(u in inside for u in p._upper[e]))
-        if minimal == 1 or maximal == 1:
-            result = HomologyProfile({}), dim
-        elif dim <= 1:
+    else:  # its extremes are covers of x below y and of y above x
+        up, down = p.upset(x), p.downset(y)
+        minimal = sum(1 for u in p._upper[x] if u in down and u != y)
+        maximal = sum(1 for w in p._lower[y] if w in up and w != x)
+        dim = p.ranks[y] - p.ranks[x] - 2
+        inside = None  # built only if (x, y) is not a cone
+    if not minimal:
+        result = HomologyProfile({-1: (1, ())}), -1
+    elif minimal == 1 or maximal == 1:
+        result = _ACYCLIC, dim
+    else:
+        if inside is None:
+            inside = (up & down) - {x, y}
+            order = sorted(inside, key=p.sort_key)
+        if dim <= 1:
             result = _graph_homology(p, inside), dim
         else:
-            h = None if x is None or signs is None else _cell_homology(p, x, order, signs)
+            whole = x is None and y is None  # (0^, 1^)
+            h = None if signs is None or whole else _cell_homology(p, x, order, signs)
             if h is None:
                 h, _ = simplicial_homology(_chains(p, inside))
             result = h, dim
@@ -416,16 +432,32 @@ def interval_homology(p: GradedPoset, x, y, signs=None) -> tuple[HomologyProfile
     return result
 
 
+def cellular_faces(p: GradedPoset, signs, z) -> list[tuple[Hashable, int]]:
+    """The cellular boundary rule of a signed poset, the faces of z for `cell_complex`:
+    its lower covers w with their signs[z, w], or 0^ (``None``) with sign 1 if it
+    has none, the augmentation."""
+    lower = p._lower[z]
+    return [(w, signs[z, w]) for w in lower] if lower else [(None, 1)]
+
+
+def _sphere_defect(h: HomologyProfile, dim: int) -> dict | None:
+    """None if the profile is exactly that of a homology dim-sphere, else its groups by degree."""
+    if h.degrees() == [dim] and h.free_rank(dim) == 1 and not h.torsion(dim):
+        return None
+    return {d: (h.free_rank(d), h.torsion(d)) for d in h.degrees()}
+
+
 def _cell_homology(p: GradedPoset, x, order: list, signs) -> HomologyProfile | None:
     """The reduced homology of (x, y) from C(x, y), or None for the chain route.
 
-    ``order`` is (x, y) in (rank, id) order, and r(z) is rank z - rank x.
-    C(x, y) has x as its cell in degree -1 and each z in (x, y) as a cell in
-    degree r(z) - 1; the boundary of z is the sum of signs[z, w] w over its
-    lower covers w in [x, y).  None is returned when some lower interval
-    (x, z) is not a homology sphere of dimension r(z) - 2, or when the signs
-    break d o d = 0 inside [x, y): `cell_complex` checks it, and on C(x, y)
-    it is exactly the diamond relations there.
+    ``order`` is (x, y) in (rank, id) order, and r(z) is rank z - rank x,
+    with rank 0^ = -1.  C(x, y) has x as its cell in degree -1 and each z in
+    (x, y) as a cell in degree r(z) - 1; `cellular_faces` gives the boundary
+    of z, the sum of signs[z, w] w over its lower covers w in [x, y), or 0^.
+    None is returned when some lower interval (x, z) is not a homology sphere
+    of dimension r(z) - 2, or when the signs break d o d = 0 inside [x, y):
+    `cell_complex` checks it, and on C(x, y) it is exactly the diamond
+    relations there, from 0^ with each edge's balance among them.
 
     Claim: if each (x, z) is a homology sphere over Z of dimension r(z) - 2,
     every rank-2 interval is a diamond and the signs satisfy the diamond
@@ -467,15 +499,15 @@ def _cell_homology(p: GradedPoset, x, order: list, signs) -> HomologyProfile | N
     connected.  So eta(z, w) = t(z) t(w) on every cover, and z -> t(z) z
     carries one complex onto the other.
     """
-    base, cells = p.ranks[x], {-1: [x]}
+    base, cells = -1 if x is None else p.ranks[x], {-1: [x]}
     for z in order:
         d = p.ranks[z] - base - 1
         h, _ = interval_homology(p, x, z, signs)
-        if h.degrees() != [d - 1] or h.free_rank(d - 1) != 1 or h.torsion(d - 1):
+        if _sphere_defect(h, d - 1) is not None:
             return None
         cells.setdefault(d, []).append(z)
     try:
-        return homology(cell_complex(cells, lambda z: [(w, signs[z, w]) for w in p._lower[z]]))
+        return homology(cell_complex(cells, lambda z: cellular_faces(p, signs, z)))
     except MalformedComplex:
         return None
 

@@ -60,13 +60,9 @@ class ScanRecord(NamedTuple):
     realized: bool = True  # False for raw f-vector grid points
 
     def to_json(self) -> dict:
-        out = {"identifier": self.identifier, "n": self.n, "acyclic": self.acyclic,
-               "realized": self.realized}
-        for key in ("f", "b", "h", "symmetric", "nonnegative", "local_model", "error"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value) if isinstance(value, tuple) else value
-        return out
+        """The fields that are set, tuples as lists; every caller sorts the keys."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in zip(self._fields, self) if value is not None}
 
     @classmethod
     def from_json(cls, data: dict) -> "ScanRecord":
@@ -203,12 +199,11 @@ class _Checkpoint:
 
 def classify_sponge(z: SpongeComplex, identifier: str | None = None) -> ScanRecord:
     """One sponge -> one record; failures land in the record, never raise."""
-    from .sponge import check_acyclic, check_local_model, ensure_valid
+    from .sponge import check_acyclic, check_local_model
 
     ident = identifier or z.name or "unnamed"
     try:
-        ensure_valid(z)  # reads the verdict cached on the sponge
-        local = check_local_model(z).passed
+        local = check_local_model(z).passed  # raises InvalidSponge first
         report = check_acyclic(z)
         if not report.is_acyclic:
             return ScanRecord(
@@ -236,12 +231,10 @@ def _run(
     summary = ScanSummary()
     try:
         for ident, make_record in items:
-            if checkpoint.has(ident):
-                record = checkpoint.seen[ident]
-                encoded = record.to_json()
-            else:
-                record = make_record()
-                encoded = record.to_json()
+            resumed = checkpoint.has(ident)
+            record = checkpoint.seen[ident] if resumed else make_record()
+            encoded = record.to_json()
+            if not resumed:
                 checkpoint.write(encoded)
             summary.add(record, encoded)
     finally:

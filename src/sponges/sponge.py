@@ -8,7 +8,8 @@ faces), every diamond satisfies the sign relation
 
 Cellular (co)homology is read straight off the incidence numbers: a cellular
 complex is `complexes.cell_complex` on the faces, each face's faces being
-its lower covers with their incidences.  Each sponge keeps one cellular
+its lower covers with their incidences (`poset.cellular_faces`, as for the
+face poset's cellular intervals).  Each sponge keeps one cellular
 complex per ``augmented`` flag, so every homology question on it reads one
 complex and the ranks and Smith diagonals of its coreduced residual, cached
 on it.  Local cohomology at a face F is the homology of
@@ -22,7 +23,8 @@ flag and keep only the local-cohomology / poset / Cohen-Macaulay machinery
 enabled.  Order-complex homology, of (0^, F) for face acyclicity and of
 (0^, 1^) for the realization cross-check, is `poset.interval_homology`,
 cached on the face poset, so the checks eliminate each interval at most
-once per sponge.
+once per sponge.  With +-1 incidences each (0^, F) is read from cells, but
+(0^, 1^) never is: the cross-check must not read the incidences.
 
 Face identifiers are opaque strings, and the canonical generator order is
 (dimension, identifier) everywhere, so every matrix in this module is
@@ -42,9 +44,8 @@ from .errors import (
     NotDiamond,
     RealizationMismatch,
     SignUnsolvable,
-    UnknownElement,
 )
-from .poset import GradedPoset, interval_homology
+from .poset import GradedPoset, _sphere_defect, cellular_faces, interval_homology
 
 
 class SpongeComplex:
@@ -157,12 +158,11 @@ def validate_sponge(z: SpongeComplex) -> SpongeValidation:
     for f in z.faces.elements():
         if not any(z.faces.rank(t) == 0 for t in z.faces.downset(f)):
             vertexless.append(f)
-    report = SpongeValidation(
+    return SpongeValidation(
         non_diamond_intervals=tuple(non_diamond),
         diamond_violations=tuple(violations),
         vertex_free_faces=tuple(vertexless),
     )
-    return report
 
 
 def _validated(z: SpongeComplex) -> SpongeValidation:
@@ -190,13 +190,6 @@ def incidence_signs(z: SpongeComplex) -> dict[tuple[str, str], int] | None:
     return None
 
 
-def _signed_faces(z: SpongeComplex, face: str) -> list[tuple[str | None, int]]:
-    """The lower covers of a face with their incidences; a vertex has the face None."""
-    if not z.faces.ranks[face]:
-        return [(None, 1)]
-    return [(g, z.incidence[face, g]) for g in z.faces.lower_covers(face)]
-
-
 def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainComplex:
     """The cellular chain complex: one generator per face, incidence boundary.
 
@@ -218,7 +211,7 @@ def cellular_complex(z: SpongeComplex, augmented: bool = False) -> IntegerChainC
                     f"edge {e!r} is unbalanced: its vertex incidences sum to {k}, not 0"
                 )
         cells[-1] = [None]
-    z._cellular[augmented] = cell_complex(cells, lambda f: _signed_faces(z, f))
+    z._cellular[augmented] = cell_complex(cells, lambda f: cellular_faces(z.faces, z.incidence, f))
     return z._cellular[augmented]
 
 
@@ -235,34 +228,25 @@ class AcyclicityReport(NamedTuple):
         return self.faces_ok and self.skeleton_acyclic_up_to >= self.n - 3
 
 
-def _sphere_defect(profile_: HomologyProfile, dim: int):
-    """None if the profile is exactly that of a homology dim-sphere."""
-    expected = {dim: (1, ())}
-    actual = {d: (profile_.free_rank(d), profile_.torsion(d)) for d in profile_.degrees()}
-    if actual == expected:
-        return None
-    return actual
-
-
 def check_acyclic(z: SpongeComplex) -> AcyclicityReport:
     """Face acyclicity via lower intervals, plus skeleton acyclicity.
 
     Condition (i): for every face F, the open interval (0^, F) of faces
     strictly below F must be a homology (dim F - 1)-sphere over Z.  Its
-    homology comes from `interval_homology`; the empty interval is the
-    (-1)-sphere, so vertices pass without elimination.  Condition (ii): the
-    reduced cellular cohomology must vanish in degrees up to n-3; the report
-    also carries the rank of the top reduced cohomology (the b-number) and
-    any torsion.
+    homology comes from `interval_homology`, signed by `incidence_signs`;
+    the empty interval is the (-1)-sphere, so vertices pass without
+    elimination.  Condition (ii): the reduced cellular cohomology must
+    vanish in degrees up to n-3; the report also carries the rank of the
+    top reduced cohomology (the b-number) and any torsion.
     """
     ensure_valid(z)
     if z.non_compact:
         raise NonCompactSponge(
             "face acyclicity is undefined for non-compact sponges (cone faces)"
         )
-    failures = []
+    failures, signs = [], incidence_signs(z)
     for f in z.faces.elements():
-        prof, _ = interval_homology(z.faces, None, f)
+        prof, _ = interval_homology(z.faces, None, f, signs)
         defect = _sphere_defect(prof, z.faces.rank(f) - 1)
         if defect is not None:
             failures.append((f, tuple(sorted(defect.items()))))
@@ -297,9 +281,7 @@ def section_complex(z: SpongeComplex, face: str) -> IntegerChainComplex:
     cochain complex, the cochain complex of the quotient by the faces not
     above F, so its homology at -p is the local cohomology H^p at F.
     """
-    ensure_valid(z)
-    if face not in z.faces.ranks:
-        raise UnknownElement(face)
+    ensure_valid(z)  # an unknown face raises UnknownElement in `faces_above`
     return _section_complex(z, faces_above(z, face))
 
 
@@ -368,63 +350,56 @@ def sign_solver(faces: GradedPoset) -> dict[tuple[str, str], int]:
     preserving all diamonds, so balance is not implied).  Free variables are
     set to zero, so the output is deterministic.
 
+    One Gauss-Jordan pass solves it.  A pivot is keyed by its lead bit, its
+    row's lowest unknown (the constant term is the top bit), and kept zero at
+    every other lead, so a row's leads clear in any order; the pivots end as
+    the reduced row echelon form, which is unique, so no order matters.
+
     Raises NotDiamond if some rank-2 interval lacks exactly two middles, and
     SignUnsolvable if the system is inconsistent.
     """
     covers = sorted(faces.covers(), key=lambda uv: (faces.sort_key(uv[0]), faces.sort_key(uv[1])))
     var = {cover: i for i, cover in enumerate(covers)}
     nvars = len(covers)
+
+    def equation(*terms) -> int:  # a bitmask row: the terms sum to 1, bit nvars
+        return sum(1 << var[cover] for cover in terms) | 1 << nvars
+
     bad = []
-    equations: list[int] = []  # bitmask rows; bit nvars is the constant term
+    equations: list[int] = []
     for upper, low, middles in rank2_intervals(faces):
         if len(middles) != 2:
             bad.append((upper, low, tuple(middles)))
             continue
         g1, g2 = middles
-        row = (
-            (1 << var[(upper, g1)])
-            | (1 << var[(g1, low)])
-            | (1 << var[(upper, g2)])
-            | (1 << var[(g2, low)])
-            | (1 << nvars)
-        )
-        equations.append(row)
+        equations.append(equation((upper, g1), (g1, low), (upper, g2), (g2, low)))
     if bad:
         raise NotDiamond(bad)
-    for e in faces.elements():
-        if faces.rank(e) == 1:
-            below = faces.lower_covers(e)
-            if len(below) == 2:
-                v, w = below
-                equations.append(
-                    (1 << var[(e, v)]) | (1 << var[(e, w)]) | (1 << nvars)
-                )
-    # Gaussian elimination over GF(2) with deterministic pivot order
-    pivots: dict[int, int] = {}
+    for e in faces.elements_of_rank(1):
+        below = faces.lower_covers(e)
+        if len(below) == 2:
+            equations.append(equation((e, below[0]), (e, below[1])))
+    pivots: dict[int, int] = {}  # lead bit -> row, zero at every other lead bit
+    leads = 0
     for row in equations:
-        for col in sorted(pivots):
-            if row & (1 << col):
-                row ^= pivots[col]
-        lead = None
-        for col in range(nvars):
-            if row & (1 << col):
-                lead = col
-                break
-        if lead is None:
-            if row & (1 << nvars):
-                raise SignUnsolvable(
-                    "no +-1 incidence assignment satisfies the diamond relations"
-                )
+        held = row & leads
+        while held:
+            bit = held & -held
+            row ^= pivots[bit]
+            held ^= bit
+        lead = row & -row  # the lowest unknown, or the constant bit if none is left
+        if lead >> nvars:  # 0 = 1
+            raise SignUnsolvable(
+                "no +-1 incidence assignment satisfies the diamond relations"
+            )
+        if not lead:
             continue
-        for col, prow in pivots.items():
-            if prow & (1 << lead):
-                pivots[col] = prow ^ row
+        for bit, prow in pivots.items():
+            if prow & lead:
+                pivots[bit] = prow ^ row
         pivots[lead] = row
-    assignment = {}
-    for cover, i in var.items():
-        bit = (pivots[i] >> nvars) & 1 if i in pivots else 0
-        assignment[cover] = -1 if bit else 1
-    return assignment
+        leads |= lead
+    return {cover: -1 if pivots.get(1 << i, 0) >> nvars else 1 for cover, i in var.items()}
 
 
 class RealizationReport:
@@ -453,8 +428,7 @@ def realization_cross_check(z: SpongeComplex) -> RealizationReport:
     RealizationMismatch at the first disagreeing degree, NotAcyclicSponge if
     the face condition fails first.
     """
-    ensure_valid(z)
-    report = check_acyclic(z)
+    report = check_acyclic(z)  # raises InvalidSponge first
     if not report.faces_ok:
         raise NotAcyclicSponge(
             f"faces fail the lower-interval sphere condition: "

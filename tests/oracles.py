@@ -30,9 +30,11 @@ built on the faces above F, local cohomology through the order-complex
 pair instead of the section complex, the maximal code of a labelled graph
 through all n! relabellings instead of the pruned canonicity search, that
 search itself with a list of back-edge patterns per candidate instead of
-one bitmask of tied candidates, and the Betti polynomial through products
+one bitmask of tied candidates, the Betti polynomial through products
 of powers of 1 - t^2 instead of the cached closed-form matrix of
-binomials.
+binomials, and the +-1 sign solve through pivots swept in sorted column
+order for each row and a scan of every column for its lead instead of one
+Gauss-Jordan pass keyed by lead bits.
 """
 
 from fractions import Fraction
@@ -71,12 +73,15 @@ from sponges.sponge import (
     AcyclicityReport,
     NonCompactSponge,
     NotAcyclicSponge,
+    NotDiamond,
     RealizationMismatch,
     RealizationReport,
+    SignUnsolvable,
     SpongeComplex,
     _sphere_defect,
     cellular_complex,
     ensure_valid,
+    rank2_intervals,
 )
 
 
@@ -860,3 +865,62 @@ def local_cohomology_via_order_complex(
         for d in faces_by_dim
     }
     return cohomology(quotient_complex(total, sub), coefficients)
+
+
+def sign_solver_by_sorted_pivots(faces: GradedPoset) -> dict[tuple[str, str], int]:
+    """`sponge.sign_solver` as Gaussian elimination over GF(2) that sweeps the
+    pivots in sorted column order for every row and scans every column for a
+    row's lead; the same equations, free variables set to zero."""
+    covers = sorted(faces.covers(), key=lambda uv: (faces.sort_key(uv[0]), faces.sort_key(uv[1])))
+    var = {cover: i for i, cover in enumerate(covers)}
+    nvars = len(covers)
+    bad = []
+    equations: list[int] = []  # bitmask rows; bit nvars is the constant term
+    for upper, low, middles in rank2_intervals(faces):
+        if len(middles) != 2:
+            bad.append((upper, low, tuple(middles)))
+            continue
+        g1, g2 = middles
+        row = (
+            (1 << var[(upper, g1)])
+            | (1 << var[(g1, low)])
+            | (1 << var[(upper, g2)])
+            | (1 << var[(g2, low)])
+            | (1 << nvars)
+        )
+        equations.append(row)
+    if bad:
+        raise NotDiamond(bad)
+    for e in faces.elements():
+        if faces.rank(e) == 1:
+            below = faces.lower_covers(e)
+            if len(below) == 2:
+                v, w = below
+                equations.append(
+                    (1 << var[(e, v)]) | (1 << var[(e, w)]) | (1 << nvars)
+                )
+    pivots: dict[int, int] = {}
+    for row in equations:
+        for col in sorted(pivots):
+            if row & (1 << col):
+                row ^= pivots[col]
+        lead = None
+        for col in range(nvars):
+            if row & (1 << col):
+                lead = col
+                break
+        if lead is None:
+            if row & (1 << nvars):
+                raise SignUnsolvable(
+                    "no +-1 incidence assignment satisfies the diamond relations"
+                )
+            continue
+        for col, prow in pivots.items():
+            if prow & (1 << lead):
+                pivots[col] = prow ^ row
+        pivots[lead] = row
+    assignment = {}
+    for cover, i in var.items():
+        bit = (pivots[i] >> nvars) & 1 if i in pivots else 0
+        assignment[cover] = -1 if bit else 1
+    return assignment

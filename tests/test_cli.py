@@ -803,6 +803,27 @@ def test_witness_walk_stops_at_acyclic_heads(tmp_path):
     assert [w["chain"] for w in report["witnesses"]] == [[f"c{i}" for i in range(22)]]
 
 
+# sha256 of the stdout of check-cm on a chain of 400 faces, recorded while every
+# interval built and sorted its element set before its cone test
+CHAIN_400_CM_DIGEST = "6fa30e673ae0ac9100a5518deef73ae8e26ac1d74d387185c61dd2f570a63cbc"
+
+
+def test_check_cm_on_a_long_chain_reads_its_cones_from_covers(tmp_path):
+    """Faces c0 < ... < c(L-1), one per dimension, n = L + 1, every incidence 1.
+    Each of its ~L^2/2 intervals is a cone; L = 400 took about 20 s while each
+    one built its element set first, and its report stays byte-identical."""
+    length = 400
+    doc = {"format_version": 1, "n": length + 1,
+           "faces": [{"id": f"c{i}", "dim": i} for i in range(length)],
+           "covers": [{"upper": f"c{i + 1}", "lower": f"c{i}", "incidence": 1}
+                      for i in range(length - 1)]}
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, _ = run(["check-cm", path])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == CHAIN_400_CM_DIGEST
+
+
 def test_scan_checkpoint_identifier_must_be_a_string(tmp_path):
     checkpoint = tmp_path / "scan.jsonl"
     checkpoint.write_text('{"identifier": [1], "n": 3}\n', encoding="utf-8")

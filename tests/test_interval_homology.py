@@ -207,11 +207,12 @@ def test_check_acyclic_eliminates_no_vertex_interval(monkeypatch):
     z = relabelled(gen_polytope_skeleton(simplex_lattice(5)), 0)  # a poset with no cache yet
     built, reduced = count_interval_complexes(monkeypatch)
     check_acyclic(z)
-    # each tetrahedron's (0^, t), its 14-face boundary, is eliminated once; a
-    # vertex's is empty, and an edge's or a triangle's is a graph
-    assert built == reduced == [14] * 15
+    # each tetrahedron's (0^, t) is one cell per face below it, 4 of them
+    # vertices, built and reduced once; a vertex's is empty, and an edge's or
+    # a triangle's is a graph
+    assert built == reduced == [4] * 15
     check_acyclic(z)
-    assert built == reduced == [14] * 15
+    assert built == reduced == [4] * 15
 
 
 def random_graph_poset(rng):
@@ -440,3 +441,65 @@ def test_signings_that_differ_by_flipped_cells_agree_and_a_broken_one_falls_back
         chained.clear()
         assert {xy: interval_homology(p, *xy, signs) for xy in expected} == expected
         assert bool(chained) == falls_back
+
+
+def cube_boundary_sponge(balanced):
+    """The 4-cube's 3-skeleton (n = 5), with the solver's signs if ``balanced``,
+    else with both vertex incidences of every edge +1.
+
+    For the latter the solver's signing is regauged: -1 at every vertex of
+    one colour class (the cube's graph is bipartite), then -1 at each edge
+    whose vertex incidences are -1.  Each flip keeps every diamond relation,
+    so the sponge is valid with +-1 incidences, but C(0^, F) breaks d o d at
+    every edge.
+    """
+    lattice = hypercube_lattice(4)
+    keep = {f: d for f, d in lattice.faces if d <= 3}
+    p = GradedPoset(keep.items(), [(u, l) for u, l in lattice.covers if u in keep])
+    incidence = sign_solver(p)
+    if balanced:
+        return SpongeComplex(5, p, incidence)
+    for v in p.elements_of_rank(0):
+        if v.count("1") % 2:
+            for e in p.upper_covers(v):
+                incidence[e, v] *= -1
+    for e in p.elements_of_rank(1):
+        if incidence[e, p.lower_covers(e)[0]] < 0:
+            for c in [(e, v) for v in p.lower_covers(e)] + [(t, e) for t in p.upper_covers(e)]:
+                incidence[c] *= -1
+    return SpongeComplex(5, p, incidence)
+
+
+def test_lower_intervals_take_the_cellular_route_and_match_the_chain_route(monkeypatch):
+    """Every (0^, F) is read from one cell per face below F when the sponge
+    has +-1 incidences and the cells are a complex; otherwise, as with
+    unbalanced edges, from its chains, with the same profile either way.
+    (0^, 1^) enumerates its chains even with a signing."""
+    chained, celled = count_chain_routes(monkeypatch)
+    unbalanced = cube_boundary_sponge(balanced=False)
+    assert sponge.validate_sponge(unbalanced).is_valid
+    assert all(v in (1, -1) for v in unbalanced.incidence.values())
+    assert all(sum(unbalanced.incidence[e, v] for v in unbalanced.faces.lower_covers(e)) == 2
+               for e in unbalanced.faces.elements_of_rank(1))
+    cellular = 0
+    signed = [cube_boundary_sponge(balanced=True), gen_polytope_skeleton(simplex_lattice(5)),
+              gen_polytope_skeleton(hypercube_lattice(5))]
+    for z in [make() for make in corpus()] + signed + [unbalanced]:
+        p, signs = fresh(z.faces), sponge.incidence_signs(z)  # gen fills z.faces' cache
+        expected = {f: interval_homology(fresh(p), None, f) for f in p.elements()}
+        chained.clear()
+        celled.clear()
+        assert {f: interval_homology(p, None, f, signs) for f in p.elements()} == expected, z
+        if z is unbalanced:  # every 3-face tries its cells and falls back
+            assert len(chained) == len(celled) == len(p.elements_of_rank(3)) == 8
+        elif signs is not None:
+            assert not chained, z
+            cellular += len(celled)
+    assert cellular == 8 + 15 + 40  # the 3-faces of the cube boundary and the skeleta
+    octahedron = builtin("g42_octahedron")
+    p = octahedron.faces
+    chained.clear()
+    celled.clear()
+    assert interval_homology(p, None, None, sponge.incidence_signs(octahedron)) == (
+        interval_homology(fresh(p), None, None))
+    assert chained[-1] == set(p.elements()) and not celled

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from sponges import complexes, sponge
@@ -7,7 +10,9 @@ from sponges.generators import (
     gen_model_sponge,
     gen_simplex_skeleton,
     graph_sponge,
+    hypercube_lattice,
     octahedron_sponge,
+    simplex_lattice,
 )
 from sponges.poset import (
     GradedPoset,
@@ -17,7 +22,9 @@ from sponges.poset import (
 from sponges.sponge import (
     NonCompactSponge,
     NotAcyclicSponge,
+    NotDiamond,
     RealizationMismatch,
+    SignUnsolvable,
     SpongeComplex,
     cellular_complex,
     check_acyclic,
@@ -29,8 +36,9 @@ from sponges.sponge import (
 )
 from sponges.poset import UnknownElement
 
-from oracles import local_cohomology_via_order_complex
+from oracles import local_cohomology_via_order_complex, sign_solver_by_sorted_pivots
 from test_interval_homology import rp2_sponge
+from test_poset import projective_plane_face_poset
 
 
 def single_vertex_sponge():
@@ -357,6 +365,56 @@ def test_solver_signs_give_correct_integral_homology():
     signs = sign_solver(faces)
     z = SpongeComplex(n=4, faces=faces, incidence=signs)
     assert homology(cellular_complex(z)) == profile({0: (1, ())})
+
+
+def skeleton_poset(lattice):
+    """The faces of dimension at most n-2 of an n-polytope, unsigned."""
+    keep = {f: d for f, d in lattice.faces if d <= lattice.dimension - 2}
+    return GradedPoset(keep.items(), [(u, l) for u, l in lattice.covers if u in keep and l in keep])
+
+
+def relabelled_poset(p, seed):
+    """The same poset with seeded names, so the unknowns come in another order."""
+    rng = random.Random(seed)
+    names = {e: f"{rng.randrange(10**6):06d}-{e}" for e in p.elements()}
+    return GradedPoset([(names[e], rk) for e, rk in p.ranks.items()],
+                       [(names[u], names[l]) for u, l in p.covers()])
+
+
+def solver_outcome(solve, p):
+    try:
+        return solve(p)
+    except (NotDiamond, SignUnsolvable) as err:
+        return type(err), err.args
+
+
+def test_sign_solver_matches_the_sorted_pivot_oracle():
+    """Equal assignments, or equal exceptions, on the builtins, the cube and
+    simplex skeleta, seeded relabellings of those, a poset with a one-middle
+    rank-2 interval and a non-orientable boundary."""
+    posets = [builtin(name).faces for name in
+              ("g42_octahedron", "f3_k33", "cube_skeleton", "model_n3", "model_n4")]
+    posets += [skeleton_poset(hypercube_lattice(d)) for d in range(2, 6)]
+    posets += [skeleton_poset(simplex_lattice(d)) for d in range(2, 8)]
+    posets += [relabelled_poset(p, seed) for seed, p in enumerate(list(posets))]
+    chain = GradedPoset([("a", 0), ("b", 1), ("c", 2)], [("b", "a"), ("c", "b")])
+    rp2 = projective_plane_face_poset()  # a 3-face over it has no +-1 boundary
+    solid = GradedPoset([*rp2.ranks.items(), ("T", 3)],
+                        [*rp2.covers(), *(("T", t) for t in rp2.elements_of_rank(2))])
+    seen = set()
+    for p in posets + [chain, solid]:
+        got = solver_outcome(sign_solver, p)
+        assert got == solver_outcome(sign_solver_by_sorted_pivots, p), p
+        seen.add(got[0] if isinstance(got, tuple) else dict)
+    assert seen == {dict, NotDiamond, SignUnsolvable}
+
+
+def test_sign_solver_on_the_6_cube_skeleton_is_fast():
+    p = skeleton_poset(hypercube_lattice(6))
+    start = time.perf_counter()
+    signs = sign_solver(p)
+    assert time.perf_counter() - start < 1
+    assert solver_diamond_ok(p, signs)
 
 
 # ---------------------------------------------------------------------------
