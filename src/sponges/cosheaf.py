@@ -18,9 +18,32 @@ cosheaf.  For Cohen-Macaulay face posets the sections live purely in
 cohomological degree n-2 and the homology of the cosheaf in degree r must
 agree with the cohomology of the order complex in degree n-2-r.
 `dihomology_check` verifies that rank equality with two independent
-computations: cellular sections assembled through cover maps on one side;
-on the other, the reduced homology of (0^, 1^) cached on the face poset by
-`poset.interval_homology`, read as cohomology by universal coefficients.
+computations: the cosheaf's homology on one side; on the other, the reduced
+homology of (0^, 1^) cached on the face poset by `poset.interval_homology`,
+read as cohomology by universal coefficients.
+
+The cosheaf's ranks need no bases when every section sits in one degree.
+The section complexes are the columns of one integer double complex D: a
+cell (s, t) for each pair of faces s <= t, in degree rank s - rank t, with
+boundary
+
+    d(s, t) = sum_u [s:u] (u, t) + (-1)^rank s sum_w [w:t] (s, w)
+
+over the lower covers u of s and the upper covers w of t.  The first sum
+squares to zero by the diamond relations below s, the second by those above
+t, and the two commute, since each inclusion of sections is a cochain map:
+the sign (-1)^rank s makes the cross terms cancel.  Filter D by rank s.  The
+E0 page is the section complexes, so E1 is the sections, and d1, induced by
+the inclusions, is the cosheaf's boundary (Weibel, An Introduction to
+Homological Algebra, 1994, 5.6; Curry, Sheaves, Cosheaves and Applications,
+thesis, 2014).  When every rational section sits in cohomological degree
+n-2, E1 is one row, E2 = E-infinity, and rank H_r(S; H^{n-2}) =
+rank H_{r-(n-2)}(D; Q).  Over Z the same D can carry torsion (the doubled
+edge's does), so D is read over Q.  A section off degree n-2 is possible on a
+valid Cohen-Macaulay sponge: a lone vertex at n=3 has Z in degree 0, so E1
+is not row n-2 alone, and H_0(D; Q) = Q says nothing of the cosheaf at n-2,
+which is zero.  `dihomology_check` then falls back to the cosheaf's
+rational bases and cover maps.
 
 Sections and cover maps are rational (deterministic bases from the homology
 routine); the integer side of the comparison contributes free ranks and
@@ -39,6 +62,7 @@ from .complexes import (
     HomologyProfile,
     IntegerChainComplex,
     RationalHomologyBasis,
+    cell_complex,
     homology,
     induced_map_on_homology,
 )
@@ -90,22 +114,31 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
     """Compute every section and every cover map.
 
     Each face's `faces_above` lists are computed once, and its
-    `section_complex` is built once on them.  Its homology gives the section
-    over Z and over Q, its rational bases give the cover maps, which are
-    induced by the inclusions of the `faces_above` lists, and both are
-    reported at cohomological degree p, the complex's chain degree -p.
+    `section_complex` is built once on them (`_sections`).  Its homology
+    gives the section over Z and over Q, its rational bases give the cover
+    maps, which are induced by the inclusions of the `faces_above` lists,
+    and both are reported at cohomological degree p, the complex's chain
+    degree -p.
     """
     ensure_valid(z)
+    return _cosheaf(z, *_sections(z))
+
+
+def _sections(z: SpongeComplex) -> tuple[dict, dict, dict, dict]:
+    """Per face: its `faces_above` lists, its section complex, and the
+    section's cohomology over Q and over Z."""
     generators = {s: faces_above(z, s) for s in z.faces.elements()}
-    complexes: dict[str, IntegerChainComplex] = {}
-    bases: dict[str, RationalHomologyBasis] = {}
-    sections: dict[str, HomologyProfile] = {}
-    sections_integral: dict[str, HomologyProfile] = {}
-    for s in z.faces.elements():
-        section = complexes[s] = _section_complex(z, generators[s])
-        sections_integral[s] = _section_cohomology(section, INTEGERS)
-        sections[s] = _section_cohomology(section, RATIONALS)
-        bases[s] = RationalHomologyBasis(section)
+    complexes = {s: _section_complex(z, generators[s]) for s in generators}
+    sections = {s: _section_cohomology(c, RATIONALS) for s, c in complexes.items()}
+    sections_integral = {s: _section_cohomology(c, INTEGERS) for s, c in complexes.items()}
+    return generators, complexes, sections, sections_integral
+
+
+def _cosheaf(z: SpongeComplex, generators: dict, complexes: dict, sections: dict,
+             sections_integral: dict) -> LocalCohomologyCosheaf:
+    """The cosheaf on the output of `_sections`: a rational basis per section,
+    and the map each cover induces between them."""
+    bases = {s: RationalHomologyBasis(c) for s, c in complexes.items()}
     cover_maps: dict[tuple[str, str], dict[int, list[list[Fraction]]]] = {}
     for upper, lower in z.faces.covers():
         inclusion = {}
@@ -128,6 +161,33 @@ def build_cosheaf(z: SpongeComplex) -> LocalCohomologyCosheaf:
         sections_integral=sections_integral,
         cover_maps=cover_maps,
     )
+
+
+def _double_complex(z: SpongeComplex, generators: dict) -> IntegerChainComplex:
+    """The total complex D of the section complexes, on their `faces_above` lists.
+
+    D has a cell (s, t) for each pair of faces s <= t, in degree
+    rank s - rank t.  The boundary of (s, t) is the sum of [s:u] (u, t) over
+    the lower covers u of s, plus (-1)^rank s times the sum of [w:t] (s, w)
+    over the upper covers w of t.  Built by `cell_complex`, so d o d = 0 is
+    checked.
+    """
+    faces = z.faces
+    rank = {s: faces.rank(s) for s in generators}
+    down = {s: [(u, z.incidence[s, u]) for u in faces.lower_covers(s)] for s in generators}
+    up = {t: [(w, z.incidence[w, t]) for w in faces.upper_covers(t)] for t in generators}
+    cells: dict[int, list[tuple[str, str]]] = {-d: [] for d in range(faces.max_rank() + 1)}
+    for s, above in generators.items():
+        for d, ts in above.items():
+            if ts:
+                cells[rank[s] - d].extend((s, t) for t in ts)
+
+    def boundary(cell):
+        s, t = cell
+        sign = -1 if rank[s] & 1 else 1
+        return [*(((u, t), v) for u, v in down[s]), *(((s, w), sign * v) for w, v in up[t])]
+
+    return cell_complex(cells, boundary)
 
 
 def assemble_chain_complex(c: LocalCohomologyCosheaf, p: int) -> IntegerChainComplex:
@@ -204,23 +264,38 @@ def dihomology_check(z: SpongeComplex) -> DihomologyReport:
     Then every section must be concentrated in cohomological degree n-2, and
     each rank r = 0..n-2 must match; the first disagreement raises
     RankMismatch.
+
+    Each face's section complex is built once (`_sections`), and its profiles
+    over Z and Q give the stray sections and the section torsion.  When no
+    section has free rank off degree n-2, the left side is read from the
+    double complex D of the module docstring: rank H_r(S; H^{n-2}) is the
+    rank of H_{r-(n-2)}(D; Q), since D's spectral-sequence E1 page is the
+    cosheaf's chain complex in row n-2 alone.  Otherwise (a lone vertex at
+    n=3 has its section in degree 0) E1 has other rows, and the left side
+    is the homology of the cosheaf built from rational bases and cover maps.
     """
     ensure_valid(z)
     cm = check_cohen_macaulay(z.faces, signs=incidence_signs(z))
     if not cm.is_cm:
         raise NotCohenMacaulay(cm)
-    cosheaf = build_cosheaf(z)
+    generators, complexes, sections, sections_integral = _sections(z)
     top = z.n - 2
     stray = []
     torsion = []
     for s in z.faces.elements():
-        prof = cosheaf.sections[s]
+        prof = sections[s]
         for d in prof.degrees():
             if d != top and prof.free_rank(d):
                 stray.append((s, d, prof.free_rank(d)))
-        torsion.extend((s, d, t) for d, t in cosheaf.sections_integral[s].total_torsion())
-    lhs_profile = cosheaf_homology(cosheaf, top)
-    lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
+        torsion.extend((s, d, t) for d, t in sections_integral[s].total_torsion())
+    if stray:
+        cosheaf = _cosheaf(z, generators, complexes, sections, sections_integral)
+        lhs_profile = cosheaf_homology(cosheaf, top)
+        lhs = tuple(lhs_profile.free_rank(r) for r in range(top + 1))
+    else:
+        del complexes  # D holds their cells again: keep one copy at a time
+        total = homology(_double_complex(z, generators), RATIONALS)
+        lhs = tuple(total.free_rank(r - top) for r in range(top + 1))
     reduced, _ = interval_homology(z.faces, None, None)  # torsion moves up one degree
     rhs = [reduced.free_rank(top - r) for r in range(top + 1)]
     if len(z.faces):

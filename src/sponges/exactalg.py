@@ -36,7 +36,7 @@ class IntegerMatrix:
     ``entries`` maps (i, j) to a value.  Zeros are dropped, indices outside
     the shape and non-integer values are rejected, and the nonzeros are kept
     as a tuple of (i, j, value) triples in row-major order.  Products,
-    transposes, submatrices, comparisons and zero tests cost O(nnz); only
+    transposes, comparisons and zero tests cost O(nnz); only
     the dense views `to_rows`, `row` and `column` cost O(rows x cols).
     """
 
@@ -119,25 +119,6 @@ class IntegerMatrix:
             for j, b in other_rows.get(k, ()):
                 out[i, j] = out.get((i, j), 0) + a * b
         return IntegerMatrix(self.rows, other.cols, out)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntegerMatrix":
-        if not all(0 <= i < self.rows for i in row_idx) or not all(
-            0 <= j < self.cols for j in col_idx
-        ):
-            raise ValueError(f"submatrix index outside a {self.rows}x{self.cols} matrix")
-        new_rows: dict[int, list[int]] = {}
-        new_cols: dict[int, list[int]] = {}
-        for a, i in enumerate(row_idx):
-            new_rows.setdefault(i, []).append(a)
-        for b, j in enumerate(col_idx):
-            new_cols.setdefault(j, []).append(b)
-        entries = {
-            (a, b): v
-            for i, j, v in self._nonzeros
-            for a in new_rows.get(i, ())
-            for b in new_cols.get(j, ())
-        }
-        return IntegerMatrix(len(row_idx), len(col_idx), entries)
 
     @property
     def shape(self) -> tuple[int, int]:

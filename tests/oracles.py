@@ -126,7 +126,7 @@ def quotient_complex(
     for d in total.degrees():
         m = total.boundary(d)
         if d - 1 in kept:
-            boundaries[d] = m.submatrix(kept[d - 1], kept[d])
+            boundaries[d] = submatrix(m, kept[d - 1], kept[d])
     return IntegerChainComplex(ranks, boundaries)
 
 
@@ -474,6 +474,25 @@ def dense_transpose(a: list[list[int]], ncols: int) -> list[list[int]]:
     return [[row[j] for row in a] for j in range(ncols)]
 
 
+def submatrix(m: IntegerMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> IntegerMatrix:
+    """The rows ``row_idx`` and columns ``col_idx`` of m, in that order, repeats allowed."""
+    if not all(0 <= i < m.rows for i in row_idx) or not all(0 <= j < m.cols for j in col_idx):
+        raise ValueError(f"submatrix index outside a {m.rows}x{m.cols} matrix")
+    new_rows: dict[int, list[int]] = {}
+    new_cols: dict[int, list[int]] = {}
+    for a, i in enumerate(row_idx):
+        new_rows.setdefault(i, []).append(a)
+    for b, j in enumerate(col_idx):
+        new_cols.setdefault(j, []).append(b)
+    entries = {
+        (a, b): v
+        for i, j, v in m.nonzero_items()
+        for a in new_rows.get(i, ())
+        for b in new_cols.get(j, ())
+    }
+    return IntegerMatrix(len(row_idx), len(col_idx), entries)
+
+
 def dense_submatrix(a: list[list[int]], rows: list[int], cols: list[int]) -> list[list[int]]:
     return [[a[i][j] for j in cols] for i in rows]
 
@@ -798,7 +817,7 @@ def subcomplex(
     boundaries = {}
     for d in total.degrees():
         if d - 1 in kept:
-            boundaries[d] = total.boundary(d).submatrix(kept[d - 1], kept[d])
+            boundaries[d] = submatrix(total.boundary(d), kept[d - 1], kept[d])
     return IntegerChainComplex(ranks, boundaries)
 
 

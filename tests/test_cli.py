@@ -1120,7 +1120,7 @@ def test_each_command_imports_only_its_own_layers(tmp_path):
     for command, modules in runs.items():
         assert "dataclasses" not in modules, command
     assert "fractions" not in runs["check-cm"] | runs["homology"] | runs["check-acyclic"]
-    assert "fractions" in runs["dihomology-check"]  # the rational bases of the cosheaf
+    assert "fractions" not in runs["dihomology-check"]  # ranks from the integer double complex
 
 
 def test_main_exits_like_cli_dispatch(tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
 import copy
 import hashlib
+import io
+import json
 import random
 from math import gcd
 
 import pytest
 
 from sponges import complexes, cosheaf, exactalg, sponge
-from sponges.complexes import RationalHomologyBasis, cohomology, profile
+from sponges.cli import cli_dispatch, serialize_sponge
+from sponges.complexes import RationalHomologyBasis, cohomology, homology, profile
 from sponges.cosheaf import (
     NotCohenMacaulay,
+    RankMismatch,
     assemble_chain_complex,
     build_cosheaf,
     cosheaf_homology,
@@ -24,7 +28,7 @@ from sponges.generators import (
     simplex_lattice,
 )
 from sponges.poset import GradedPoset, order_complex
-from sponges.sponge import SpongeComplex, local_cohomology, section_complex
+from sponges.sponge import SpongeComplex, faces_above, local_cohomology, section_complex
 
 from oracles import (
     cochain_complex,
@@ -364,3 +368,126 @@ def test_dihomology_across_small_corpus():
         b = check_acyclic(z).b_number
         assert report.cosheaf_ranks[0] == b
         assert report.cosheaf_ranks[-1] == 1  # H^0 of a connected realization
+
+
+def lone_vertex_sponge():
+    """One vertex at n=3: valid and Cohen-Macaulay, its section Z in degree 0, not n-2."""
+    return SpongeComplex(n=3, faces=GradedPoset([("v", 0)], []), incidence={})
+
+
+def edge_sponge(n):
+    """One edge with incidences 1 and -1; at n=50 its section at e sits in degree 1, not 48."""
+    p = GradedPoset([("v", 0), ("w", 0), ("e", 1)], [("e", "v"), ("e", "w")])
+    return SpongeComplex(n=n, faces=p, incidence={("e", "v"): 1, ("e", "w"): -1})
+
+
+def double_complex_corpus():
+    yield from cosheaf_corpus()
+    yield doubled_edge_sponge()
+    yield two_disjoint_chains_sponge()
+    yield from gen_trivalent_sponges(10)
+    yield gen_polytope_skeleton(simplex_lattice(5))
+    yield gen_polytope_skeleton(hypercube_lattice(5))
+    yield from (gen_model_sponge(n) for n in range(3, 10))
+
+
+def double_complex_homology(z, coefficients):
+    generators = {s: faces_above(z, s) for s in z.faces.elements()}
+    return homology(cosheaf._double_complex(z, generators), coefficients)
+
+
+def test_double_complex_has_the_cosheaf_homology():
+    """Where every rational section sits in degree n-2, H_k(D) over Q is the
+    cosheaf's homology in degree k + n - 2, in every degree; the two stray
+    sponges are the ones left out."""
+    compared, stray = 0, []
+    for z in [*double_complex_corpus(), lone_vertex_sponge(), edge_sponge(50)]:
+        c, top = build_cosheaf(z), z.n - 2
+        if any(d != top for s in z.faces.elements() for d in c.sections[s].degrees()):
+            stray.append(z)
+            continue
+        general = cosheaf_homology(c, top)
+        shifted = profile({d - top: (general.free_rank(d), ()) for d in general.degrees()})
+        assert double_complex_homology(z, "rationals") == shifted, z.name
+        compared += 1
+    assert compared == 55
+    assert [(z.n, len(z.faces)) for z in stray] == [(3, 1), (50, 3)]
+
+
+def test_doubled_edge_double_complex_has_torsion_only_over_z():
+    """The +-2 incidences put Z/2 in H_{-1}(D) over Z, with the free ranks
+    of the rationals: so D is read over Q."""
+    z = doubled_edge_sponge()
+    over_z = double_complex_homology(z, "integers")
+    over_q = double_complex_homology(z, "rationals")
+    assert over_z == profile({-1: (0, (2, 2)), 0: (1, ())})
+    assert over_q == profile({0: (1, ())})
+    assert cosheaf_homology(build_cosheaf(z), 1) == profile({1: (1, ())})
+
+
+def spy(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that appends its qualified name to ``calls``."""
+    original = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(original.__qualname__)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def test_dihomology_takes_one_route_and_builds_each_section_once(monkeypatch):
+    """Model 6 reads its ranks from D: no rational basis, cover map or
+    cosheaf.  The lone vertex and the edge at n=50 have a stray section and
+    take the general route.  Either way each face's section complex is built
+    once."""
+    calls, above = [], []
+    spy(monkeypatch, RationalHomologyBasis, "__init__", calls)
+    for owner in (cosheaf, complexes):
+        spy(monkeypatch, owner, "induced_map_on_homology", calls)
+    for name in ("build_cosheaf", "cosheaf_homology", "_double_complex"):
+        spy(monkeypatch, cosheaf, name, calls)
+    spy(monkeypatch, sponge, "cell_complex", calls)
+    original_faces_above = cosheaf.faces_above
+    monkeypatch.setattr(cosheaf, "faces_above",
+                        lambda z, s: above.append(s) or original_faces_above(z, s))
+
+    def counts():
+        out = {name: calls.count(name) for name in sorted(set(calls))}
+        calls.clear()
+        return out
+
+    model = gen_model_sponge(6)
+    assert dihomology_check(model).passed
+    assert counts() == {"_double_complex": 1, "cell_complex": 57}
+    assert sorted(above) == sorted(model.faces.elements())
+    for z in (lone_vertex_sponge(), edge_sponge(50)):
+        above.clear()
+        with pytest.raises(RankMismatch):
+            dihomology_check(z)
+        faces, covers = len(z.faces), len(z.faces.covers())
+        assert counts() == {"RationalHomologyBasis.__init__": faces, "cell_complex": faces,
+                            "cosheaf_homology": 1,
+                            **({"induced_map_on_homology": covers} if covers else {})}
+        assert sorted(above) == sorted(z.faces.elements())
+
+
+# sha256 of the dihomology-check stdout and its exit code, recorded while
+# every cosheaf rank was read from rational bases and induced maps
+DIHOMOLOGY_STDOUT_DIGESTS = {
+    "lone_vertex": (1, "d300c1ed325ad86f8ff60afab25907775f5f3c01d14fffea58437a12b01e54f9"),
+    "edge_n50": (1, "816258f657eb1eab85108e180d62d56df2619f84458104c3cd071870c58e97f4"),
+    "model_n8": (0, "d068d8187da4838d1f074fd0d077568d30e80816040eafb1510a165b12be95cd"),
+}
+
+
+def test_dihomology_stdout_is_pinned(tmp_path):
+    documents = {"lone_vertex": lone_vertex_sponge(), "edge_n50": edge_sponge(50),
+                 "model_n8": gen_model_sponge(8)}
+    for name, z in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_sponge(z)))
+        out, err = io.StringIO(), io.StringIO()
+        code = cli_dispatch(["dihomology-check", str(path)], stdout=out, stderr=err)
+        assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == \
+            DIHOMOLOGY_STDOUT_DIGESTS[name], name

